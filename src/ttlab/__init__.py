@@ -43,24 +43,14 @@ from .promises import (
     StaticBall,
     check_breach,
     make_promise,
-    promise_set_at,
     validate_noisy_promise,
     view_disk_at,
 )
-from .triggers import (
-    BreachAction,
-    SamplerConfig,
-    TriggerVerdict,
-    adaptive_dwell,
-    critical_time,
-    event_breach_action,
-    li_v_sup,
-)
+from .triggers import SamplerConfig, adaptive_dwell, critical_time_ns, li_v_sup
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BreachAction",
     "Channel",
     "CommGraph",
     "ConfigError",
@@ -79,20 +69,17 @@ __all__ = [
     "SamplerConfig",
     "ScenarioConfig",
     "StaticBall",
-    "TriggerVerdict",
     "UnicycleState",
     "adaptive_dwell",
     "bundled_config",
     "check_breach",
-    "critical_time",
-    "event_breach_action",
+    "critical_time_ns",
     "goal_point",
     "li_v_sup",
     "load_config",
     "lyapunov",
     "lyapunov_gradient",
     "make_promise",
-    "promise_set_at",
     "reachable_disk",
     "run",
     "run_compare",

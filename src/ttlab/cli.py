@@ -21,6 +21,7 @@ from .engine import (
     write_outputs,
     write_sweep_csv,
 )
+from .promises import StaticBall
 
 log = logging.getLogger("ttlab")
 
@@ -101,7 +102,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load(args.config), args)
-    grid = [float(tok) for tok in args.lambda_grid.split(",") if tok.strip()]
+    tokens = [tok for tok in args.lambda_grid.split(",") if tok.strip()]
+    try:
+        grid = [StaticBall(float(tok)).tightness for tok in tokens]
+    except ValueError as e:
+        raise ConfigError(f"--lambda-grid: {e}") from None
     t0 = time.perf_counter()
     rows = sweep_lambda(cfg, grid, parallel=args.parallel)
     wall = time.perf_counter() - t0

@@ -34,10 +34,13 @@ class DwellConfig:
     adapt_floor: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.self_dwell <= 0.0 or self.event_dwell <= 0.0:
-            raise ValueError("dwell times must be positive")
-        if self.adaptive and (self.adapt_scale <= 0.0 or self.adapt_floor <= 0.0):
-            raise ValueError("adaptive dwell needs positive adapt_scale and adapt_floor")
+        names = ["self_dwell", "event_dwell"]
+        if self.adaptive:
+            names += ["adapt_scale", "adapt_floor"]
+        for name in names:
+            v = getattr(self, name)
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {v}")
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,9 @@ class ScenarioConfig:
 def validate_config(cfg: ScenarioConfig) -> None:
     """Reject configurations the simulator cannot run soundly."""
     if cfg.law not in LAWS:
-        raise ConfigError(f"law must be one of {LAWS}, got {cfg.law!r}")
+        raise ConfigError(f"[engine] law must be one of {LAWS}, got {cfg.law!r}")
+    if cfg.n_agents < 1:
+        raise ConfigError(f"[graph] agents must be at least 1, got {cfg.n_agents}")
     if len(cfg.initial_states) != cfg.n_agents:
         raise ConfigError(
             f"{cfg.n_agents} agents declared but {len(cfg.initial_states)} initial states given"
@@ -78,17 +83,18 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if not spec.covers(graph):
         missing = [e for e in graph.edges if e not in dict(((i, j), d) for i, j, d in cfg.distances)]
         raise ConfigError(f"edges without a target distance: {missing}")
-    if cfg.duration <= 0.0:
-        raise ConfigError("duration must be positive")
-    if cfg.dt <= 0.0:
-        raise ConfigError("dt must be positive")
+    for key in ("duration", "dt"):
+        v = getattr(cfg, key)
+        if not 0.0 < v < math.inf:
+            raise ConfigError(f"[engine] {key} must be finite and positive, got {v}")
     if cfg.dt > cfg.dwell.event_dwell / 3.0 + 1e-15:
         raise ConfigError(
             f"dt={cfg.dt} too coarse: must be at most a third of event_dwell={cfg.dwell.event_dwell}"
         )
-    if cfg.expiration is not None and cfg.expiration <= cfg.dwell.event_dwell:
+    if cfg.expiration is not None and not cfg.dwell.event_dwell < cfg.expiration < math.inf:
         raise ConfigError(
-            f"expiration {cfg.expiration} must exceed event_dwell {cfg.dwell.event_dwell}"
+            f"[promise] expiration {cfg.expiration} must be finite and exceed"
+            f" event_dwell {cfg.dwell.event_dwell}"
         )
     if cfg.law != "robust-team" and not cfg.network.ideal:
         raise ConfigError(
@@ -128,9 +134,30 @@ def _get_float(parser, path, section, key, default=None) -> float:
         return default
     raw = _get(parser, path, section, key)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{path}: [{section}] {key} = {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: [{section}] {key} = {raw!r} is not finite")
+    return value
+
+
+def _get_int(parser, path, section, key, default=None) -> int:
+    if default is not None and not parser.has_option(section, key):
+        return default
+    raw = _get(parser, path, section, key)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{path}: [{section}] {key} = {raw!r} is not an integer") from None
+
+
+def _in_section(path, section, make, *args, **kwargs):
+    """make(*args, **kwargs), locating the ValueError its validation raises."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{path}: [{section}] {e}") from None
 
 
 def _get_bool(parser, path, section, key, default: bool) -> bool:
@@ -157,7 +184,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"config syntax error: {e}") from None
 
     spath = str(path)
-    n = int(_get_float(parser, spath, "graph", "agents"))
+    n = _get_int(parser, spath, "graph", "agents")
     edges_raw = _get(parser, spath, "graph", "edges")
     edges = tuple(
         _parse_pair(tok.strip(), f"{spath}: [graph] edges")
@@ -190,12 +217,14 @@ def load_config(path: str | Path) -> ScenarioConfig:
         except ValueError as e:
             raise ConfigError(f"{spath}: [agents] state.{k}: {e}") from None
 
-    limits = Limits(
-        _get_float(parser, spath, "limits", "max_speed"),
-        _get_float(parser, spath, "limits", "max_turn"),
-    )
+    max_speed = _get_float(parser, spath, "limits", "max_speed")
+    max_turn = _get_float(parser, spath, "limits", "max_turn")
+    limits = _in_section(spath, "limits", Limits, max_speed, max_turn)
 
-    dwell = DwellConfig(
+    dwell = _in_section(
+        spath,
+        "dwell",
+        DwellConfig,
         self_dwell=_get_float(parser, spath, "dwell", "self_dwell", 0.3),
         event_dwell=_get_float(parser, spath, "dwell", "event_dwell", 0.003),
         adaptive=_get_bool(parser, spath, "dwell", "adaptive", False),
@@ -206,23 +235,28 @@ def load_config(path: str | Path) -> ScenarioConfig:
     rule_kind = parser.get("promise", "rule", fallback="static").strip().lower()
     rule: PromiseRuleConfig
     if rule_kind == "static":
-        rule = StaticBall(_get_float(parser, spath, "promise", "tightness", 0.1))
+        tightness = _get_float(parser, spath, "promise", "tightness", 0.1)
+        rule = _in_section(spath, "promise", StaticBall, tightness)
     elif rule_kind == "dynamic":
-        rule = DynamicBall(
-            scale=_get_float(parser, spath, "promise", "scale", 0.5),
-            floor=_get_float(parser, spath, "promise", "floor", 1e-6),
-        )
+        scale = _get_float(parser, spath, "promise", "scale", 0.5)
+        floor = _get_float(parser, spath, "promise", "floor", 1e-6)
+        rule = _in_section(spath, "promise", DynamicBall, scale, floor)
     else:
         raise ConfigError(f"{spath}: [promise] rule must be 'static' or 'dynamic', got {rule_kind!r}")
     exp_raw = parser.get("promise", "expiration", fallback="none").strip().lower()
-    expiration = None if exp_raw in ("none", "") else float(exp_raw)
+    expiration = None
+    if exp_raw not in ("none", ""):
+        expiration = _get_float(parser, spath, "promise", "expiration")
 
-    network = NetworkParams(
+    network = _in_section(
+        spath,
+        "network",
+        NetworkParams,
         drop_prob=_get_float(parser, spath, "network", "drop_prob", 0.0),
         max_delay=_get_float(parser, spath, "network", "max_delay", 0.0),
         noise_bound=_get_float(parser, spath, "network", "noise_bound", 0.0),
         radius_noise_bound=_get_float(parser, spath, "network", "radius_noise_bound", 0.0),
-        seed=int(_get_float(parser, spath, "network", "seed", 0.0)),
+        seed=_get_int(parser, spath, "network", "seed", 0),
     )
 
     workspace = None
@@ -230,7 +264,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
         parts = [tok.strip() for tok in parser.get("workspace", "bounds").split(",")]
         if len(parts) != 4:
             raise ConfigError(f"{spath}: [workspace] bounds needs 'xmin, xmax, ymin, ymax'")
-        workspace = tuple(float(v) for v in parts)  # type: ignore[assignment]
+        try:
+            workspace = tuple(float(v) for v in parts)  # type: ignore[assignment]
+        except ValueError as e:
+            raise ConfigError(f"{spath}: [workspace] bounds: {e}") from None
 
     cfg = ScenarioConfig(
         n_agents=n,
@@ -251,7 +288,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     )
     try:
         validate_config(cfg)
-    except ValueError as e:
+    except (ConfigError, ValueError) as e:
         raise ConfigError(f"{spath}: {e}") from None
     return cfg
 
@@ -334,13 +371,16 @@ def with_overrides(
 ) -> ScenarioConfig:
     """Apply CLI-style overrides, revalidating the result."""
     out = cfg
-    if seed is not None:
-        out = replace(out, network=replace(out.network, seed=seed))
-    if law is not None:
-        out = replace(out, law=law)
-    if duration is not None:
-        out = replace(out, duration=duration)
-    if tightness is not None:
-        out = replace(out, promise_rule=StaticBall(tightness))
+    try:
+        if seed is not None:
+            out = replace(out, network=replace(out.network, seed=seed))
+        if law is not None:
+            out = replace(out, law=law)
+        if duration is not None:
+            out = replace(out, duration=duration)
+        if tightness is not None:
+            out = replace(out, promise_rule=StaticBall(tightness))
+    except ValueError as e:
+        raise ConfigError(f"override: {e}") from None
     validate_config(out)
     return out

@@ -4,20 +4,60 @@ The nominal law steers each agent toward a goal point assembled from
 neighbor distance errors, saturating speed and turn rate at the actuation
 limits. Team variants evaluate the same law on promised estimates of the
 neighbors instead of their true states.
+
+goal_law is the one implementation of that law; the engine and the trigger
+scan call it, and goal_point/u_star wrap its two halves.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from typing import Mapping, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 from .model import ControlInput, FormationSpec, Limits, UnicycleState, wrap_angle
-from .promises import Promise, PromiseMode, expected_position
+from .promises import Promise, expected_position
 
 log = logging.getLogger("ttlab.controllers")
 
 Point = Tuple[float, float]
+
+
+def _goal_xy(x: float, y: float, points: Iterable[Point], dists: Sequence[float]) -> Point:
+    gx, gy = x, y
+    for (yx, yy), d in zip(points, dists):
+        dx = yx - x
+        dy = yy - y
+        dist = math.hypot(dx, dy)
+        if dist != 0.0:
+            err = dist - d
+            gx += err * dx / dist
+            gy += err * dy / dist
+    return (gx, gy)
+
+
+def _steer(x, y, heading, gx, gy, gain, max_speed, max_turn) -> Tuple[float, float]:
+    dx = gx - x
+    dy = gy - y
+    if dx == 0.0 and dy == 0.0:
+        return (0.0, 0.0)
+    along = math.cos(heading) * dx + math.sin(heading) * dy
+    speed = min(max(gain * along, 0.0), max_speed)
+    bearing = wrap_angle(math.atan2(dy, dx) - heading)
+    turn = min(max(gain * bearing, -max_turn), max_turn)
+    return (speed, turn)
+
+
+def goal_law(x, y, heading, points, dists, gain, max_speed, max_turn) -> Tuple[float, float]:
+    """(speed, turn rate) of the saturated law toward the goal point, on raw floats.
+
+    points[k] estimates the neighbor whose target distance is dists[k]; the
+    goal sums their contributions in that order (see goal_point), and the
+    law is the one documented on u_star. A neighbor coinciding with the
+    agent contributes nothing.
+    """
+    gx, gy = _goal_xy(x, y, points, dists)
+    return _steer(x, y, heading, gx, gy, gain, max_speed, max_turn)
 
 
 def goal_point(
@@ -33,18 +73,11 @@ def goal_point(
     it contributes nothing and a warning is logged.
     """
     px, py = own_position
-    gx, gy = px, py
     for j, (yx, yy) in neighbor_points.items():
-        dx = yx - px
-        dy = yy - py
-        dist = math.hypot(dx, dy)
-        if dist == 0.0:
+        if yx == px and yy == py:
             log.warning("agent %d coincides with neighbor %d; skipping its goal term", i, j)
-            continue
-        err = dist - spec.distance(i, j)
-        gx += err * dx / dist
-        gy += err * dy / dist
-    return (gx, gy)
+    dists = [spec.distance(i, j) for j in neighbor_points]
+    return _goal_xy(px, py, neighbor_points.values(), dists)
 
 
 def u_star(
@@ -58,14 +91,9 @@ def u_star(
     agent's position yields the zero control. A goal directly behind maps to
     a bearing error of +pi, so the turn saturates positive.
     """
-    dx = goal[0] - state.x
-    dy = goal[1] - state.y
-    if dx == 0.0 and dy == 0.0:
-        return ControlInput(0.0, 0.0, limits)
-    along = math.cos(state.heading) * dx + math.sin(state.heading) * dy
-    speed = min(max(gain * along, 0.0), limits.max_speed)
-    bearing = wrap_angle(math.atan2(dy, dx) - state.heading)
-    turn = min(max(gain * bearing, -limits.max_turn), limits.max_turn)
+    speed, turn = _steer(
+        state.x, state.y, state.heading, goal[0], goal[1], gain, limits.max_speed, limits.max_turn
+    )
     return ControlInput(speed, turn, limits)
 
 
@@ -73,15 +101,9 @@ def e_map(view: Mapping[int, Promise], t: float) -> dict[int, Point]:
     """Point estimates of the neighbors from their promises at time t.
 
     Ball promises map to their hold prediction, fallback promises to the
-    frozen disk center. Expired-mode promises are a contract error here;
-    the caller must have replaced or extended them.
+    frozen disk center.
     """
-    points: dict[int, Point] = {}
-    for j, p in view.items():
-        if p.mode is PromiseMode.EXPIRED:
-            raise ValueError(f"promise from {j} is expired; no estimate available")
-        points[j] = expected_position(p, t)
-    return points
+    return {j: expected_position(p, t) for j, p in view.items()}
 
 
 def u_double_star(
@@ -98,25 +120,15 @@ def u_double_star(
 
 
 def team_control(
-    i: int,
-    state: UnicycleState,
-    view: Mapping[int, Promise],
-    t: float,
-    t_star: float,
-    spec: FormationSpec,
-    limits: Limits,
-    safe_turn: bool = False,
+    nominal: ControlInput, t: float, t_star: float, safe_turn: bool = False
 ) -> ControlInput:
-    """Team law with the safe fallback past the certified horizon t_star.
+    """Team law with the safe fallback from the certified horizon t_star on.
 
-    Up to and including t_star the nominal control applies. Afterwards the
-    agent holds position; with safe_turn it keeps turning at the nominal
-    rate (position still frozen), which lets an agent whose goal lies behind
-    it recover heading while waiting for fresh information.
+    Before t_star the nominal control applies and is returned as is. From
+    t_star on the agent holds position; with safe_turn it keeps turning at
+    the nominal rate (position still frozen), which lets an agent whose goal
+    lies behind it recover heading while waiting for fresh information.
     """
-    if t <= t_star:
-        return u_double_star(i, state, view, t, spec, limits)
-    if safe_turn:
-        nominal = u_double_star(i, state, view, t, spec, limits)
-        return ControlInput(0.0, nominal.turn_rate, limits)
-    return ControlInput(0.0, 0.0, limits)
+    if t < t_star:
+        return nominal
+    return ControlInput(0.0, nominal.turn_rate if safe_turn else 0.0, nominal.limits)

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .config import ScenarioConfig
-from .controllers import u_double_star
+from .controllers import goal_law, team_control
 from .model import ControlInput, UnicycleState, arc_step, lyapunov, safe_mode, wrap_angle
 from .network import Channel
 from .promises import (
@@ -115,6 +115,7 @@ class _Agent:
         "round_pending",
         "self_req_token",
         "view",
+        "dists",
         "sent",
         "void_before",
     )
@@ -137,6 +138,8 @@ class _Agent:
         self.round_pending: set = set()
         self.self_req_token = 0
         self.view: Dict[int, Promise] = {}
+        # Target distances to the neighbors, in the order of `view`.
+        self.dists: List[float] = []
         self.sent: Dict[int, List[Promise]] = {}
         self.void_before: Dict[int, float] = {}
 
@@ -220,23 +223,22 @@ class Engine:
             if ag.t_star_ns > ag.state_ts_ns:
                 self._step(ag, ag.t_star_ns)
             ag.safe_active = True
-            turn = ag.control.turn_rate if self.safe_turn else 0.0
-            ag.control = ControlInput(0.0, turn, self.limits)
+            ag.control = team_control(ag.nominal, ag.t_star_ns, ag.t_star_ns, self.safe_turn)
         self._step(ag, ts_ns)
 
     def _apply_mode_control(self, ag: _Agent, now_ns: int) -> None:
         now_s = now_ns * 1e-9
-        state = UnicycleState(ag.x, ag.y, ag.heading)
-        nominal = u_double_star(ag.id, state, ag.view, now_s, self.spec, self.limits)
+        points = [view_disk_at(p, now_s).center for p in ag.view.values()]
+        lim = self.limits
+        speed, turn = goal_law(
+            ag.x, ag.y, ag.heading, points, ag.dists, self.spec.gain, lim.max_speed, lim.max_turn
+        )
+        nominal = ControlInput(speed, turn, lim)
         ag.nominal = nominal
-        ag.nominal_gap = math.hypot(nominal.speed, nominal.turn_rate)
-        if now_ns >= ag.t_star_ns:
-            ag.safe_active = True
-            turn = nominal.turn_rate if self.safe_turn else 0.0
-            ag.control = ControlInput(0.0, turn, self.limits)
-        else:
-            ag.safe_active = False
-            ag.control = nominal
+        ag.nominal_gap = math.hypot(speed, turn)
+        ag.control = team_control(nominal, now_ns, ag.t_star_ns, self.safe_turn)
+        # team_control hands the nominal control back unchanged before t*.
+        ag.safe_active = ag.control is not nominal
 
     # ------------------------------------------------------------------
     # certificates
@@ -532,6 +534,7 @@ class Engine:
                     fb_radius=0.0,
                     fb_time=0.0,
                 )
+            ag.dists = [self.spec.distance(ag.id, j) for j in ag.view]
         for ag in self.agents:
             ag.round_seq = 1
             self.n_s[ag.id] = 1

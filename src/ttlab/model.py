@@ -54,10 +54,6 @@ class UnicycleState:
             raise ValueError("state components must be finite")
         object.__setattr__(self, "heading", wrap_angle(self.heading))
 
-    @property
-    def position(self) -> Tuple[float, float]:
-        return (self.x, self.y)
-
 
 @dataclass(frozen=True)
 class ControlInput:
@@ -111,18 +107,6 @@ class CommGraph:
     def neighbors(self, i: int) -> Tuple[int, ...]:
         return self._neighbors[i]
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self._edge_set
-
-    @property
-    def _edge_set(self):
-        # Built lazily; graphs are small and constructed once.
-        cached = getattr(self, "_edge_set_cache", None)
-        if cached is None:
-            cached = frozenset(self.edges)
-            self._edge_set_cache = cached
-        return cached
-
 
 @dataclass(frozen=True)
 class DiskSet:
@@ -162,9 +146,6 @@ class FormationSpec:
 
     def distance(self, i: int, j: int) -> float:
         return self._dist[(min(i, j), max(i, j))]
-
-    def edges(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(self._dist))
 
     def covers(self, graph: CommGraph) -> bool:
         """True when every graph edge has a target distance."""
@@ -217,13 +198,6 @@ def step_unicycle(state: UnicycleState, control: ControlInput, dt: float) -> Uni
         raise ValueError("dt must be nonnegative")
     nx, ny, nth = arc_step(state.x, state.y, state.heading, control.speed, control.turn_rate, dt)
     return UnicycleState(nx, ny, nth)
-
-
-def step_single_integrator(
-    position: Tuple[float, float], velocity: Tuple[float, float], dt: float
-) -> Tuple[float, float]:
-    """First-order point-mass step, kept around for linear-theory tests."""
-    return (position[0] + velocity[0] * dt, position[1] + velocity[1] * dt)
 
 
 def reachable_disk(state: UnicycleState, limits: Limits, horizon: float) -> DiskSet:

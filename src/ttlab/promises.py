@@ -31,7 +31,6 @@ BREACH_TOL = 1e-9
 class PromiseMode(enum.Enum):
     BALL_RADIUS = "ball"
     REACHABILITY_FALLBACK = "fallback"
-    EXPIRED = "expired"
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,10 @@ class DynamicBall:
     floor: float
 
     def __post_init__(self) -> None:
-        if self.scale < 0.0 or self.floor < 0.0:
-            raise ValueError("scale and floor must be nonnegative")
+        for name in ("scale", "floor"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
 PromiseRuleConfig = Union[StaticBall, DynamicBall]
@@ -146,34 +147,19 @@ def _ball_disk(p: Promise, t: float) -> DiskSet:
     return DiskSet((zx, zy), min(r_ball, r_reach))
 
 
-def promise_set_at(p: Promise, t: float) -> DiskSet:
+def view_disk_at(p: Promise, t: float) -> DiskSet:
     """Position disk guaranteed to contain the issuer at time t.
 
-    Raises for t before issue, after expiry, or on an expired-mode promise;
-    the simulation layer handles continuation past expiry separately.
+    A fallback promise's frozen disk grows at max speed from its fallback
+    time. A ball promise continues past its expiry at the reachability rate:
+    recipients whose replacement promise has not arrived keep a sound view
+    by growing the last valid disk at max speed.
     """
-    if p.mode is PromiseMode.EXPIRED:
-        raise ValueError("promise is expired")
     if p.mode is PromiseMode.REACHABILITY_FALLBACK:
         if t < p.fb_time:  # type: ignore[operator]
             raise ValueError(f"t={t} precedes fallback time {p.fb_time}")
         grow = p.max_speed * (t - p.fb_time)  # type: ignore[operator]
         return DiskSet(p.fb_center, p.fb_radius + grow)  # type: ignore[arg-type]
-    if t < p.issued_at:
-        raise ValueError(f"t={t} precedes issue time {p.issued_at}")
-    if p.expires_at is not None and t > p.expires_at:
-        raise ValueError(f"t={t} past expiry {p.expires_at}")
-    return _ball_disk(p, t)
-
-
-def view_disk_at(p: Promise, t: float) -> DiskSet:
-    """Like promise_set_at but continues past expiry at the reachability rate.
-
-    Recipients whose replacement promise has not arrived keep a sound view by
-    growing the last valid disk at max speed.
-    """
-    if p.mode is PromiseMode.REACHABILITY_FALLBACK:
-        return promise_set_at(p, t)
     if p.expires_at is not None and t > p.expires_at:
         edge = _ball_disk(p, p.expires_at)
         return DiskSet(edge.center, edge.radius + p.max_speed * (t - p.expires_at))
@@ -229,8 +215,6 @@ def validate_noisy_promise(received: Promise, omega_bar: float, delta_bar: float
 
 
 def is_expired(p: Promise, t: float) -> bool:
-    if p.mode is PromiseMode.EXPIRED:
-        return True
     return p.expires_at is not None and t > p.expires_at
 
 

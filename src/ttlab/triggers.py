@@ -30,6 +30,7 @@ from .model import (
     arc_step,
     wrap_angle,
 )
+from .controllers import goal_law
 from .promises import Promise, PromiseMode, view_disk_at
 
 NS = 1_000_000_000
@@ -50,24 +51,6 @@ class SamplerConfig:
             raise ValueError("need at least 8 boundary samples")
 
 
-@dataclass(frozen=True)
-class TriggerVerdict:
-    t_star: float
-    t_next: float
-    t_star_ns: int
-    t_next_ns: int
-    initial_rate: float
-
-
-@dataclass(frozen=True)
-class BreachAction:
-    """What an issuer does upon catching its own promise breach."""
-
-    send_now: bool
-    warn: bool
-    resend_at: Optional[float]
-
-
 _SQRT3 = math.sqrt(3.0)
 _TABLES: dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
@@ -79,28 +62,6 @@ def _angle_tables(m: int) -> Tuple[np.ndarray, np.ndarray]:
         tab = (np.cos(phis), np.sin(phis))
         _TABLES[m] = tab
     return tab
-
-
-def _u_star_raw(
-    x: float,
-    y: float,
-    heading: float,
-    gx: float,
-    gy: float,
-    gain: float,
-    u_max: float,
-    v_max: float,
-) -> Tuple[float, float]:
-    """Raw-float twin of controllers.u_star, shared by the scan."""
-    dx = gx - x
-    dy = gy - y
-    if dx == 0.0 and dy == 0.0:
-        return (0.0, 0.0)
-    along = math.cos(heading) * dx + math.sin(heading) * dy
-    speed = min(max(gain * along, 0.0), u_max)
-    bearing = wrap_angle(math.atan2(dy, dx) - heading)
-    turn = min(max(gain * bearing, -v_max), v_max)
-    return (speed, turn)
 
 
 def disk_sup_batch(
@@ -228,6 +189,25 @@ def disk_params_batch(
     return zx, zy, r
 
 
+def rate_bound(
+    px, py, fx, fy, disks, dists: Sequence[float], sampler: SamplerConfig
+) -> np.ndarray:
+    """Sum of disk_sup_batch over the neighbor disks, in the given order.
+
+    px, py, fx, fy and each disk's (cx, cy, r) are arrays of one length, or
+    floats for a single point. This is the one place the per-neighbor
+    bounds are added up: li_v_sup, the trigger scan and its refinement all
+    call it.
+    """
+    px, py, fx, fy = (np.atleast_1d(v) for v in (px, py, fx, fy))
+    rate = np.zeros(px.shape)
+    for (cx, cy, r), d in zip(disks, dists):
+        rate += disk_sup_batch(
+            px, py, fx, fy, np.atleast_1d(cx), np.atleast_1d(cy), np.atleast_1d(r), d, sampler
+        )
+    return rate
+
+
 def li_v_sup(
     i: int,
     own_state: UnicycleState,
@@ -242,58 +222,13 @@ def li_v_sup(
     inside their disks; the sum decomposes per neighbor, so each disk is
     bounded independently.
     """
-    sampler = sampler or SamplerConfig()
+    order = sorted(neighbor_disks)
+    disks = [(*neighbor_disks[j].center, neighbor_disks[j].radius) for j in order]
+    dists = [spec.distance(i, j) for j in order]
     fx = control.speed * math.cos(own_state.heading)
     fy = control.speed * math.sin(own_state.heading)
-    one = np.ones(1)
-    total = 0.0
-    for j in sorted(neighbor_disks):
-        disk = neighbor_disks[j]
-        total += float(
-            disk_sup_batch(
-                one * own_state.x,
-                one * own_state.y,
-                one * fx,
-                one * fy,
-                one * disk.center[0],
-                one * disk.center[1],
-                one * disk.radius,
-                spec.distance(i, j),
-                sampler,
-            )[0]
-        )
-    return total
-
-
-def _scan_rate(
-    sx: float,
-    sy: float,
-    fx: float,
-    fy: float,
-    t_sec: float,
-    proms: Sequence[Promise],
-    dists: Sequence[float],
-    guard: float,
-    sampler: SamplerConfig,
-) -> float:
-    one = np.ones(1)
-    total = 0.0
-    for p, d in zip(proms, dists):
-        disk = view_disk_at(p, t_sec)
-        total += float(
-            disk_sup_batch(
-                one * sx,
-                one * sy,
-                one * fx,
-                one * fy,
-                one * disk.center[0],
-                one * disk.center[1],
-                one * (disk.radius + guard),
-                d,
-                sampler,
-            )[0]
-        )
-    return total
+    rate = rate_bound(own_state.x, own_state.y, fx, fy, disks, dists, sampler or SamplerConfig())
+    return float(rate[0])
 
 
 def critical_time_ns(
@@ -339,7 +274,6 @@ def critical_time_ns(
         ts_list.append(g)
         g += dt_ns
     n = len(ts_list)
-    nn = len(proms)
 
     chunk = 256
     state = (x, y, heading)
@@ -359,17 +293,14 @@ def critical_time_ns(
             dtau = (tn - lo) * 1e-9
             sx, sy, sth = arc_step(x0, y0, th0, sp0, tu0, dtau)
             sth = wrap_angle(sth)
-            return _scan_rate(
-                sx,
-                sy,
-                sp0 * math.cos(sth),
-                sp0 * math.sin(sth),
-                tn * 1e-9,
-                proms,
-                dists,
-                guard,
-                sampler,
+            disks = []
+            for p in proms:
+                disk = view_disk_at(p, tn * 1e-9)
+                disks.append((*disk.center, disk.radius + guard))
+            rate = rate_bound(
+                sx, sy, sp0 * math.cos(sth), sp0 * math.sin(sth), disks, dists, sampler
             )
+            return float(rate[0])
 
         if rate_at(hi) < 0.0:
             # The held-control certificate still holds through the grid
@@ -393,6 +324,7 @@ def critical_time_ns(
         for p in proms:
             cxj, cyj, rj = disk_params_batch(p, t_sec)
             disks.append((cxj, cyj, rj + guard))
+        centers = [list(zip(cxj.tolist(), cyj.tolist())) for cxj, cyj, _ in disks]
         px = np.empty(kk)
         py = np.empty(kk)
         fxa = np.empty(kk)
@@ -400,16 +332,8 @@ def critical_time_ns(
         for local in range(kk):
             k = start + local
             sx, sy, th = state
-            gx, gy = sx, sy
-            for jn in range(nn):
-                ddx = disks[jn][0][local] - sx
-                ddy = disks[jn][1][local] - sy
-                dist = math.hypot(ddx, ddy)
-                if dist != 0.0:
-                    err = dist - dists[jn]
-                    gx += err * ddx / dist
-                    gy += err * ddy / dist
-            sp, tu = _u_star_raw(sx, sy, th, gx, gy, gain, u_max, v_max)
+            points = [c[local] for c in centers]
+            sp, tu = goal_law(sx, sy, th, points, dists, gain, u_max, v_max)
             px[local] = sx
             py[local] = sy
             fxa[local] = sp * math.cos(th)
@@ -420,10 +344,7 @@ def critical_time_ns(
                 dtau = (ts_list[k + 1] - ts_list[k]) * 1e-9
                 nx, ny, nth = arc_step(sx, sy, th, sp, tu, dtau)
                 state = (nx, ny, wrap_angle(nth))
-        rate = np.zeros(kk)
-        for jn in range(nn):
-            cxj, cyj, rj = disks[jn]
-            rate += disk_sup_batch(px, py, fxa, fya, cxj, cyj, rj, dists[jn], sampler)
+        rate = rate_bound(px, py, fxa, fya, disks, dists, sampler)
         if initial_rate is None:
             initial_rate = float(rate[0])
         hits = np.nonzero(rate >= 0.0)[0]
@@ -435,42 +356,6 @@ def critical_time_ns(
         t_star_ns = ts_list[-1]
     t_next_ns = max(t_last_ns + dwell_ns, t_star_ns)
     return t_star_ns, t_next_ns, float(initial_rate if initial_rate is not None else 0.0)
-
-
-def critical_time(
-    i: int,
-    own_state: UnicycleState,
-    view: Mapping[int, Promise],
-    t_last: float,
-    spec: FormationSpec,
-    limits: Limits,
-    dwell: float,
-    dt: float = 1e-3,
-    horizon: Optional[float] = None,
-    guard: float = 0.0,
-    sampler: Optional[SamplerConfig] = None,
-) -> TriggerVerdict:
-    """Seconds-level wrapper around critical_time_ns."""
-    t_last_ns = int(round(t_last * NS))
-    dwell_ns = int(round(dwell * NS))
-    dt_ns = int(round(dt * NS))
-    horizon_ns = None if horizon is None else int(round(horizon * NS))
-    ts, tn, rate = critical_time_ns(
-        i,
-        own_state.x,
-        own_state.y,
-        own_state.heading,
-        view,
-        t_last_ns,
-        spec,
-        limits,
-        dwell_ns,
-        dt_ns,
-        horizon_ns,
-        guard,
-        sampler,
-    )
-    return TriggerVerdict(ts * 1e-9, tn * 1e-9, ts, tn, rate)
 
 
 def adaptive_dwell(
@@ -487,14 +372,3 @@ def adaptive_dwell(
     mean = sum(neighbor_gaps) / len(neighbor_gaps)
     return max(scale * mean / own_gap, floor)
 
-
-def event_breach_action(now: float, last_sent: float, event_dwell: float) -> BreachAction:
-    """Issuer-side reaction to breaching its own promise.
-
-    A replacement promise goes out immediately once the per-pair event dwell
-    has elapsed since the last send; otherwise the recipient gets a warning
-    now and the replacement is scheduled at exactly last_sent + event_dwell.
-    """
-    if now >= last_sent + event_dwell:
-        return BreachAction(send_now=True, warn=False, resend_at=None)
-    return BreachAction(send_now=False, warn=True, resend_at=last_sent + event_dwell)

@@ -61,6 +61,71 @@ def test_unknown_bundled_name_fails(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+MINIMAL = """
+[graph]
+agents = 2
+edges = 0-1
+
+[formation]
+gain = 10.0
+distance.0-1 = 1.5
+
+[agents]
+state.0 = 0.0, 0.0, 0.0
+state.1 = 2.0, 0.0, 1.5707963267948966
+
+[limits]
+max_speed = 5.0
+max_turn = 3.0
+
+[dwell]
+self_dwell = 0.3
+
+[promise]
+rule = static
+tightness = 0.1
+expiration = none
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, section, key",
+    [
+        ("tightness = 0.1", "tightness = -0.5", "promise", "tightness"),
+        ("rule = static\ntightness = 0.1", "rule = dynamic\nscale = -1", "promise", "scale"),
+        ("rule = static\ntightness = 0.1", "rule = dynamic\nfloor = -1", "promise", "floor"),
+        ("max_speed = 5.0", "max_speed = -5.0", "limits", "max_speed"),
+        ("max_turn = 3.0", "max_turn = 0", "limits", "max_turn"),
+        ("self_dwell = 0.3", "self_dwell = -0.3", "dwell", "self_dwell"),
+        ("expiration = none", "expiration = abc", "promise", "expiration"),
+    ],
+    ids=["tightness", "scale", "floor", "max_speed", "max_turn", "self_dwell", "expiration"],
+)
+def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, old, new, section, key):
+    p = tmp_path / "bad.cfg"
+    assert old in MINIMAL
+    p.write_text(MINIMAL.replace(old, new))
+    rc = main(["run", "--config", str(p), "--duration", "0.01"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(p) in err and f"[{section}]" in err and key in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config", "formation4", "--tightness", "-1"],
+        ["run", "--config", "formation4", "--duration", "inf"],
+        ["sweep", "--config", "formation4", "--duration", "0.01", "--lambda-grid", "0.1,-1"],
+    ],
+    ids=["tightness", "duration", "lambda-grid"],
+)
+def test_bad_override_exits_2_without_traceback(capsys, argv):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_sweep_table(tmp_path, capsys):
     rc = main(
         [

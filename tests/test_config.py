@@ -150,3 +150,30 @@ def test_with_overrides():
     assert cfg.network.seed != 7 or cfg.network.seed == 0
     with pytest.raises(ConfigError):
         with_overrides(cfg, law="banana")
+
+
+def test_integer_keys_are_exact(tmp_path):
+    bad = MINIMAL.replace("agents = 2", "agents = 4.7")
+    with pytest.raises(ConfigError, match=r"\[graph\] agents = '4.7' is not an integer"):
+        load_config(_write(tmp_path, bad))
+    bad = MINIMAL.replace("agents = 2", "agents = 0")
+    with pytest.raises(ConfigError, match=r"\[graph\] agents must be at least 1"):
+        load_config(_write(tmp_path, bad))
+    big = 2**53 + 1
+    cfg = load_config(_write(tmp_path, MINIMAL + f"\n[network]\nseed = {big}\n", name="seed.cfg"))
+    assert cfg.network.seed == big
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("engine", "duration", "inf"), ("engine", "dt", "nan"), ("promise", "expiration", "inf")],
+)
+def test_non_finite_times_rejected(tmp_path, section, key, value):
+    text = MINIMAL + f"\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = '{value}' is not finite"):
+        load_config(_write(tmp_path, text))
+
+
+def test_non_finite_override_rejected():
+    with pytest.raises(ConfigError, match=r"\[engine\] duration must be finite"):
+        with_overrides(bundled_config("formation4"), duration=math.inf)

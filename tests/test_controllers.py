@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from ttlab.controllers import e_map, goal_point, team_control, u_double_star, u_star
+from ttlab.controllers import e_map, goal_law, goal_point, team_control, u_double_star, u_star
 from ttlab.model import ControlInput, FormationSpec, Limits, UnicycleState
-from ttlab.promises import PromiseMode, StaticBall, fallback_to_reachability, make_promise
+from ttlab.promises import StaticBall, fallback_to_reachability, make_promise
 
 LIM = Limits(5.0, 3.0)
 SPEC2 = FormationSpec({(0, 1): 1.0, (0, 2): 1.0}, 150.0)
@@ -89,15 +89,6 @@ def test_e_map_fallback_center():
     assert pts[1] == fb.fb_center
 
 
-def test_e_map_rejects_expired_mode():
-    import dataclasses
-
-    p = _ball_promise(1, (1.0, 0.0))
-    dead = dataclasses.replace(p, mode=PromiseMode.EXPIRED)
-    with pytest.raises(ValueError):
-        e_map({1: dead}, 0.1)
-
-
 def test_u_double_star_matches_components():
     s = UnicycleState(0.0, 0.0, 0.0)
     view = {1: _ball_promise(1, (2.0, 0.0))}
@@ -106,27 +97,34 @@ def test_u_double_star_matches_components():
     assert (c.speed, c.turn_rate) == (ref.speed, ref.turn_rate)
 
 
+def test_goal_law_matches_wrappers():
+    """The raw kernel the engine and the scan call agrees with the wrappers."""
+    s = UnicycleState(0.5, -0.25, 2.0)
+    view = {1: _ball_promise(1, (2.0, 0.0)), 2: _ball_promise(2, (0.0, 3.0))}
+    pts = e_map(view, 0.0)
+    got = goal_law(s.x, s.y, s.heading, pts.values(), [1.0, 1.0], SPEC2.gain, 5.0, 3.0)
+    ref = u_double_star(0, s, view, 0.0, SPEC2, LIM)
+    assert got == (ref.speed, ref.turn_rate)
+
+
 def test_team_control_safe_after_t_star():
-    s = UnicycleState(0.0, 0.0, 0.0)
-    view = {1: _ball_promise(1, (2.0, 0.0))}
-    before = team_control(0, s, view, 0.1, 0.2, SPEC2, LIM)
-    assert before.speed > 0.0
-    after = team_control(0, s, view, 0.3, 0.2, SPEC2, LIM)
+    nominal = ControlInput(2.0, 1.0, LIM)
+    assert team_control(nominal, 0.1, 0.2) is nominal
+    after = team_control(nominal, 0.3, 0.2)
     assert (after.speed, after.turn_rate) == (0.0, 0.0)
 
 
 def test_team_control_safe_turn_keeps_turning():
-    s = UnicycleState(0.0, 0.0, 0.0)
     # goal behind: nominal turn saturates, position frozen
-    view = {1: _ball_promise(1, (-2.0, 0.0))}
-    c = team_control(0, s, view, 0.3, 0.2, SPEC2, LIM, safe_turn=True)
+    nominal = ControlInput(0.0, LIM.max_turn, LIM)
+    c = team_control(nominal, 0.3, 0.2, safe_turn=True)
     assert c.speed == 0.0
     assert c.turn_rate == LIM.max_turn
 
 
 def test_team_control_boundary_inclusive():
-    """At exactly t_star the nominal law still applies."""
-    s = UnicycleState(0.0, 0.0, 0.0)
-    view = {1: _ball_promise(1, (2.0, 0.0))}
-    c = team_control(0, s, view, 0.2, 0.2, SPEC2, LIM)
-    assert c.speed > 0.0
+    """The safe interval includes its boundary: at exactly t_star the agent
+    already holds position, as the engine does on its tick grid."""
+    nominal = ControlInput(2.0, 1.0, LIM)
+    c = team_control(nominal, 200, 200, safe_turn=True)
+    assert (c.speed, c.turn_rate) == (0.0, 1.0)

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from ttlab.controllers import u_double_star
 from ttlab.model import ControlInput, DiskSet, FormationSpec, Limits, UnicycleState
 from ttlab.promises import StaticBall, fallback_to_reachability, make_promise, view_disk_at
 from ttlab.triggers import (
     SamplerConfig,
     adaptive_dwell,
-    critical_time,
     critical_time_ns,
     disk_params_batch,
-    event_breach_action,
     li_v_sup,
 )
 
@@ -192,12 +191,21 @@ def test_critical_time_off_grid_start():
     assert t_next == max(t_last + dwell, t_star)
 
 
-def test_critical_time_seconds_wrapper():
+def test_critical_time_ns_initial_rate_matches_li_v_sup():
+    """The scan's rate at t_last is li_v_sup on the guard-inflated disks
+    under the nominal control: both run the same rate bound and goal law."""
     spec, view = _single_neighbor_view((2.0, 0.0), 1.0)
-    v = critical_time(0, UnicycleState(0.0, 0.0, 0.0), view, 0.0, spec, LIM, 0.3)
-    assert v.t_star == v.t_star_ns * 1e-9
-    assert v.t_next == v.t_next_ns * 1e-9
-    assert v.t_next_ns == max(int(0.3 * NS), v.t_star_ns)
+    dwell = int(0.3 * NS)
+    guard = 0.005
+    t_star, t_next, rate = critical_time_ns(
+        0, 0.0, 0.0, 0.0, view, 0, spec, LIM, dwell, guard=guard
+    )
+    assert t_next == max(dwell, t_star)
+    state = UnicycleState(0.0, 0.0, 0.0)
+    disk = view_disk_at(view[1], 0.0)
+    inflated = {1: DiskSet(disk.center, disk.radius + guard)}
+    control = u_double_star(0, state, view, 0.0, spec, LIM)
+    assert rate == li_v_sup(0, state, inflated, control, spec)
 
 
 def test_adaptive_dwell_rules():
@@ -206,10 +214,3 @@ def test_adaptive_dwell_rules():
     assert adaptive_dwell(1.0, [2.0, 4.0], 0.15, 0.3) == pytest.approx(0.45)
     assert adaptive_dwell(10.0, [2.0, 4.0], 0.15, 0.3) == 0.3
 
-
-def test_event_breach_action():
-    a = event_breach_action(1.0, 0.9, 0.003)
-    assert a.send_now and not a.warn and a.resend_at is None
-    b = event_breach_action(0.9015, 0.9, 0.003)
-    assert not b.send_now and b.warn
-    assert b.resend_at == 0.9 + 0.003
