@@ -46,7 +46,7 @@ from .promises import (
     validate_noisy_promise,
     view_disk_at,
 )
-from .triggers import SamplerConfig, adaptive_dwell, critical_time_ns, li_v_sup
+from .triggers import adaptive_dwell, critical_time_ns, li_v_sup
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "NetworkParams",
     "Promise",
     "RunResult",
-    "SamplerConfig",
     "ScenarioConfig",
     "StaticBall",
     "UnicycleState",

@@ -12,10 +12,10 @@ from typing import Optional
 
 from .config import ConfigError, ScenarioConfig, bundled_config, load_config, with_overrides
 from .engine import (
+    COMPARE_VARIANTS,
     EngineInvariantError,
     run,
     run_compare,
-    run_self_triggered,
     sweep_lambda,
     write_compare_csv,
     write_outputs,
@@ -86,7 +86,7 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load(args.config), args)
-    result = run_self_triggered(cfg) if cfg.law == "self" else run(cfg)
+    result = run(cfg)
     m = result.metrics
     line = (
         f"law={m['law']} seed={m['seed']} T={cfg.duration:g}s "
@@ -126,7 +126,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = run_compare(cfg)
     wall = time.perf_counter() - t0
     last = rows[-1]
-    for v in ("self", "fpfd", "fpad", "apfd", "apad"):
+    for v in COMPARE_VARIANTS:
         print(f"{v}: N_comm={last['ncomm_' + v]} V_final={last['v_' + v]:.6g}")
     print(f"wall={wall:.1f}s")
     if args.out is not None:

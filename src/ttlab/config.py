@@ -78,18 +78,28 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError(
             f"{cfg.n_agents} agents declared but {len(cfg.initial_states)} initial states given"
         )
-    graph = cfg.graph()
-    spec = cfg.formation()
-    if not spec.covers(graph):
-        missing = [e for e in graph.edges if e not in dict(((i, j), d) for i, j, d in cfg.distances)]
-        raise ConfigError(f"edges without a target distance: {missing}")
+    try:
+        graph = cfg.graph()
+    except ValueError as e:
+        raise ConfigError(f"[graph] edges: {e}") from None
+    try:
+        spec = cfg.formation()
+    except ValueError as e:
+        raise ConfigError(f"[formation] {e}") from None
+    missing = [f"{i}-{j}" for i, j in spec.uncovered(graph)]
+    if missing:
+        raise ConfigError(
+            f"[graph] edges {', '.join(missing)} without a target distance: add "
+            + ", ".join(f"[formation] distance.{e}" for e in missing)
+        )
     for key in ("duration", "dt"):
         v = getattr(cfg, key)
         if not 0.0 < v < math.inf:
             raise ConfigError(f"[engine] {key} must be finite and positive, got {v}")
     if cfg.dt > cfg.dwell.event_dwell / 3.0 + 1e-15:
         raise ConfigError(
-            f"dt={cfg.dt} too coarse: must be at most a third of event_dwell={cfg.dwell.event_dwell}"
+            f"[engine] dt = {cfg.dt} too coarse: must be at most a third of"
+            f" [dwell] event_dwell = {cfg.dwell.event_dwell}"
         )
     if cfg.expiration is not None and not cfg.dwell.event_dwell < cfg.expiration < math.inf:
         raise ConfigError(
@@ -194,16 +204,21 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
     gain = _get_float(parser, spath, "formation", "gain")
     distances = []
-    if not parser.has_section("formation"):
-        raise ConfigError(f"{spath}: missing section [formation]")
-    for key, val in parser.items("formation"):
+    pair_keys: Dict[Tuple[int, int], str] = {}
+    for key in parser.options("formation"):
         if key.startswith("distance."):
             i, j = _parse_pair(key[len("distance.") :], f"{spath}: [formation] {key}")
-            try:
-                d = float(val)
-            except ValueError:
-                raise ConfigError(f"{spath}: [formation] {key} = {val!r} is not a number") from None
-            distances.append((min(i, j), max(i, j), d))
+            pair = (min(i, j), max(i, j))
+            if pair in pair_keys:
+                raise ConfigError(
+                    f"{spath}: [formation] {pair_keys[pair]} and {key} both set the"
+                    f" distance of pair {pair[0]}-{pair[1]}"
+                )
+            pair_keys[pair] = key
+            d = _get_float(parser, spath, "formation", key)
+            if not d > 0.0:
+                raise ConfigError(f"{spath}: [formation] {key} must be positive, got {d}")
+            distances.append((*pair, d))
     distances.sort()
 
     states = []

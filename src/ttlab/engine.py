@@ -30,7 +30,6 @@ from .controllers import goal_law, team_control
 from .model import ControlInput, UnicycleState, arc_step, lyapunov, safe_mode, wrap_angle
 from .network import Channel
 from .promises import (
-    BREACH_TOL,
     DynamicBall,
     Promise,
     PromiseMode,
@@ -44,7 +43,7 @@ from .promises import (
     validate_noisy_promise,
     view_disk_at,
 )
-from .triggers import NS, SamplerConfig, adaptive_dwell, critical_time_ns
+from .triggers import NS, adaptive_dwell, critical_time_ns
 
 PRIO_REQ_RETRY = 1
 PRIO_PROMISE = 2
@@ -108,7 +107,6 @@ class _Agent:
         "nominal_gap",
         "safe_active",
         "t_star_ns",
-        "dwell_ns",
         "round_anchor_ns",
         "round_start_ns",
         "round_seq",
@@ -131,7 +129,6 @@ class _Agent:
         self.nominal_gap = 0.0
         self.safe_active = True
         self.t_star_ns = 0
-        self.dwell_ns = 0
         self.round_anchor_ns = 0
         self.round_start_ns = 0
         self.round_seq = 0
@@ -167,7 +164,6 @@ class Engine:
         self.exp_ns = None if cfg.expiration is None else int(round(cfg.expiration * NS))
         self.retry_ns = max(int(round(cfg.network.max_delay * NS)), self.dt_ns)
         self.guard = GUARD_TICKS * cfg.limits.max_speed * cfg.dt
-        self.sampler = SamplerConfig()
 
         self.agents = [_Agent(i, st, cfg.limits) for i, st in enumerate(cfg.initial_states)]
         self.directed_pairs = sorted(
@@ -189,7 +185,7 @@ class Engine:
         self.last_issued_ns: Dict[Tuple[int, int], int] = {}
         self.latest_sent: Dict[Tuple[int, int], Promise] = {}
         self.exempt_until_ns: Dict[Tuple[int, int], int] = {}
-        self.violations: List[Tuple[int, int, int, float]] = []
+        self.violations: List[Tuple[int, int, int]] = []
         self.times_ns: List[int] = []
         self.v_series: List[float] = []
         self.trace: List[Tuple[int, tuple]] = []
@@ -246,7 +242,7 @@ class Engine:
     def _resolve(self, ag: _Agent, now_ns: int) -> None:
         """Recompute the agent's descent certificate and request schedule."""
         self._advance(ag, now_ns)
-        t_star_ns, _, _ = critical_time_ns(
+        t_star_ns, _ = critical_time_ns(
             ag.id,
             ag.x,
             ag.y,
@@ -255,11 +251,9 @@ class Engine:
             now_ns,
             self.spec,
             self.limits,
-            self.base_dwell_ns,
             self.dt_ns,
             self.horizon_ns,
             self.guard,
-            self.sampler,
         )
         ag.t_star_ns = t_star_ns
         self._apply_mode_control(ag, now_ns)
@@ -268,12 +262,12 @@ class Engine:
             dwell_s = adaptive_dwell(
                 ag.nominal_gap, gaps, self.cfg.dwell.adapt_scale, self.cfg.dwell.adapt_floor
             )
-            ag.dwell_ns = int(round(dwell_s * NS))
+            dwell = int(round(dwell_s * NS))
         else:
-            ag.dwell_ns = self.base_dwell_ns
-        t_next = max(ag.round_anchor_ns + ag.dwell_ns, t_star_ns, now_ns)
+            dwell = self.base_dwell_ns
+        request_ns = max(ag.round_anchor_ns + dwell, t_star_ns, now_ns)
         ag.self_req_token += 1
-        self._push(t_next, PRIO_SELF_REQUEST, "selfreq", (ag.id, ag.self_req_token))
+        self._push(request_ns, PRIO_SELF_REQUEST, "selfreq", (ag.id, ag.self_req_token))
 
     # ------------------------------------------------------------------
     # promise traffic
@@ -505,12 +499,10 @@ class Engine:
         if self.containment:
             ts_s = ts_ns * 1e-9
             for i, r in self.directed_pairs:
-                p = self.agents[r].view[i]
-                disk = view_disk_at(p, ts_s)
-                ai = self.agents[i]
-                err = math.hypot(ai.x - disk.center[0], ai.y - disk.center[1]) - disk.radius
-                if err > BREACH_TOL and ts_ns > self.exempt_until_ns.get((i, r), -1):
-                    self.violations.append((ts_ns, i, r, err))
+                if ts_ns > self.exempt_until_ns.get((i, r), -1) and check_breach(
+                    self.agents[r].view[i], ts_s, states[i]
+                ):
+                    self.violations.append((ts_ns, i, r))
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -135,9 +135,9 @@ class FormationSpec:
         norm: Dict[Tuple[int, int], float] = {}
         for (i, j), d in distances.items():
             if i == j:
-                raise ValueError(f"distance given for self pair {i}")
+                raise ValueError(f"distance.{i}-{j} names a self pair")
             if not (math.isfinite(d) and d > 0.0):
-                raise ValueError(f"target distance for ({i},{j}) must be positive, got {d}")
+                raise ValueError(f"distance.{i}-{j} must be finite and positive, got {d}")
             key = (min(i, j), max(i, j))
             if key in norm and norm[key] != d:
                 raise ValueError(f"conflicting distances for edge {key}")
@@ -147,9 +147,9 @@ class FormationSpec:
     def distance(self, i: int, j: int) -> float:
         return self._dist[(min(i, j), max(i, j))]
 
-    def covers(self, graph: CommGraph) -> bool:
-        """True when every graph edge has a target distance."""
-        return all(e in self._dist for e in graph.edges)
+    def uncovered(self, graph: CommGraph) -> List[Tuple[int, int]]:
+        """The graph edges that have no target distance."""
+        return [e for e in graph.edges if e not in self._dist]
 
 
 def arc_step(
@@ -157,8 +157,9 @@ def arc_step(
 ) -> Tuple[float, float, float]:
     """Exact constant-control unicycle step on raw floats.
 
-    This is the single source of the arc math; both the public
-    :func:`step_unicycle` and the simulation internals call it.
+    This is the single source of the arc math for agent motion; both the
+    public :func:`step_unicycle` and the simulation internals call it.
+    promises.disk_kernel evaluates the same arc over arrays of ages.
     """
     if abs(turn) > ARC_EPS:
         th1 = heading + turn * dt

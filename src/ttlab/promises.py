@@ -13,7 +13,9 @@ caps the radius with the anchor reachability bound:
 which contains every admissible deviation the commitment allows, is monotone
 in delta (tighter promises give nested disks) and nondecreasing in tau, and
 never exceeds the anchor reachability disk by more than twice the chord
-length dist(zoh, anchor).
+length dist(zoh, anchor). disk_kernel is its one implementation: the
+engine evaluates it on floats through view_disk_at, the trigger scan on
+arrays of times through triggers.disk_params_batch.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
-from .model import ControlInput, DiskSet, UnicycleState, arc_step
+from .model import ARC_EPS, ControlInput, DiskSet, UnicycleState
 
 BREACH_TOL = 1e-9
 
@@ -31,6 +33,11 @@ BREACH_TOL = 1e-9
 class PromiseMode(enum.Enum):
     BALL_RADIUS = "ball"
     REACHABILITY_FALLBACK = "fallback"
+
+
+# Looking an enum member up on its class is several times slower than
+# reading a module global; the disk path tests the mode on every call.
+_FALLBACK = PromiseMode.REACHABILITY_FALLBACK
 
 
 @dataclass(frozen=True)
@@ -92,10 +99,6 @@ class Promise:
         if self.expires_at is not None and self.expires_at <= self.issued_at:
             raise ValueError("expires_at must lie strictly after issued_at")
 
-    @property
-    def max_speed(self) -> float:
-        return self.anchor_control.limits.max_speed
-
 
 def make_promise(
     issuer: int,
@@ -134,17 +137,43 @@ def make_promise(
     )
 
 
-def _ball_disk(p: Promise, t: float) -> DiskSet:
-    tau = t - p.issued_at
+def disk_kernel(p: Promise, tau, late, ops):
+    """Center (x, y) and radius of p's disk at age tau, grown at max speed
+    for `late` further seconds.
+
+    This is the one implementation of the promise disk. `ops` is the tuple
+    (sin, cos, hypot, minimum) that fits the type of tau and late:
+    (math.sin, math.cos, math.hypot, min) on floats for view_disk_at, the
+    numpy ufuncs on arrays of ages for triggers.disk_params_batch. numpy's
+    array sin and cos agree with libm bit for bit, so the two callers get
+    the same centers; np.hypot and math.hypot can differ in the last bit,
+    so a radius can too, and each caller keeps the bits it always had. A
+    fallback promise's frozen disk stands for every age: only `late`,
+    counted from its fallback time, grows it.
+    """
+    u_max = p.anchor_control.limits.max_speed
+    if p.mode is _FALLBACK:
+        cx, cy = p.fb_center  # type: ignore[misc]
+        return cx, cy, p.fb_radius + u_max * late  # type: ignore[operator]
+    sin, cos, hypot, minimum = ops
     a = p.anchor_state
     c = p.anchor_control
-    zx, zy, _ = arc_step(a.x, a.y, a.heading, c.speed, c.turn_rate, tau)
-    u_max = c.limits.max_speed
+    # The zero-order-hold prediction: model.arc_step's arc, over any array of ages.
+    if abs(c.turn_rate) > ARC_EPS:
+        th1 = a.heading + c.turn_rate * tau
+        k = c.speed / c.turn_rate
+        zx = a.x + k * (sin(th1) - math.sin(a.heading))
+        zy = a.y - k * (cos(th1) - math.cos(a.heading))
+    else:
+        zx = a.x + c.speed * tau * math.cos(a.heading)
+        zy = a.y + c.speed * tau * math.sin(a.heading)
     s = p.noise_slack * (1.0 + tau + 0.5 * u_max * tau * tau)
     r_ball = p.radius * tau + s
-    dist = math.hypot(zx - a.x, zy - a.y)
-    r_reach = dist + u_max * tau + p.noise_slack + 2.0 * s
-    return DiskSet((zx, zy), min(r_ball, r_reach))
+    r_reach = hypot(zx - a.x, zy - a.y) + u_max * tau + p.noise_slack + 2.0 * s
+    return zx, zy, minimum(r_ball, r_reach) + u_max * late
+
+
+_FLOAT_OPS = (math.sin, math.cos, math.hypot, min)
 
 
 def view_disk_at(p: Promise, t: float) -> DiskSet:
@@ -155,15 +184,16 @@ def view_disk_at(p: Promise, t: float) -> DiskSet:
     recipients whose replacement promise has not arrived keep a sound view
     by growing the last valid disk at max speed.
     """
-    if p.mode is PromiseMode.REACHABILITY_FALLBACK:
+    if p.mode is _FALLBACK:
         if t < p.fb_time:  # type: ignore[operator]
             raise ValueError(f"t={t} precedes fallback time {p.fb_time}")
-        grow = p.max_speed * (t - p.fb_time)  # type: ignore[operator]
-        return DiskSet(p.fb_center, p.fb_radius + grow)  # type: ignore[arg-type]
-    if p.expires_at is not None and t > p.expires_at:
-        edge = _ball_disk(p, p.expires_at)
-        return DiskSet(edge.center, edge.radius + p.max_speed * (t - p.expires_at))
-    return _ball_disk(p, t)
+        tau, late = 0.0, t - p.fb_time  # type: ignore[operator]
+    elif p.expires_at is not None and t > p.expires_at:
+        tau, late = p.expires_at - p.issued_at, t - p.expires_at
+    else:
+        tau, late = t - p.issued_at, 0.0
+    cx, cy, r = disk_kernel(p, tau, late, _FLOAT_OPS)
+    return DiskSet((cx, cy), r)
 
 
 def expected_position(p: Promise, t: float) -> Tuple[float, float]:

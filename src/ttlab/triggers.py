@@ -16,52 +16,30 @@ until fresh information arrives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .model import (
-    ARC_EPS,
-    DiskSet,
-    FormationSpec,
-    Limits,
-    UnicycleState,
-    arc_step,
-    wrap_angle,
-)
+from .model import DiskSet, FormationSpec, Limits, UnicycleState, arc_step, wrap_angle
 from .controllers import goal_law
-from .promises import Promise, PromiseMode, view_disk_at
+from .promises import Promise, PromiseMode, disk_kernel, view_disk_at
 
 NS = 1_000_000_000
-DEFAULT_TICK_NS = 1_000_000  # 1 ms trigger scan resolution
 BISECT_TOL_NS = 1_000  # refine the crossing to one microsecond
-HORIZON_DWELL_FACTOR = 10  # scan at most this many dwell periods ahead
+# The scan rolls the trajectory out in chunks of grid points that double from
+# the first size up to the last: most crossings come within a few points.
+SCAN_FIRST_CHUNK = 8
+SCAN_MAX_CHUNK = 256
 
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Boundary sampling density for the per-disk supremum bound."""
-
-    m: int = 64
-    newton_iters: int = 3
-
-    def __post_init__(self) -> None:
-        if self.m < 8:
-            raise ValueError("need at least 8 boundary samples")
-
+# Boundary sampling density of the per-disk supremum bound, and the Newton
+# steps that refine its best sample.
+SUP_SAMPLES = 64
+SUP_NEWTON_ITERS = 3
 
 _SQRT3 = math.sqrt(3.0)
-_TABLES: dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _angle_tables(m: int) -> Tuple[np.ndarray, np.ndarray]:
-    tab = _TABLES.get(m)
-    if tab is None:
-        phis = 2.0 * np.pi * np.arange(m) / m
-        tab = (np.cos(phis), np.sin(phis))
-        _TABLES[m] = tab
-    return tab
+_PHIS = 2.0 * np.pi * np.arange(SUP_SAMPLES) / SUP_SAMPLES
+_COS_PHIS, _SIN_PHIS = np.cos(_PHIS), np.sin(_PHIS)
+_ARRAY_OPS = (np.sin, np.cos, np.hypot, np.minimum)
 
 
 def disk_sup_batch(
@@ -73,13 +51,12 @@ def disk_sup_batch(
     cy: np.ndarray,
     r: np.ndarray,
     d: float,
-    sampler: SamplerConfig,
 ) -> np.ndarray:
     """Upper bound of g over one disk, vectorized across samples.
 
     On the disk boundary g restricts to a trigonometric polynomial
-    h(phi) = 4 (A + B.eps)(C + D.eps); we take the max over m uniform
-    samples, refine the best one by a clamped Newton iteration, add the
+    h(phi) = 4 (A + B.eps)(C + D.eps); we take the max over m = SUP_SAMPLES
+    uniform samples, refine the best one by a clamped Newton iteration, add the
     interior stationary points of g (at p +/- (d/sqrt 3) f_hat, plus the
     two zeros at p +/- d f_perp) when they land inside the disk, and pad by
     L_hat * r * (pi/m)^2 where L_hat is the largest finite-difference slope
@@ -87,8 +64,7 @@ def disk_sup_batch(
     true supremum by construction of the padding, and stays within a few
     percent of it because the Newton step nails smooth boundary maxima.
     """
-    m = sampler.m
-    cosv, sinv = _angle_tables(m)
+    m = SUP_SAMPLES
     ax = cx - px
     ay = cy - py
     aa = ax * ax + ay * ay
@@ -98,8 +74,8 @@ def disk_sup_batch(
     C = -(ax * fx + ay * fy)
     Dx = -r * fx
     Dy = -r * fy
-    T1 = A[:, None] + Bx[:, None] * cosv + By[:, None] * sinv
-    T2 = C[:, None] + Dx[:, None] * cosv + Dy[:, None] * sinv
+    T1 = A[:, None] + Bx[:, None] * _COS_PHIS + By[:, None] * _SIN_PHIS
+    T2 = C[:, None] + Dx[:, None] * _COS_PHIS + Dy[:, None] * _SIN_PHIS
     H = 4.0 * T1 * T2
     best = H.max(axis=1)
     idx = H.argmax(axis=1)
@@ -109,7 +85,7 @@ def disk_sup_batch(
 
     phi = 2.0 * np.pi * idx / m
     lim = np.pi / m
-    for _ in range(sampler.newton_iters):
+    for _ in range(SUP_NEWTON_ITERS):
         c = np.cos(phi)
         s = np.sin(phi)
         t1 = A + Bx * c + By * s
@@ -155,43 +131,23 @@ def disk_sup_batch(
 def disk_params_batch(
     p: Promise, t: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized promise disk (centers and radii) over an array of times.
+    """Promise disk centers and radii over an array of times.
 
-    Mirrors promises.view_disk_at, including the reachability-rate
-    continuation past expiry.
+    Evaluates promises.disk_kernel on arrays, including the
+    reachability-rate continuation past expiry.
     """
-    u_max = p.max_speed
     if p.mode is PromiseMode.REACHABILITY_FALLBACK:
-        cx = np.full_like(t, p.fb_center[0])  # type: ignore[index]
-        cy = np.full_like(t, p.fb_center[1])  # type: ignore[index]
-        r = p.fb_radius + u_max * (t - p.fb_time)  # type: ignore[operator]
-        return cx, cy, r
-    a = p.anchor_state
-    c = p.anchor_control
+        cx, cy, r = disk_kernel(p, 0.0, t - p.fb_time, _ARRAY_OPS)  # type: ignore[operator]
+        return np.full_like(t, cx), np.full_like(t, cy), r
     tau = t - p.issued_at
-    if p.expires_at is not None:
-        tau_eff = np.minimum(tau, p.expires_at - p.issued_at)
-    else:
+    if p.expires_at is None:
         tau_eff = tau
-    if abs(c.turn_rate) > ARC_EPS:
-        th1 = a.heading + c.turn_rate * tau_eff
-        k = c.speed / c.turn_rate
-        zx = a.x + k * (np.sin(th1) - math.sin(a.heading))
-        zy = a.y - k * (np.cos(th1) - math.cos(a.heading))
     else:
-        zx = a.x + c.speed * tau_eff * math.cos(a.heading)
-        zy = a.y + c.speed * tau_eff * math.sin(a.heading)
-    s = p.noise_slack * (1.0 + tau_eff + 0.5 * u_max * tau_eff * tau_eff)
-    r_ball = p.radius * tau_eff + s
-    dist = np.hypot(zx - a.x, zy - a.y)
-    r_reach = dist + u_max * tau_eff + p.noise_slack + 2.0 * s
-    r = np.minimum(r_ball, r_reach) + u_max * (tau - tau_eff)
-    return zx, zy, r
+        tau_eff = np.minimum(tau, p.expires_at - p.issued_at)
+    return disk_kernel(p, tau_eff, tau - tau_eff, _ARRAY_OPS)
 
 
-def rate_bound(
-    px, py, fx, fy, disks, dists: Sequence[float], sampler: SamplerConfig
-) -> np.ndarray:
+def rate_bound(px, py, fx, fy, disks, dists: Sequence[float]) -> np.ndarray:
     """Sum of disk_sup_batch over the neighbor disks, in the given order.
 
     px, py, fx, fy and each disk's (cx, cy, r) are arrays of one length, or
@@ -202,9 +158,7 @@ def rate_bound(
     px, py, fx, fy = (np.atleast_1d(v) for v in (px, py, fx, fy))
     rate = np.zeros(px.shape)
     for (cx, cy, r), d in zip(disks, dists):
-        rate += disk_sup_batch(
-            px, py, fx, fy, np.atleast_1d(cx), np.atleast_1d(cy), np.atleast_1d(r), d, sampler
-        )
+        rate += disk_sup_batch(px, py, fx, fy, *map(np.atleast_1d, (cx, cy, r)), d)
     return rate
 
 
@@ -214,7 +168,6 @@ def li_v_sup(
     neighbor_disks: Mapping[int, DiskSet],
     control,
     spec: FormationSpec,
-    sampler: Optional[SamplerConfig] = None,
 ) -> float:
     """Worst-case instantaneous rate of the formation potential for agent i.
 
@@ -227,7 +180,7 @@ def li_v_sup(
     dists = [spec.distance(i, j) for j in order]
     fx = control.speed * math.cos(own_state.heading)
     fy = control.speed * math.sin(own_state.heading)
-    rate = rate_bound(own_state.x, own_state.y, fx, fy, disks, dists, sampler or SamplerConfig())
+    rate = rate_bound(own_state.x, own_state.y, fx, fy, disks, dists)
     return float(rate[0])
 
 
@@ -240,24 +193,20 @@ def critical_time_ns(
     t_last_ns: int,
     spec: FormationSpec,
     limits: Limits,
-    dwell_ns: int,
-    dt_ns: int = DEFAULT_TICK_NS,
-    horizon_ns: Optional[int] = None,
+    dt_ns: int,
+    horizon_ns: int,
     guard: float = 0.0,
-    sampler: Optional[SamplerConfig] = None,
-) -> Tuple[int, int, float]:
+) -> Tuple[int, float]:
     """Scan the predicted trajectory for the descent-certificate expiry.
 
-    Times are integer nanoseconds aligned with the simulation tick grid, so
-    the prediction replays the exact control-update cadence the simulator
-    executes. Returns (t_star_ns, t_next_ns, initial_rate) with
-    t_next = max(t_last + dwell, t_star) and the crossing refined to
-    BISECT_TOL_NS by bisection under the control held in the bracketing
-    interval. Neighbor disk radii are inflated by `guard`.
+    Times are integer nanoseconds aligned with the simulation tick grid of
+    step dt_ns, so the prediction replays the exact control-update cadence
+    the simulator executes, at most horizon_ns ahead of t_last_ns. Returns
+    (t_star_ns, initial_rate): the first crossing, refined to BISECT_TOL_NS
+    by bisection under the control held in the bracketing interval (the
+    last grid point when the horizon holds none), and the certificate rate
+    at t_last_ns. Neighbor disk radii are inflated by `guard`.
     """
-    sampler = sampler or SamplerConfig()
-    if horizon_ns is None:
-        horizon_ns = HORIZON_DWELL_FACTOR * dwell_ns
     order = sorted(view)
     proms = [view[j] for j in order]
     dists = [spec.distance(i, j) for j in order]
@@ -265,41 +214,29 @@ def critical_time_ns(
     u_max = limits.max_speed
     v_max = limits.max_turn
 
-    t_end_ns = t_last_ns + horizon_ns
     rem = t_last_ns % dt_ns
     first_grid = t_last_ns + (dt_ns - rem if rem else dt_ns)
-    ts_list = [t_last_ns]
-    g = first_grid
-    while g <= t_end_ns:
-        ts_list.append(g)
-        g += dt_ns
+    ts_list = [t_last_ns, *range(first_grid, t_last_ns + horizon_ns + 1, dt_ns)]
     n = len(ts_list)
 
-    chunk = 256
     state = (x, y, heading)
-    # Per-grid-point records needed for refinement of a crossing.
-    rec_state: list[Tuple[float, float, float]] = []
-    rec_ctl: list[Tuple[float, float]] = []
-    initial_rate: Optional[float] = None
+    # (x, y, heading, speed, turn) at each scanned grid point, for refine.
+    rec: list[Tuple[float, float, float, float, float]] = []
 
     def refine(k: int) -> int:
         """Crossing inside (ts_list[k-1], ts_list[k]]; return certified t*."""
         lo = ts_list[k - 1]
         hi = ts_list[k]
-        x0, y0, th0 = rec_state[k - 1]
-        sp0, tu0 = rec_ctl[k - 1]
+        x0, y0, th0, sp0, tu0 = rec[k - 1]
 
         def rate_at(tn: int) -> float:
-            dtau = (tn - lo) * 1e-9
-            sx, sy, sth = arc_step(x0, y0, th0, sp0, tu0, dtau)
+            sx, sy, sth = arc_step(x0, y0, th0, sp0, tu0, (tn - lo) * 1e-9)
             sth = wrap_angle(sth)
             disks = []
             for p in proms:
                 disk = view_disk_at(p, tn * 1e-9)
                 disks.append((*disk.center, disk.radius + guard))
-            rate = rate_bound(
-                sx, sy, sp0 * math.cos(sth), sp0 * math.sin(sth), disks, dists, sampler
-            )
+            rate = rate_bound(sx, sy, sp0 * math.cos(sth), sp0 * math.sin(sth), disks, dists)
             return float(rate[0])
 
         if rate_at(hi) < 0.0:
@@ -315,47 +252,37 @@ def critical_time_ns(
                 b = mid
         return a
 
-    t_star_ns: Optional[int] = None
-    for start in range(0, n, chunk):
+    t_star_ns = ts_list[-1]  # the horizon, unless a crossing comes first
+    initial_rate = 0.0
+    start, chunk = 0, SCAN_FIRST_CHUNK
+    while start < n:
         stop = min(start + chunk, n)
-        kk = stop - start
         t_sec = np.array([tn * 1e-9 for tn in ts_list[start:stop]])
         disks = []
         for p in proms:
             cxj, cyj, rj = disk_params_batch(p, t_sec)
             disks.append((cxj, cyj, rj + guard))
         centers = [list(zip(cxj.tolist(), cyj.tolist())) for cxj, cyj, _ in disks]
-        px = np.empty(kk)
-        py = np.empty(kk)
-        fxa = np.empty(kk)
-        fya = np.empty(kk)
-        for local in range(kk):
+        rows = []
+        for local in range(stop - start):
             k = start + local
             sx, sy, th = state
-            points = [c[local] for c in centers]
-            sp, tu = goal_law(sx, sy, th, points, dists, gain, u_max, v_max)
-            px[local] = sx
-            py[local] = sy
-            fxa[local] = sp * math.cos(th)
-            fya[local] = sp * math.sin(th)
-            rec_state.append((sx, sy, th))
-            rec_ctl.append((sp, tu))
+            sp, tu = goal_law(sx, sy, th, [c[local] for c in centers], dists, gain, u_max, v_max)
+            rows.append((sx, sy, sp * math.cos(th), sp * math.sin(th)))
+            rec.append((sx, sy, th, sp, tu))
             if k + 1 < n:
-                dtau = (ts_list[k + 1] - ts_list[k]) * 1e-9
-                nx, ny, nth = arc_step(sx, sy, th, sp, tu, dtau)
+                nx, ny, nth = arc_step(sx, sy, th, sp, tu, (ts_list[k + 1] - ts_list[k]) * 1e-9)
                 state = (nx, ny, wrap_angle(nth))
-        rate = rate_bound(px, py, fxa, fya, disks, dists, sampler)
-        if initial_rate is None:
+        rate = rate_bound(*(np.array(v) for v in zip(*rows)), disks, dists)
+        if start == 0:
             initial_rate = float(rate[0])
         hits = np.nonzero(rate >= 0.0)[0]
         if hits.size:
             k = start + int(hits[0])
             t_star_ns = ts_list[k] if k == 0 else refine(k)
             break
-    if t_star_ns is None:
-        t_star_ns = ts_list[-1]
-    t_next_ns = max(t_last_ns + dwell_ns, t_star_ns)
-    return t_star_ns, t_next_ns, float(initial_rate if initial_rate is not None else 0.0)
+        start, chunk = stop, min(2 * chunk, SCAN_MAX_CHUNK)
+    return t_star_ns, initial_rate
 
 
 def adaptive_dwell(

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ttlab
 from ttlab.cli import build_parser, main
 
 
@@ -98,8 +101,37 @@ expiration = none
         ("max_turn = 3.0", "max_turn = 0", "limits", "max_turn"),
         ("self_dwell = 0.3", "self_dwell = -0.3", "dwell", "self_dwell"),
         ("expiration = none", "expiration = abc", "promise", "expiration"),
+        ("gain = 10.0", "gain = 0", "formation", "gain"),
+        ("distance.0-1 = 1.5", "distance.0-1 = inf", "formation", "distance.0-1"),
+        ("distance.0-1 = 1.5", "distance.0-1 = -2", "formation", "distance.0-1"),
+        ("distance.0-1 = 1.5", "distance.1-0 = -2", "formation", "distance.1-0"),
+        (
+            "distance.0-1 = 1.5",
+            "distance.0-1 = 2.0\ndistance.1-0 = 3.0",
+            "formation",
+            "distance.0-1 and distance.1-0",
+        ),
+        ("edges = 0-1", "edges = 0-1, 0-9", "graph", "edges"),
+        ("distance.0-1 = 1.5", "", "graph", "edges"),
+        ("expiration = none", "expiration = none\n\n[engine]\ndt = 0.002", "engine", "dt"),
     ],
-    ids=["tightness", "scale", "floor", "max_speed", "max_turn", "self_dwell", "expiration"],
+    ids=[
+        "tightness",
+        "scale",
+        "floor",
+        "max_speed",
+        "max_turn",
+        "self_dwell",
+        "expiration",
+        "gain",
+        "distance-inf",
+        "distance-negative",
+        "distance-negative-reversed",
+        "distance-duplicate",
+        "edge-out-of-range",
+        "edge-without-distance",
+        "dt",
+    ],
 )
 def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, old, new, section, key):
     p = tmp_path / "bad.cfg"
@@ -161,10 +193,15 @@ def test_compare_table(tmp_path, capsys):
 
 
 def test_console_script_entry_point():
+    # The child imports ttlab from where this process does, so the test also
+    # runs from a checkout that is not installed.
+    src = str(Path(ttlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ttlab.cli", "run", "--config", "formation4", "--duration", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "N_comm=" in proc.stdout

@@ -6,16 +6,13 @@ import pytest
 from ttlab.controllers import u_double_star
 from ttlab.model import ControlInput, DiskSet, FormationSpec, Limits, UnicycleState
 from ttlab.promises import StaticBall, fallback_to_reachability, make_promise, view_disk_at
-from ttlab.triggers import (
-    SamplerConfig,
-    adaptive_dwell,
-    critical_time_ns,
-    disk_params_batch,
-    li_v_sup,
-)
+from ttlab.triggers import adaptive_dwell, critical_time_ns, disk_params_batch, li_v_sup
 
 LIM = Limits(5.0, 3.0)
 NS = 1_000_000_000
+DT = 1_000_000  # the 1 ms tick
+DWELL = int(0.3 * NS)
+HORIZON = 10 * DWELL  # the engine scans ten self dwells ahead
 
 
 def _dense_scan(px, py, fx, fy, cx, cy, r, d, n_ang=720, n_rad=80):
@@ -85,11 +82,6 @@ def test_li_v_sup_sums_over_neighbors():
     )
 
 
-def test_sampler_config_floor():
-    with pytest.raises(ValueError):
-        SamplerConfig(m=4)
-
-
 def _rand_promise(rng, expires=None, noisy=False):
     anchor = UnicycleState(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-3.1, 3.1))
     c = ControlInput(rng.uniform(0, 5), rng.uniform(-3, 3), LIM)
@@ -125,6 +117,15 @@ def test_disk_params_batch_matches_scalar(variant):
             assert r[k] == pytest.approx(d.radius, abs=1e-12)
 
 
+def test_numpy_sin_cos_match_libm():
+    """promises.disk_kernel serves the engine with math.sin/cos and the scan
+    with np.sin/cos; the two see the same disk centers only while numpy's
+    array sin and cos equal libm's bit for bit."""
+    x = np.random.default_rng(2024).uniform(-50.0, 50.0, 4096)
+    assert np.sin(x).tolist() == [math.sin(v) for v in x.tolist()]
+    assert np.cos(x).tolist() == [math.cos(v) for v in x.tolist()]
+
+
 def _single_neighbor_view(pos, d_target, tightness=0.05):
     """Agent 0 at the origin watching one parked neighbor."""
     spec = FormationSpec({(0, 1): d_target}, 150.0)
@@ -137,34 +138,26 @@ def _single_neighbor_view(pos, d_target, tightness=0.05):
 
 def test_critical_time_zero_rate_expires_now():
     """At an equilibrium the worst-case rate is exactly zero, so the
-    certificate expires immediately and only the dwell schedules the next
-    request."""
+    certificate expires immediately."""
     spec, view = _single_neighbor_view((1.0, 0.0), 1.0)
-    dwell = int(0.3 * NS)
-    t_star, t_next, rate = critical_time_ns(
-        0, 0.0, 0.0, 0.0, view, 0, spec, LIM, dwell
-    )
+    t_star, rate = critical_time_ns(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, HORIZON)
     assert t_star == 0
-    assert t_next == dwell
     assert rate == 0.0
 
 
 def test_critical_time_descending_start():
     """A stretched edge gives a strictly negative rate and a positive t*."""
     spec, view = _single_neighbor_view((2.0, 0.0), 1.0)
-    dwell = int(0.3 * NS)
-    t_star, t_next, rate = critical_time_ns(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, dwell)
+    t_star, rate = critical_time_ns(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, HORIZON)
     assert rate < 0.0
     assert t_star > 0
-    assert t_next == max(dwell, t_star)
 
 
 def test_critical_time_guard_monotone():
     """Inflating the disks can only bring the expiry earlier."""
     spec, view = _single_neighbor_view((2.0, 0.0), 1.0)
-    dwell = int(0.3 * NS)
-    t_a, _, _ = critical_time_ns(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, dwell, guard=0.0)
-    t_b, _, _ = critical_time_ns(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, dwell, guard=0.02)
+    t_a, _ = critical_time_ns(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, HORIZON, guard=0.0)
+    t_b, _ = critical_time_ns(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, HORIZON, guard=0.02)
     assert t_b <= t_a
 
 
@@ -172,11 +165,8 @@ def test_critical_time_horizon_cap():
     """With no crossing inside the horizon the scan returns its last grid
     point rather than pretending to certify further."""
     spec, view = _single_neighbor_view((2.0, 0.0), 1.0)
-    dwell = int(0.3 * NS)
     horizon = int(0.01 * NS)
-    t_star, _, rate = critical_time_ns(
-        0, 0.0, 0.0, 0.0, view, 0, spec, LIM, dwell, horizon_ns=horizon
-    )
+    t_star, rate = critical_time_ns(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, horizon)
     assert rate < 0.0
     assert t_star == horizon
 
@@ -184,23 +174,17 @@ def test_critical_time_horizon_cap():
 def test_critical_time_off_grid_start():
     """Resolves triggered by delayed deliveries start between ticks."""
     spec, view = _single_neighbor_view((2.0, 0.0), 1.0)
-    dwell = int(0.3 * NS)
     t_last = 1_531_377  # not a multiple of the 1 ms tick
-    t_star, t_next, _ = critical_time_ns(0, 0.0, 0.0, 0.0, view, t_last, spec, LIM, dwell)
+    t_star, _ = critical_time_ns(0, 0.0, 0.0, 0.0, view, t_last, spec, LIM, DT, HORIZON)
     assert t_star >= t_last
-    assert t_next == max(t_last + dwell, t_star)
 
 
 def test_critical_time_ns_initial_rate_matches_li_v_sup():
     """The scan's rate at t_last is li_v_sup on the guard-inflated disks
     under the nominal control: both run the same rate bound and goal law."""
     spec, view = _single_neighbor_view((2.0, 0.0), 1.0)
-    dwell = int(0.3 * NS)
     guard = 0.005
-    t_star, t_next, rate = critical_time_ns(
-        0, 0.0, 0.0, 0.0, view, 0, spec, LIM, dwell, guard=guard
-    )
-    assert t_next == max(dwell, t_star)
+    _, rate = critical_time_ns(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, HORIZON, guard=guard)
     state = UnicycleState(0.0, 0.0, 0.0)
     disk = view_disk_at(view[1], 0.0)
     inflated = {1: DiskSet(disk.center, disk.radius + guard)}
