@@ -82,6 +82,12 @@ def validate_config(cfg: ScenarioConfig) -> None:
         graph = cfg.graph()
     except ValueError as e:
         raise ConfigError(f"[graph] edges: {e}") from None
+    seen = set()
+    for i, j, _ in cfg.distances:
+        pair = (min(i, j), max(i, j))
+        if pair in seen:
+            raise ConfigError(f"[formation] distance.{pair[0]}-{pair[1]} is set more than once")
+        seen.add(pair)
     try:
         spec = cfg.formation()
     except ValueError as e:

@@ -30,11 +30,13 @@ from .controllers import goal_law, team_control
 from .model import ControlInput, UnicycleState, arc_step, lyapunov, safe_mode, wrap_angle
 from .network import Channel
 from .promises import (
+    _BALL,
+    _FALLBACK,
+    BREACH_TOL,
     DynamicBall,
     Promise,
-    PromiseMode,
     StaticBall,
-    check_breach,
+    breach_margin,
     fallback_to_reachability,
     is_expired,
     make_promise,
@@ -63,6 +65,18 @@ V_TOL_REL = 1e-9
 
 class EngineInvariantError(RuntimeError):
     """The simulator detected a violation of a guaranteed invariant."""
+
+
+def _next_check_ns(now_ns: int, margin: float, max_speed: float) -> int:
+    """First instant at which a promise found `margin` inside at now_ns can
+    be breached.
+
+    The margin falls by at most 2 * max_speed per second (see the promises
+    module docstring), so every tick before now + m / (2 * max_speed) is
+    breach-free. Taking 2 * BREACH_TOL off m absorbs the rounding of the
+    disk and the positions, which is orders of magnitude smaller.
+    """
+    return now_ns + int((margin - 2.0 * BREACH_TOL) * NS / (2.0 * max_speed))
 
 
 @dataclass(frozen=True)
@@ -137,7 +151,9 @@ class _Agent:
         self.view: Dict[int, Promise] = {}
         # Target distances to the neighbors, in the order of `view`.
         self.dists: List[float] = []
-        self.sent: Dict[int, List[Promise]] = {}
+        # Promises in flight per recipient, each with the first tick at
+        # which it can be breached.
+        self.sent: Dict[int, List[Tuple[Promise, int]]] = {}
         self.void_before: Dict[int, float] = {}
 
 
@@ -186,6 +202,11 @@ class Engine:
         self.latest_sent: Dict[Tuple[int, int], Promise] = {}
         self.exempt_until_ns: Dict[Tuple[int, int], int] = {}
         self.violations: List[Tuple[int, int, int]] = []
+        # Per directed pair: the view its containment check was scheduled
+        # for and the first tick at which that view can be missed.
+        self.contain_due: List[Tuple[Optional[Promise], int]] = [
+            (None, 0) for _ in self.directed_pairs
+        ]
         self.times_ns: List[int] = []
         self.v_series: List[float] = []
         self.trace: List[Tuple[int, tuple]] = []
@@ -292,9 +313,9 @@ class Engine:
         )
         if self.channel_ideal:
             # Instant reliable delivery retires the previous promise.
-            ag.sent[r] = [p]
+            ag.sent[r] = [(p, now_ns)]
         else:
-            ag.sent.setdefault(r, []).append(p)
+            ag.sent.setdefault(r, []).append((p, now_ns))
         pair = (ag.id, r)
         self.last_issued_ns[pair] = now_ns
         self.last_send_ns[pair] = now_ns
@@ -332,7 +353,7 @@ class Engine:
         cur = rag.view.get(p.issuer)
         stale = cur is not None and (
             p.issued_at < cur.issued_at
-            or (p.issued_at == cur.issued_at and cur.mode is PromiseMode.BALL_RADIUS)
+            or (p.issued_at == cur.issued_at and cur.mode is _BALL)
         )
         if stale:
             return False
@@ -363,7 +384,7 @@ class Engine:
         if detect_s > prev:
             rag.void_before[ag.id] = detect_s
         cur = rag.view.get(ag.id)
-        if cur is None or cur.mode is not PromiseMode.BALL_RADIUS:
+        if cur is None or cur.mode is not _BALL:
             return
         if cur.issued_at >= detect_s:
             return  # already anchored at the warning instant or later
@@ -374,23 +395,36 @@ class Engine:
         self._resolve(rag, detect_ns)
 
     def _monitor(self, ag: _Agent, now_ns: int) -> None:
+        """Warn or resend for each unexpired promise in flight the agent has left.
+
+        A promise is checked only from the tick _next_check_ns gives it: its
+        margin falls by at most 2 * max_speed per second, so the ticks in
+        between are provably breach-free and skipping them keeps every
+        breach tick.
+        """
         if not ag.sent:
             return
         now_s = now_ns * 1e-9
-        state = UnicycleState(ag.x, ag.y, ag.heading)
+        x, y = ag.x, ag.y
+        max_speed = self.limits.max_speed
         for r in sorted(ag.sent):
-            plist = ag.sent[r]
-            if not plist:
+            entries = ag.sent[r]
+            if not entries:
                 continue
             keep = []
             breached = []
-            for p in plist:
-                if p.mode is not PromiseMode.BALL_RADIUS or is_expired(p, now_s):
+            for entry in entries:
+                p, due_ns = entry
+                if now_ns < due_ns:
+                    keep.append(entry)
                     continue
-                if check_breach(p, now_s, state):
+                if is_expired(p, now_s):
+                    continue
+                margin = breach_margin(p, now_s, x, y)
+                if margin < 0.0:
                     breached.append(p)
                 else:
-                    keep.append(p)
+                    keep.append((p, _next_check_ns(now_ns, margin, max_speed)))
             ag.sent[r] = keep
             for p in breached:
                 pair = (ag.id, r)
@@ -497,12 +531,23 @@ class Engine:
         )
         self.trace.append((ts_ns, row))
         if self.containment:
+            # Scheduled like the breach monitor: a view is checked again
+            # only once it can have been left, and a new view at once.
             ts_s = ts_ns * 1e-9
-            for i, r in self.directed_pairs:
-                if ts_ns > self.exempt_until_ns.get((i, r), -1) and check_breach(
-                    self.agents[r].view[i], ts_s, states[i]
-                ):
+            agents = self.agents
+            max_speed = self.limits.max_speed
+            due = self.contain_due
+            for k, (i, r) in enumerate(self.directed_pairs):
+                p = agents[r].view[i]
+                checked, due_ns = due[k]
+                if checked is p and ts_ns < due_ns:
+                    continue
+                if ts_ns <= self.exempt_until_ns.get((i, r), -1):
+                    continue
+                margin = breach_margin(p, ts_s, agents[i].x, agents[i].y)
+                if margin < 0.0:
                     self.violations.append((ts_ns, i, r))
+                due[k] = (p, _next_check_ns(ts_ns, margin, max_speed))
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -521,7 +566,7 @@ class Engine:
                     anchor_state=st,
                     anchor_control=zero,
                     radius=0.0,
-                    mode=PromiseMode.REACHABILITY_FALLBACK,
+                    mode=_FALLBACK,
                     fb_center=(st.x, st.y),
                     fb_radius=0.0,
                     fb_time=0.0,

@@ -16,6 +16,14 @@ never exceeds the anchor reachability disk by more than twice the chord
 length dist(zoh, anchor). disk_kernel is its one implementation: the
 engine evaluates it on floats through view_disk_at, the trigger scan on
 arrays of times through triggers.disk_params_batch.
+
+The breach margin m(t) = radius(t) + BREACH_TOL - |issuer(t) - center(t)|
+falls by at most 2 * max_speed per second. The radius never shrinks (ball,
+past expiry or fallback), the center moves at the anchor speed, which
+ControlInput holds to at most max_speed, and the issuer moves at most
+max_speed too. So a margin m found at t leaves the issuer inside the disk
+until t + m / (2 * max_speed); the engine schedules its breach and
+containment checks from this bound instead of testing every tick.
 """
 
 from __future__ import annotations
@@ -36,7 +44,9 @@ class PromiseMode(enum.Enum):
 
 
 # Looking an enum member up on its class is several times slower than
-# reading a module global; the disk path tests the mode on every call.
+# reading a module global; the disk path, the engine and the trigger scan
+# test the mode on every call.
+_BALL = PromiseMode.BALL_RADIUS
 _FALLBACK = PromiseMode.REACHABILITY_FALLBACK
 
 
@@ -93,7 +103,7 @@ class Promise:
             raise ValueError(f"promise radius must be >= 0, got {self.radius}")
         if self.noise_slack < 0.0:
             raise ValueError("noise_slack must be >= 0")
-        if self.mode is PromiseMode.REACHABILITY_FALLBACK:
+        if self.mode is _FALLBACK:
             if self.fb_center is None or self.fb_radius is None or self.fb_time is None:
                 raise ValueError("fallback promise needs fb_center, fb_radius, fb_time")
         if self.expires_at is not None and self.expires_at <= self.issued_at:
@@ -131,7 +141,7 @@ def make_promise(
         anchor_state=anchor_state,
         anchor_control=anchor_control,
         radius=radius,
-        mode=PromiseMode.BALL_RADIUS,
+        mode=_BALL,
         expires_at=expires_at,
         gap=gap,
     )
@@ -201,12 +211,23 @@ def expected_position(p: Promise, t: float) -> Tuple[float, float]:
     return view_disk_at(p, t).center
 
 
-def check_breach(p: Promise, t: float, actual: UnicycleState) -> bool:
-    """True when the issuer's true position has left the promised disk."""
+def breach_margin(p: Promise, t: float, x: float, y: float) -> float:
+    """How far (x, y) lies inside p's disk at t, plus BREACH_TOL.
+
+    Negative exactly when a position there breaches the promise.
+    """
     disk = view_disk_at(p, t)
-    dx = actual.x - disk.center[0]
-    dy = actual.y - disk.center[1]
-    return math.hypot(dx, dy) > disk.radius + BREACH_TOL
+    cx, cy = disk.center
+    return disk.radius + BREACH_TOL - math.hypot(x - cx, y - cy)
+
+
+def check_breach(p: Promise, t: float, actual: UnicycleState) -> bool:
+    """True when the issuer's true position has left the promised disk.
+
+    For finite doubles a - b < 0 exactly when a < b, so this is the
+    comparison hypot(dx, dy) > radius + BREACH_TOL bit for bit.
+    """
+    return breach_margin(p, t, actual.x, actual.y) < 0.0
 
 
 def fallback_to_reachability(p: Promise, t_star: float) -> Promise:
@@ -214,7 +235,7 @@ def fallback_to_reachability(p: Promise, t_star: float) -> Promise:
     disk = view_disk_at(p, t_star)
     return replace(
         p,
-        mode=PromiseMode.REACHABILITY_FALLBACK,
+        mode=_FALLBACK,
         fb_center=disk.center,
         fb_radius=disk.radius,
         fb_time=t_star,
@@ -255,7 +276,7 @@ WirePromise = Tuple[
 
 def promise_to_wire(p: Promise) -> WirePromise:
     """Flatten a ball-mode promise to the tuple that crosses the channel."""
-    if p.mode is not PromiseMode.BALL_RADIUS:
+    if p.mode is not _BALL:
         raise ValueError("only ball-mode promises are transmitted")
     a = p.anchor_state
     c = p.anchor_control

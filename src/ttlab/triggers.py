@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import DiskSet, FormationSpec, Limits, UnicycleState, arc_step, wrap_angle
 from .controllers import goal_law
-from .promises import Promise, PromiseMode, disk_kernel, view_disk_at
+from .promises import _FALLBACK, Promise, disk_kernel, view_disk_at
 
 NS = 1_000_000_000
 BISECT_TOL_NS = 1_000  # refine the crossing to one microsecond
@@ -136,7 +136,7 @@ def disk_params_batch(
     Evaluates promises.disk_kernel on arrays, including the
     reachability-rate continuation past expiry.
     """
-    if p.mode is PromiseMode.REACHABILITY_FALLBACK:
+    if p.mode is _FALLBACK:
         cx, cy, r = disk_kernel(p, 0.0, t - p.fb_time, _ARRAY_OPS)  # type: ignore[operator]
         return np.full_like(t, cx), np.full_like(t, cy), r
     tau = t - p.issued_at

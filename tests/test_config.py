@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +8,7 @@ from ttlab.config import (
     bundled_config,
     load_config,
     save_config,
+    validate_config,
     with_overrides,
 )
 from ttlab.promises import DynamicBall, StaticBall
@@ -104,6 +106,15 @@ def test_edge_without_distance_rejected(tmp_path):
     bad = "\n".join(l for l in bad.splitlines() if not l.startswith("distance."))
     with pytest.raises(ConfigError, match="without a target distance"):
         load_config(_write(tmp_path, bad))
+
+
+@pytest.mark.parametrize("extra", [(0, 1, 9.0), (1, 0, 9.0)], ids=["same-order", "reversed"])
+def test_repeated_distance_pair_rejected(extra):
+    # A config built in code must not keep the later of two values silently.
+    cfg = bundled_config("formation4")
+    bad = replace(cfg, distances=cfg.distances + (extra,))
+    with pytest.raises(ConfigError, match=r"\[formation\] distance\.0-1"):
+        validate_config(bad)
 
 
 def test_dt_must_resolve_event_dwell(tmp_path):

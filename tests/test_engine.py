@@ -1,7 +1,11 @@
 import pytest
 
+import ttlab.engine as engine_mod
 from ttlab.config import with_overrides
+from ttlab.promises import BREACH_TOL
 from ttlab.engine import run, run_compare, run_self_triggered, sweep_lambda, write_outputs
+
+OUTPUT_FILES = ("metrics.json", "lyapunov.csv", "messages.csv", "trace.csv")
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +165,74 @@ def test_compare_table_shape(scenario):
     # the adaptive dwell must actually stretch silences, not alias the fixed one
     assert rows[-1]["ncomm_fpad"] < rows[-1]["ncomm_fpfd"]
     assert rows[-1]["ncomm_apad"] < rows[-1]["ncomm_apfd"]
+
+
+def test_next_check_is_margin_over_twice_max_speed():
+    # 0.5 m of margin at a closing rate of 2 * 5 m/s lasts 0.05 s, less the
+    # rounding guard, floored to whole nanoseconds.
+    assert engine_mod._next_check_ns(7, 0.5, 5.0) == 7 + 49_999_999
+    # A margin inside the guard, or a miss, is checked again on the next tick.
+    assert engine_mod._next_check_ns(7, BREACH_TOL, 5.0) <= 7
+    assert engine_mod._next_check_ns(7, -1.0, 5.0) <= 7
+
+
+def _run_counting_checks(cfg, outdir):
+    """Run cfg and write its outputs; return them with the containment misses
+    and the number of breach-margin evaluations."""
+    calls = [0]
+    margin = engine_mod.breach_margin
+
+    def counted(*args):
+        calls[0] += 1
+        return margin(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine_mod, "breach_margin", counted)
+        engine = engine_mod.Engine(cfg)
+        result = engine.run()
+    write_outputs(result, outdir)
+    files = {f: (outdir / f).read_bytes() for f in OUTPUT_FILES}
+    return result.metrics, files, engine.violations, calls[0]
+
+
+def _assert_schedule_matches_every_tick(cfg, tmp_path, monkeypatch):
+    """Run cfg with the check schedule and with a check on every tick, as if
+    the margin bound gave no slack at all; the outputs must be identical."""
+    metrics, files, violations, n_scheduled = _run_counting_checks(cfg, tmp_path / "scheduled")
+    monkeypatch.setattr(engine_mod, "_next_check_ns", lambda now_ns, margin, max_speed: now_ns)
+    ref_metrics, ref_files, ref_violations, n_every = _run_counting_checks(cfg, tmp_path / "every")
+    for f in OUTPUT_FILES:
+        assert files[f] == ref_files[f], f"{f} differs from the every-tick run"
+    assert metrics["n_breaches"] == ref_metrics["n_breaches"]
+    assert violations == ref_violations
+    assert n_scheduled < n_every
+    return metrics, violations
+
+
+@pytest.mark.parametrize(
+    "seed_offset", [None, 0, 1, 2, 3], ids=["team", "robust-0", "robust-1", "robust-2", "robust-3"]
+)
+def test_check_schedule_matches_every_tick(
+    seed_offset, scenario, robust_scenario, tmp_path, monkeypatch
+):
+    """Skipping the ticks the margin bound proves breach-free changes no output.
+
+    The robust runs take four channel seeds from the bundled one on.
+    """
+    if seed_offset is None:
+        cfg = with_overrides(scenario, duration=2.0)
+    else:
+        seed = robust_scenario.network.seed + seed_offset
+        cfg = with_overrides(robust_scenario, seed=seed, duration=2.0)
+    metrics, _ = _assert_schedule_matches_every_tick(cfg, tmp_path, monkeypatch)
+    assert metrics["n_breaches"] > 0
+
+
+def test_containment_schedule_keeps_every_miss(robust_scenario, tmp_path, monkeypatch):
+    """With the breach monitor silenced, issuers never warn, so the views go
+    stale and containment misses abound; the schedule must find each one on
+    the tick the every-tick scan does, across every newly delivered view."""
+    monkeypatch.setattr(engine_mod.Engine, "_monitor", lambda self, ag, now_ns: None)
+    cfg = with_overrides(robust_scenario, duration=1.0)
+    _, violations = _assert_schedule_matches_every_tick(cfg, tmp_path, monkeypatch)
+    assert len(violations) > 100

@@ -3,14 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ttlab.model import ControlInput, Limits, UnicycleState, step_unicycle
+from ttlab.model import ControlInput, Limits, UnicycleState, arc_step, step_unicycle
 from ttlab.promises import (
     BREACH_TOL,
     DynamicBall,
     Promise,
     PromiseMode,
     StaticBall,
+    breach_margin,
     check_breach,
     fallback_to_reachability,
     is_expired,
@@ -304,3 +307,57 @@ def test_fallback_disk_grows_at_max_speed():
     d1 = view_disk_at(fb, 1.25)
     assert d1.radius == pytest.approx(d0.radius + U_MAX)
     assert d0.center == d1.center
+
+
+@st.composite
+def _promise_and_times(draw):
+    """A promise of one of four kinds and two times t0 <= t1 it is monitored at."""
+    coord = st.floats(-20.0, 20.0)
+    heading = st.floats(-math.pi, math.pi)
+    anchor = UnicycleState(draw(coord), draw(coord), draw(heading))
+    control = ControlInput(
+        draw(st.floats(0.0, U_MAX)), draw(st.floats(-LIM.max_turn, LIM.max_turn)), LIM
+    )
+    issued_at = draw(st.floats(0.0, 2.0))
+    kind = draw(st.sampled_from(["ball", "noisy", "expired", "fallback"]))
+    expires_at = issued_at + draw(st.floats(0.01, 1.0)) if kind == "expired" else None
+    radius = draw(st.floats(0.0, 2.0 * U_MAX))
+    p = _promise(anchor, control, radius, issued_at, expires_at=expires_at)
+    t_first = issued_at
+    if kind == "noisy":
+        p = validate_noisy_promise(p, draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5)))
+    elif kind == "fallback":
+        t_first = issued_at + draw(st.floats(0.0, 1.0))
+        p = fallback_to_reachability(p, t_first)
+    t0 = t_first + draw(st.floats(0.0, 2.0))
+    return p, t0, t0 + draw(st.floats(0.0, 1.0))
+
+
+@given(
+    _promise_and_times(),
+    st.floats(-25.0, 25.0),
+    st.floats(-25.0, 25.0),
+    st.floats(-math.pi, math.pi),
+    st.floats(0.0, U_MAX),
+    st.floats(-LIM.max_turn, LIM.max_turn),
+)
+@settings(max_examples=500, deadline=None)
+def test_breach_margin_falls_at_most_twice_max_speed(case, x, y, heading, speed, turn):
+    """The bound the engine's check schedule rests on: between two instants
+    the margin falls by at most 2 * max_speed per second of elapsed time."""
+    p, t0, t1 = case
+    x1, y1, _ = arc_step(x, y, heading, speed, turn, t1 - t0)
+    m0 = breach_margin(p, t0, x, y)
+    m1 = breach_margin(p, t1, x1, y1)
+    assert m1 >= m0 - 2.0 * U_MAX * (t1 - t0) - 2.0 * BREACH_TOL
+
+
+def test_breach_margin_bound_is_tight():
+    # Center and issuer moving apart head-on, both at max speed: the margin
+    # falls at exactly 2 * max_speed, so no smaller rate may schedule checks.
+    p = _promise(UnicycleState(0.0, 0.0, 0.0), ControlInput(U_MAX, 0.0, LIM), 0.0)
+    m0 = breach_margin(p, 0.5, 2.5, 0.0)
+    x1, y1, _ = arc_step(2.5, 0.0, math.pi, U_MAX, 0.0, 0.25)
+    m1 = breach_margin(p, 0.75, x1, y1)
+    assert m0 == BREACH_TOL
+    assert m1 == pytest.approx(m0 - 2.0 * U_MAX * 0.25, abs=1e-12)
