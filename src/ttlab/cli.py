@@ -103,6 +103,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load(args.config), args)
     tokens = [tok for tok in args.lambda_grid.split(",") if tok.strip()]
+    if not tokens:
+        raise ConfigError(f"--lambda-grid: no tightness value in {args.lambda_grid!r}")
     try:
         grid = [StaticBall(float(tok)).tightness for tok in tokens]
     except ValueError as e:

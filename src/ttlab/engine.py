@@ -517,8 +517,7 @@ class Engine:
             self._push(nxt, PRIO_TICK, "tick", ())
 
     def _record(self, ts_ns: int) -> None:
-        states = [UnicycleState(a.x, a.y, a.heading) for a in self.agents]
-        v = lyapunov(states, self.spec, self.graph)
+        v = lyapunov(self.agents, self.spec, self.graph)
         if self._last_v is not None and v > self._last_v + V_TOL_REL * max(1.0, self._last_v):
             raise EngineInvariantError(
                 f"potential increased at t={ts_ns * 1e-9:.6f}s: {self._last_v!r} -> {v!r}"

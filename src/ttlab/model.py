@@ -208,11 +208,13 @@ def reachable_disk(state: UnicycleState, limits: Limits, horizon: float) -> Disk
     return DiskSet((state.x, state.y), limits.max_speed * horizon)
 
 
-def lyapunov(states: Sequence[UnicycleState], spec: FormationSpec, graph: CommGraph) -> float:
+def lyapunov(states: Sequence, spec: FormationSpec, graph: CommGraph) -> float:
     """Formation potential: sum over edges of (||xj - xi||^2 - d_ij^2)^2.
 
-    Headings do not enter; the potential is zero exactly when every edge is
-    at its target length.
+    Only the positions `.x` and `.y` of each state are read, so any object
+    with them will do (the engine passes its agents). Headings do not
+    enter; the potential is zero exactly when every edge is at its target
+    length.
     """
     total = 0.0
     for i, j in graph.edges:

@@ -35,6 +35,10 @@ SCAN_MAX_CHUNK = 256
 # steps that refine its best sample.
 SUP_SAMPLES = 64
 SUP_NEWTON_ITERS = 3
+# Rows of the bound's boundary-sample grid built at a time: one neighbor's
+# largest scan chunk, so stacking the neighbors into one call keeps the
+# grid's temporaries as small as a call per neighbor had them.
+SUP_BLOCK_ROWS = SCAN_MAX_CHUNK
 
 _SQRT3 = math.sqrt(3.0)
 _PHIS = 2.0 * np.pi * np.arange(SUP_SAMPLES) / SUP_SAMPLES
@@ -50,7 +54,7 @@ def disk_sup_batch(
     cx: np.ndarray,
     cy: np.ndarray,
     r: np.ndarray,
-    d: float,
+    d: float | np.ndarray,
 ) -> np.ndarray:
     """Upper bound of g over one disk, vectorized across samples.
 
@@ -63,6 +67,10 @@ def disk_sup_batch(
     between adjacent boundary samples. The result never falls below the
     true supremum by construction of the padding, and stays within a few
     percent of it because the Newton step nails smooth boundary maxima.
+
+    d is one target distance for every row or an array of one per row.
+    Every operation is elementwise or a reduction within a row, so a row's
+    result does not depend on the rows stacked beside it.
     """
     m = SUP_SAMPLES
     ax = cx - px
@@ -74,14 +82,21 @@ def disk_sup_batch(
     C = -(ax * fx + ay * fy)
     Dx = -r * fx
     Dy = -r * fy
-    T1 = A[:, None] + Bx[:, None] * _COS_PHIS + By[:, None] * _SIN_PHIS
-    T2 = C[:, None] + Dx[:, None] * _COS_PHIS + Dy[:, None] * _SIN_PHIS
-    H = 4.0 * T1 * T2
-    best = H.max(axis=1)
-    idx = H.argmax(axis=1)
-    dH = np.abs(np.diff(H, axis=1, append=H[:, :1]))
+    # The rows x samples grid of h is built SUP_BLOCK_ROWS rows at a time.
+    n = len(A)
+    best = np.empty(n)
+    idx = np.empty(n, dtype=np.intp)
+    dH_max = np.empty(n)
+    for start in range(0, n, SUP_BLOCK_ROWS):
+        rows = slice(start, start + SUP_BLOCK_ROWS)
+        T1 = A[rows, None] + Bx[rows, None] * _COS_PHIS + By[rows, None] * _SIN_PHIS
+        T2 = C[rows, None] + Dx[rows, None] * _COS_PHIS + Dy[rows, None] * _SIN_PHIS
+        H = 4.0 * T1 * T2
+        best[rows] = H.max(axis=1)
+        idx[rows] = H.argmax(axis=1)
+        dH_max[rows] = np.abs(np.diff(H, axis=1, append=H[:, :1])).max(axis=1)
     # L_hat * r * (pi/m)^2 with L_hat = max|dH| / (r * 2 pi / m); r cancels.
-    pad = dH.max(axis=1) * (np.pi / (2.0 * m))
+    pad = dH_max * (np.pi / (2.0 * m))
 
     phi = 2.0 * np.pi * idx / m
     lim = np.pi / m
@@ -153,12 +168,25 @@ def rate_bound(px, py, fx, fy, disks, dists: Sequence[float]) -> np.ndarray:
     px, py, fx, fy and each disk's (cx, cy, r) are arrays of one length, or
     floats for a single point. This is the one place the per-neighbor
     bounds are added up: li_v_sup, the trigger scan and its refinement all
-    call it.
+    call it. All neighbors go through one disk_sup_batch call, stacked
+    neighbor by neighbor with a per-row target distance; every row of it is
+    computed on its own, so each keeps the bits of a call of its own, and
+    the rows are added up in neighbor order. No neighbors give zero.
     """
     px, py, fx, fy = (np.atleast_1d(v) for v in (px, py, fx, fy))
     rate = np.zeros(px.shape)
-    for (cx, cy, r), d in zip(disks, dists):
-        rate += disk_sup_batch(px, py, fx, fy, *map(np.atleast_1d, (cx, cy, r)), d)
+    k, n = len(disks), px.size
+    cols = np.empty((3, k, n))
+    for j, disk in enumerate(disks):
+        for c in range(3):
+            cols[c, j] = disk[c]
+    sup = disk_sup_batch(
+        *(np.tile(v, k) for v in (px, py, fx, fy)),
+        *cols.reshape(3, k * n),
+        np.repeat(np.asarray(dists, dtype=float), n),
+    )
+    for row in sup.reshape(k, n):
+        rate += row
     return rate
 
 
@@ -182,6 +210,32 @@ def li_v_sup(
     fy = control.speed * math.sin(own_state.heading)
     rate = rate_bound(own_state.x, own_state.y, fx, fy, disks, dists)
     return float(rate[0])
+
+
+def _bisect_depth(width: int) -> int:
+    """Levels of the bisection of a bracket of this width down to
+    BISECT_TOL_NS, along its deepest path (the upper halves)."""
+    depth = 0
+    while width > BISECT_TOL_NS:
+        width -= width // 2
+        depth += 1
+    return depth
+
+
+def _bisect_tree(a: int, b: int, levels: int) -> list[int]:
+    """Midpoints of the first `levels` levels of the bisection of (a, b],
+    level by level, skipping brackets already within BISECT_TOL_NS."""
+    mids = []
+    brackets = [(a, b)]
+    for _ in range(levels):
+        below = []
+        for lo, hi in brackets:
+            if hi - lo > BISECT_TOL_NS:
+                mid = (lo + hi) // 2
+                mids.append(mid)
+                below += [(lo, mid), (mid, hi)]
+        brackets = below
+    return mids
 
 
 def critical_time_ns(
@@ -224,29 +278,46 @@ def critical_time_ns(
     rec: list[Tuple[float, float, float, float, float]] = []
 
     def refine(k: int) -> int:
-        """Crossing inside (ts_list[k-1], ts_list[k]]; return certified t*."""
+        """Crossing inside (ts_list[k-1], ts_list[k]]; return certified t*.
+
+        Bisects under the control held from ts_list[k-1]. The rates come
+        in batches: hi with the top half of the bisection tree's levels,
+        then the rest of the subtree the walk reaches; the walk itself
+        takes the same decisions as one evaluation per step.
+        """
         lo = ts_list[k - 1]
         hi = ts_list[k]
         x0, y0, th0, sp0, tu0 = rec[k - 1]
+        rates: dict[int, float] = {}
 
-        def rate_at(tn: int) -> float:
-            sx, sy, sth = arc_step(x0, y0, th0, sp0, tu0, (tn - lo) * 1e-9)
-            sth = wrap_angle(sth)
+        def fetch(tns: list[int]) -> None:
+            rows = []
+            for tn in tns:
+                sx, sy, sth = arc_step(x0, y0, th0, sp0, tu0, (tn - lo) * 1e-9)
+                sth = wrap_angle(sth)
+                rows.append((sx, sy, sp0 * math.cos(sth), sp0 * math.sin(sth)))
             disks = []
             for p in proms:
-                disk = view_disk_at(p, tn * 1e-9)
-                disks.append((*disk.center, disk.radius + guard))
-            rate = rate_bound(sx, sy, sp0 * math.cos(sth), sp0 * math.sin(sth), disks, dists)
-            return float(rate[0])
+                cols = []
+                for tn in tns:
+                    disk = view_disk_at(p, tn * 1e-9)
+                    cols.append((*disk.center, disk.radius + guard))
+                disks.append(tuple(zip(*cols)))
+            rate = rate_bound(*(np.array(v) for v in zip(*rows)), disks, dists)
+            rates.update(zip(tns, rate.tolist()))
 
-        if rate_at(hi) < 0.0:
+        depth = _bisect_depth(hi - lo)
+        fetch([hi, *_bisect_tree(lo, hi, (depth + 1) // 2)])
+        if rates[hi] < 0.0:
             # The held-control certificate still holds through the grid
             # point; the recomputed control there is what failed.
             return hi
         a, b = lo, hi
         while b - a > BISECT_TOL_NS:
             mid = (a + b) // 2
-            if rate_at(mid) < 0.0:
+            if mid not in rates:
+                fetch(_bisect_tree(a, b, _bisect_depth(b - a)))
+            if rates[mid] < 0.0:
                 a = mid
             else:
                 b = mid

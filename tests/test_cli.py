@@ -150,12 +150,15 @@ def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, old, new, 
         ["run", "--config", "formation4", "--tightness", "-1"],
         ["run", "--config", "formation4", "--duration", "inf"],
         ["sweep", "--config", "formation4", "--duration", "0.01", "--lambda-grid", "0.1,-1"],
+        ["sweep", "--config", "formation4", "--duration", "0.01", "--lambda-grid", ",,"],
     ],
-    ids=["tightness", "duration", "lambda-grid"],
+    ids=["tightness", "duration", "lambda-grid", "lambda-grid-empty"],
 )
 def test_bad_override_exits_2_without_traceback(capsys, argv):
     assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert argv[-2].lstrip("-") in err  # the message names the option
 
 
 def test_sweep_table(tmp_path, capsys):

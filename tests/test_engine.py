@@ -1,9 +1,13 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 import ttlab.engine as engine_mod
 from ttlab.config import with_overrides
 from ttlab.promises import BREACH_TOL
 from ttlab.engine import run, run_compare, run_self_triggered, sweep_lambda, write_outputs
+from ttlab.triggers import rate_bound
 
 OUTPUT_FILES = ("metrics.json", "lyapunov.csv", "messages.csv", "trace.csv")
 
@@ -236,3 +240,29 @@ def test_containment_schedule_keeps_every_miss(robust_scenario, tmp_path, monkey
     cfg = with_overrides(robust_scenario, duration=1.0)
     _, violations = _assert_schedule_matches_every_tick(cfg, tmp_path, monkeypatch)
     assert len(violations) > 100
+
+
+@pytest.mark.parametrize("law", ["team", "robust-team"])
+@pytest.mark.parametrize(
+    "n, edges", [(1, ()), (3, ((0, 1),))], ids=["one-agent", "isolated-agent"]
+)
+def test_agent_without_neighbors(scenario, n, edges, law):
+    """An agent with no neighbor has no disk to bound: its rate is zero, so
+    its certificate expires at once and it stays where it started, while
+    the agents that have neighbors still close their edge."""
+    assert rate_bound(1.0, 2.0, 3.0, 4.0, [], []).tolist() == [0.0]
+    assert rate_bound(*np.ones((4, 5)), [], []).tolist() == [0.0] * 5
+    cfg = replace(
+        with_overrides(scenario, duration=0.5, law=law),
+        n_agents=n,
+        edges=edges,
+        distances=tuple((i, j, 2.0) for i, j in edges),
+        initial_states=scenario.initial_states[:n],
+    )
+    res = run(cfg)
+    start = cfg.initial_states[-1]
+    assert {row[-1][:2] for _, row in res.trace} == {(start.x, start.y)}
+    if edges:
+        assert res.v_series[-1] < res.v_series[0]
+    else:
+        assert set(res.v_series) == {0.0}

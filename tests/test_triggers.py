@@ -2,11 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ttlab.controllers import u_double_star
-from ttlab.model import ControlInput, DiskSet, FormationSpec, Limits, UnicycleState
+import ttlab.triggers as triggers
+from ttlab.controllers import goal_law, u_double_star
+from ttlab.model import (
+    ControlInput,
+    DiskSet,
+    FormationSpec,
+    Limits,
+    UnicycleState,
+    arc_step,
+    wrap_angle,
+)
 from ttlab.promises import StaticBall, fallback_to_reachability, make_promise, view_disk_at
-from ttlab.triggers import adaptive_dwell, critical_time_ns, disk_params_batch, li_v_sup
+from ttlab.triggers import (
+    BISECT_TOL_NS,
+    SCAN_FIRST_CHUNK,
+    SCAN_MAX_CHUNK,
+    adaptive_dwell,
+    critical_time_ns,
+    disk_params_batch,
+    disk_sup_batch,
+    li_v_sup,
+    rate_bound,
+)
 
 LIM = Limits(5.0, 3.0)
 NS = 1_000_000_000
@@ -190,6 +211,190 @@ def test_critical_time_ns_initial_rate_matches_li_v_sup():
     inflated = {1: DiskSet(disk.center, disk.radius + guard)}
     control = u_double_star(0, state, view, 0.0, spec, LIM)
     assert rate == li_v_sup(0, state, inflated, control, spec)
+
+
+def _rate_bound_loop(px, py, fx, fy, disks, dists):
+    """Reference: the per-neighbor loop that rate_bound's stacked call
+    replaced, one disk_sup_batch call per neighbor added up in order."""
+    px, py, fx, fy = (np.atleast_1d(v) for v in (px, py, fx, fy))
+    rate = np.zeros(px.shape)
+    for (cx, cy, r), d in zip(disks, dists):
+        rate += disk_sup_batch(px, py, fx, fy, *map(np.atleast_1d, (cx, cy, r)), d)
+    return rate
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_rate_bound_stacked_matches_per_neighbor_loop(data):
+    """Stacking the neighbors into one kernel call keeps every bit of the
+    in-order per-neighbor sum, for single points given as floats and for
+    arrays of points, with each disk column a float or an array."""
+    n = data.draw(st.one_of(st.none(), st.integers(1, 6)), label="rows")
+    k = data.draw(st.integers(0, 4), label="neighbors")
+
+    def value(lo, hi, column=False):
+        if n is None or (column and data.draw(st.booleans())):
+            return data.draw(st.floats(lo, hi))
+        return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    px, py = value(-10.0, 10.0), value(-10.0, 10.0)
+    fx, fy = value(-5.0, 5.0), value(-5.0, 5.0)
+    disks = [
+        (value(-10.0, 10.0, True), value(-10.0, 10.0, True), value(0.0, 4.0, True))
+        for _ in range(k)
+    ]
+    dists = data.draw(st.lists(st.floats(0.1, 5.0), min_size=k, max_size=k), label="dists")
+    got = rate_bound(px, py, fx, fy, disks, dists)
+    want = _rate_bound_loop(px, py, fx, fy, disks, dists)
+    assert got.shape == want.shape
+    assert _bits(got) == _bits(want)
+
+
+def test_disk_sup_batch_rows_are_independent():
+    """One call over stacked rows with a per-row d gives each row the bits
+    of a call of its own with a float d. The rows cover parked agents,
+    point disks and disks holding the interior stationary points."""
+    rng = np.random.default_rng(77)
+    n = 400
+    px, py = rng.uniform(-5.0, 5.0, (2, n))
+    fx, fy = rng.uniform(-5.0, 5.0, (2, n))
+    fx[::7] = fy[::7] = 0.0
+    cx, cy = px + rng.uniform(-3.0, 3.0, n), py + rng.uniform(-3.0, 3.0, n)
+    r = rng.uniform(0.0, 6.0, n)
+    r[::5] = 0.0
+    d = rng.uniform(0.2, 4.0, n)
+    stacked = disk_sup_batch(px, py, fx, fy, cx, cy, r, d)
+    for i in range(n):
+        row = (v[i : i + 1] for v in (px, py, fx, fy, cx, cy, r))
+        assert _bits(stacked[i : i + 1]) == _bits(disk_sup_batch(*row, float(d[i])))
+
+
+def _sequential_scan(x, y, heading, view, t_last_ns, spec, dt_ns, horizon_ns, guard):
+    """Reference: critical_time_ns for agent 0 with the per-neighbor loop and
+    one bisection step per rate evaluation, as the scan ran before it
+    batched them; the rollout is one chunk, since chunk bounds do not enter
+    a row's rate. Returns (index of the first crossing or None, t_star_ns)."""
+    order = sorted(view)
+    proms = [view[j] for j in order]
+    dists = [spec.distance(0, j) for j in order]
+    rem = t_last_ns % dt_ns
+    first_grid = t_last_ns + (dt_ns - rem if rem else dt_ns)
+    ts = [t_last_ns, *range(first_grid, t_last_ns + horizon_ns + 1, dt_ns)]
+    t_sec = np.array([tn * 1e-9 for tn in ts])
+    disks = []
+    for p in proms:
+        cx, cy, r = disk_params_batch(p, t_sec)
+        disks.append((cx, cy, r + guard))
+    centers = [list(zip(cx.tolist(), cy.tolist())) for cx, cy, _ in disks]
+    state, rows, rec = (x, y, heading), [], []
+    for k in range(len(ts)):
+        sx, sy, th = state
+        points = [c[k] for c in centers]
+        sp, tu = goal_law(sx, sy, th, points, dists, spec.gain, LIM.max_speed, LIM.max_turn)
+        rows.append((sx, sy, sp * math.cos(th), sp * math.sin(th)))
+        rec.append((sx, sy, th, sp, tu))
+        if k + 1 < len(ts):
+            nx, ny, nth = arc_step(sx, sy, th, sp, tu, (ts[k + 1] - ts[k]) * 1e-9)
+            state = (nx, ny, wrap_angle(nth))
+    rate = _rate_bound_loop(*(np.array(v) for v in zip(*rows)), disks, dists)
+    hits = np.nonzero(rate >= 0.0)[0]
+    if not hits.size:
+        return None, ts[-1]
+    k = int(hits[0])
+    if k == 0:
+        return 0, ts[0]
+    lo, hi = ts[k - 1], ts[k]
+    x0, y0, th0, sp0, tu0 = rec[k - 1]
+
+    def rate_at(tn):
+        sx, sy, sth = arc_step(x0, y0, th0, sp0, tu0, (tn - lo) * 1e-9)
+        sth = wrap_angle(sth)
+        disks = []
+        for p in proms:
+            disk = view_disk_at(p, tn * 1e-9)
+            disks.append((*disk.center, disk.radius + guard))
+        fx, fy = sp0 * math.cos(sth), sp0 * math.sin(sth)
+        return float(_rate_bound_loop(sx, sy, fx, fy, disks, dists)[0])
+
+    if rate_at(hi) < 0.0:
+        return k, hi
+    a, b = lo, hi
+    while b - a > BISECT_TOL_NS:
+        mid = (a + b) // 2
+        if rate_at(mid) < 0.0:
+            a = mid
+        else:
+            b = mid
+    return k, a
+
+
+def _chunks_through(k):
+    """Rollout chunks the scan runs to reach grid index k."""
+    start, chunk, calls = 0, SCAN_FIRST_CHUNK, 0
+    while start <= k:
+        start, chunk, calls = start + chunk, min(2 * chunk, SCAN_MAX_CHUNK), calls + 1
+    return calls
+
+
+def _random_view(rng, dt_ns):
+    """Agent 0 and one to three neighbors: plain, expiring and fallback
+    promises at random tightness, issued before a random scan start."""
+    k = int(rng.integers(1, 4))
+    spec = FormationSpec({(0, j): rng.uniform(0.5, 4.0) for j in range(1, k + 1)}, 150.0)
+    t0 = rng.uniform(0.0, 2.0)
+    view = {}
+    for j in range(1, k + 1):
+        anchor = UnicycleState(*rng.uniform(-4.0, 4.0, 2).tolist(), rng.uniform(-3.1, 3.1))
+        control = ControlInput(rng.uniform(0.0, 5.0), rng.uniform(-3.0, 3.0), LIM)
+        issued = t0 - rng.uniform(0.0, 0.5)
+        kind = rng.integers(3)
+        expires = issued + rng.uniform(0.0, 0.6) if kind == 1 else None
+        p = make_promise(j, 0, issued, anchor, control, StaticBall(rng.uniform(0.0, 0.3)),
+                         expires_at=expires)
+        if kind == 2:
+            p = fallback_to_reachability(p, rng.uniform(issued, t0))
+        view[j] = p
+    t_last = int(t0 * NS)
+    if rng.integers(2):
+        t_last -= t_last % dt_ns  # on the tick grid
+    own = (*rng.uniform(-4.0, 4.0, 2).tolist(), rng.uniform(-3.1, 3.1))
+    return own, view, t_last, spec, float(rng.choice([0.0, 0.005]))
+
+
+HORIZON_SCAN = 400 * DT
+
+
+def test_batched_refinement_matches_sequential_bisection(monkeypatch):
+    """On 200 random views whose crossing lies past the scan's start, the
+    scan returns the t* of the sequential bisection to the nanosecond, with
+    one kernel call per rollout chunk and at most two for the refinement.
+    Ticks of 1 ms and 10 ms give bisection trees 10 and 14 levels deep,
+    and off-grid starts give shallower first brackets."""
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return disk_sup_batch(*args)
+
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 200:
+        dt = int(rng.choice([DT, 10 * DT]))
+        own, view, t_last, spec, guard = _random_view(rng, dt)
+        k, want = _sequential_scan(*own, view, t_last, spec, dt, HORIZON_SCAN, guard)
+        if not k:
+            continue
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(triggers, "disk_sup_batch", counted)
+            got, _ = critical_time_ns(0, *own, view, t_last, spec, LIM, dt, HORIZON_SCAN, guard)
+        assert got == want
+        assert 1 <= len(calls) - _chunks_through(k) <= 2
+        checked += 1
 
 
 def test_adaptive_dwell_rules():
