@@ -84,6 +84,15 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
     )
 
 
+def _write(out: Path, write, *args) -> None:
+    """Make the --out directory and call write(*args); an OSError is a ConfigError."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write(*args)
+    except OSError as e:
+        raise ConfigError(f"--out: {e}") from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load(args.config), args)
     result = run(cfg)
@@ -94,7 +103,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"N_comm={m['n_comm']} warns={m['n_warn_bits']} wall={result.wall_time:.2f}s"
     )
     if args.out is not None:
-        write_outputs(result, args.out)
+        _write(args.out, write_outputs, result, args.out)
         line += f" -> {args.out}"
     print(line)
     return 0
@@ -116,8 +125,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"lambda={r['lambda']:g} V_final={r['v_final']:.6g} N_comm={r['n_comm']}")
     print(f"{len(rows)} runs, wall={wall:.1f}s")
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        write_sweep_csv(rows, args.out / "sweep.csv")
+        _write(args.out, write_sweep_csv, rows, args.out / "sweep.csv")
         print(f"-> {args.out / 'sweep.csv'}")
     return 0
 
@@ -132,8 +140,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"{v}: N_comm={last['ncomm_' + v]} V_final={last['v_' + v]:.6g}")
     print(f"wall={wall:.1f}s")
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        write_compare_csv(rows, args.out / "compare.csv")
+        _write(args.out, write_compare_csv, rows, args.out / "compare.csv")
         print(f"-> {args.out / 'compare.csv'}")
     return 0
 

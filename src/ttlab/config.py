@@ -17,6 +17,7 @@ from typing import Dict, Optional, Tuple
 from .model import CommGraph, FormationSpec, Limits, UnicycleState
 from .network import NetworkParams
 from .promises import DynamicBall, PromiseRuleConfig, StaticBall
+from .triggers import NS, to_ns
 
 LAWS = ("self", "team", "robust-team")
 
@@ -68,6 +69,15 @@ class ScenarioConfig:
         return FormationSpec({(i, j): d for i, j, d in self.distances}, self.gain)
 
 
+def time_problem(seconds: float) -> Optional[str]:
+    """Why `seconds` is not a usable time on the whole-nanosecond clock, or None."""
+    if not math.isfinite(seconds * NS):
+        return "is not finite in nanoseconds"
+    if seconds > 0.0 and to_ns(seconds) == 0:
+        return "rounds to 0 ns"
+    return None
+
+
 def validate_config(cfg: ScenarioConfig) -> None:
     """Reject configurations the simulator cannot run soundly."""
     if cfg.law not in LAWS:
@@ -112,6 +122,19 @@ def validate_config(cfg: ScenarioConfig) -> None:
             f"[promise] expiration {cfg.expiration} must be finite and exceed"
             f" event_dwell {cfg.dwell.event_dwell}"
         )
+    times = {
+        "[engine] duration": cfg.duration,
+        "[engine] dt": cfg.dt,
+        "[dwell] self_dwell": cfg.dwell.self_dwell,
+        "[dwell] event_dwell": cfg.dwell.event_dwell,
+        "[dwell] adapt_floor": cfg.dwell.adapt_floor if cfg.dwell.adaptive else 0.0,
+        "[network] max_delay": cfg.network.max_delay,
+        "[promise] expiration": cfg.expiration or 0.0,
+    }
+    for where, seconds in times.items():
+        problem = time_problem(seconds)
+        if problem:
+            raise ConfigError(f"{where} = {seconds!r} {problem}")
     if cfg.law != "robust-team" and not cfg.network.ideal:
         raise ConfigError(
             "drop/delay/noise parameters require law = robust-team; "
@@ -145,7 +168,8 @@ def _get(parser: configparser.ConfigParser, path: str, section: str, key: str) -
         raise ConfigError(f"{path}: missing key {key!r} in section [{section}]") from None
 
 
-def _get_float(parser, path, section, key, default=None) -> float:
+def _get_float(parser, path, section, key, default=None, ns=False) -> float:
+    """The float at [section] key; with ns, a time in seconds, finite in nanoseconds too."""
     if default is not None and not parser.has_option(section, key):
         return default
     raw = _get(parser, path, section, key)
@@ -153,8 +177,9 @@ def _get_float(parser, path, section, key, default=None) -> float:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"{path}: [{section}] {key} = {raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: [{section}] {key} = {raw!r} is not finite")
+    if not math.isfinite(value * NS if ns else value):
+        unit = " in nanoseconds" if ns else ""
+        raise ConfigError(f"{path}: [{section}] {key} = {raw!r} is not finite{unit}")
     return value
 
 
@@ -246,8 +271,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
         spath,
         "dwell",
         DwellConfig,
-        self_dwell=_get_float(parser, spath, "dwell", "self_dwell", 0.3),
-        event_dwell=_get_float(parser, spath, "dwell", "event_dwell", 0.003),
+        self_dwell=_get_float(parser, spath, "dwell", "self_dwell", 0.3, ns=True),
+        event_dwell=_get_float(parser, spath, "dwell", "event_dwell", 0.003, ns=True),
         adaptive=_get_bool(parser, spath, "dwell", "adaptive", False),
         adapt_scale=_get_float(parser, spath, "dwell", "adapt_scale", 0.6),
         adapt_floor=_get_float(parser, spath, "dwell", "adapt_floor", 0.3),
@@ -267,14 +292,14 @@ def load_config(path: str | Path) -> ScenarioConfig:
     exp_raw = parser.get("promise", "expiration", fallback="none").strip().lower()
     expiration = None
     if exp_raw not in ("none", ""):
-        expiration = _get_float(parser, spath, "promise", "expiration")
+        expiration = _get_float(parser, spath, "promise", "expiration", ns=True)
 
     network = _in_section(
         spath,
         "network",
         NetworkParams,
         drop_prob=_get_float(parser, spath, "network", "drop_prob", 0.0),
-        max_delay=_get_float(parser, spath, "network", "max_delay", 0.0),
+        max_delay=_get_float(parser, spath, "network", "max_delay", 0.0, ns=True),
         noise_bound=_get_float(parser, spath, "network", "noise_bound", 0.0),
         radius_noise_bound=_get_float(parser, spath, "network", "radius_noise_bound", 0.0),
         seed=_get_int(parser, spath, "network", "seed", 0),
@@ -302,8 +327,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
         expiration=expiration,
         network=network,
         law=parser.get("engine", "law", fallback="team").strip(),
-        duration=_get_float(parser, spath, "engine", "duration", 30.0),
-        dt=_get_float(parser, spath, "engine", "dt", 1e-3),
+        duration=_get_float(parser, spath, "engine", "duration", 30.0, ns=True),
+        dt=_get_float(parser, spath, "engine", "dt", 1e-3, ns=True),
         safe_turn=_get_bool(parser, spath, "engine", "safe_turn", True),
         workspace=workspace,
     )

@@ -8,9 +8,11 @@ and instantaneous and are handled inline instead of through the heap.
 
 Agent poses advance lazily under the held control (closed-form arcs); the
 held interval splits at the certificate horizon, past which the agent's
-speed drops to zero. Certificates are recomputed ("resolved") at request
-rounds and on every accepted promise delivery, never at plain ticks, so the
-tick loop stays cheap.
+speed drops to zero. Certificates are recomputed ("resolved") at start-up,
+at each instant with an accepted promise delivery, and on each warning that
+voids a view; never at plain ticks or request rounds, so the tick loop stays
+cheap. The message counts in metrics.json are derived from the message log,
+`Engine.messages`, the one record of every message sent.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .config import ScenarioConfig
+from .config import ScenarioConfig, time_problem
 from .controllers import goal_law, team_control
 from .model import ControlInput, UnicycleState, arc_step, lyapunov, safe_mode, wrap_angle
 from .network import Channel
@@ -45,7 +47,7 @@ from .promises import (
     validate_noisy_promise,
     view_disk_at,
 )
-from .triggers import NS, adaptive_dwell, critical_time_ns
+from .triggers import NS, adaptive_dwell, critical_time_ns, to_ns
 
 PRIO_REQ_RETRY = 1
 PRIO_PROMISE = 2
@@ -118,12 +120,9 @@ class _Agent:
         "state_ts_ns",
         "control",
         "nominal",
-        "nominal_gap",
-        "safe_active",
         "t_star_ns",
+        "rounds",
         "round_anchor_ns",
-        "round_start_ns",
-        "round_seq",
         "round_pending",
         "self_req_token",
         "view",
@@ -139,13 +138,13 @@ class _Agent:
         self.heading = state.heading
         self.state_ts_ns = 0
         self.control = safe_mode(limits)
+        # The agent is in safe mode whenever its control is not the nominal
+        # one: team_control hands the nominal control back unchanged before t*.
         self.nominal = safe_mode(limits)
-        self.nominal_gap = 0.0
-        self.safe_active = True
         self.t_star_ns = 0
+        # Start times of the request rounds; the last is the current round.
+        self.rounds: List[int] = []
         self.round_anchor_ns = 0
-        self.round_start_ns = 0
-        self.round_seq = 0
         self.round_pending: set = set()
         self.self_req_token = 0
         self.view: Dict[int, Promise] = {}
@@ -172,13 +171,13 @@ class Engine:
         self.channel_ideal = cfg.network.ideal
         self.safe_turn = cfg.safe_turn
 
-        self.dt_ns = int(round(cfg.dt * NS))
-        self.duration_ns = int(round(cfg.duration * NS))
-        self.base_dwell_ns = int(round(cfg.dwell.self_dwell * NS))
-        self.event_dwell_ns = int(round(cfg.dwell.event_dwell * NS))
+        self.dt_ns = to_ns(cfg.dt)
+        self.duration_ns = to_ns(cfg.duration)
+        self.base_dwell_ns = to_ns(cfg.dwell.self_dwell)
+        self.event_dwell_ns = to_ns(cfg.dwell.event_dwell)
         self.horizon_ns = 10 * self.base_dwell_ns
-        self.exp_ns = None if cfg.expiration is None else int(round(cfg.expiration * NS))
-        self.retry_ns = max(int(round(cfg.network.max_delay * NS)), self.dt_ns)
+        self.exp_ns = None if cfg.expiration is None else to_ns(cfg.expiration)
+        self.retry_ns = max(to_ns(cfg.network.max_delay), self.dt_ns)
         self.guard = GUARD_TICKS * cfg.limits.max_speed * cfg.dt
 
         self.agents = [_Agent(i, st, cfg.limits) for i, st in enumerate(cfg.initial_states)]
@@ -189,17 +188,9 @@ class Engine:
         self._heap: List[tuple] = []
         self._seq = 0
         self.messages: List[MessageRecord] = []
-        self.n_promise = 0
-        self.n_req = 0
-        self.n_warn = 0
         self.n_breach = 0
-        self.n_s = [0] * len(self.agents)
-        self.n_e = [0] * len(self.agents)
-        self.request_times_ns: Dict[int, List[int]] = {a.id: [] for a in self.agents}
-        self.event_sends_ns: Dict[Tuple[int, int], List[int]] = {}
-        self.last_send_ns: Dict[Tuple[int, int], int] = {}
-        self.last_issued_ns: Dict[Tuple[int, int], int] = {}
-        self.latest_sent: Dict[Tuple[int, int], Promise] = {}
+        # Per directed pair: the latest promise issued on it and when.
+        self.latest_sent: Dict[Tuple[int, int], Tuple[Promise, int]] = {}
         self.exempt_until_ns: Dict[Tuple[int, int], int] = {}
         self.violations: List[Tuple[int, int, int]] = []
         # Per directed pair: the view its containment check was scheduled
@@ -207,10 +198,8 @@ class Engine:
         self.contain_due: List[Tuple[Optional[Promise], int]] = [
             (None, 0) for _ in self.directed_pairs
         ]
-        self.times_ns: List[int] = []
         self.v_series: List[float] = []
         self.trace: List[Tuple[int, tuple]] = []
-        self._last_v: Optional[float] = None
 
     # ------------------------------------------------------------------
     # event plumbing
@@ -234,12 +223,11 @@ class Engine:
     def _advance(self, ag: _Agent, ts_ns: int) -> None:
         if ts_ns <= ag.state_ts_ns:
             return
-        if not ag.safe_active and ag.t_star_ns < ts_ns:
+        if ag.control is ag.nominal and ag.t_star_ns < ts_ns:
             # The certificate runs out inside this interval: integrate the
             # nominal stretch, then freeze the position.
             if ag.t_star_ns > ag.state_ts_ns:
                 self._step(ag, ag.t_star_ns)
-            ag.safe_active = True
             ag.control = team_control(ag.nominal, ag.t_star_ns, ag.t_star_ns, self.safe_turn)
         self._step(ag, ts_ns)
 
@@ -252,10 +240,7 @@ class Engine:
         )
         nominal = ControlInput(speed, turn, lim)
         ag.nominal = nominal
-        ag.nominal_gap = math.hypot(speed, turn)
         ag.control = team_control(nominal, now_ns, ag.t_star_ns, self.safe_turn)
-        # team_control hands the nominal control back unchanged before t*.
-        ag.safe_active = ag.control is not nominal
 
     # ------------------------------------------------------------------
     # certificates
@@ -280,10 +265,11 @@ class Engine:
         self._apply_mode_control(ag, now_ns)
         if self.cfg.dwell.adaptive:
             gaps = [p.gap for p in ag.view.values() if p.gap is not None]
+            own_gap = math.hypot(ag.nominal.speed, ag.nominal.turn_rate)
             dwell_s = adaptive_dwell(
-                ag.nominal_gap, gaps, self.cfg.dwell.adapt_scale, self.cfg.dwell.adapt_floor
+                own_gap, gaps, self.cfg.dwell.adapt_scale, self.cfg.dwell.adapt_floor
             )
-            dwell = int(round(dwell_s * NS))
+            dwell = to_ns(dwell_s)
         else:
             dwell = self.base_dwell_ns
         request_ns = max(ag.round_anchor_ns + dwell, t_star_ns, now_ns)
@@ -295,11 +281,7 @@ class Engine:
 
     def _issue_promise(self, ag: _Agent, r: int, now_ns: int, event: bool) -> None:
         now_s = now_ns * 1e-9
-        expires_ns = None
-        expires_s = None
-        if self.exp_ns is not None:
-            expires_ns = now_ns + self.exp_ns
-            expires_s = expires_ns * 1e-9
+        expires_ns = None if self.exp_ns is None else now_ns + self.exp_ns
         p = make_promise(
             ag.id,
             r,
@@ -308,25 +290,18 @@ class Engine:
             ag.control,
             self.rule,
             planning_control=ag.nominal,
-            expires_at=expires_s,
-            gap=ag.nominal_gap,
+            expires_at=None if expires_ns is None else expires_ns * 1e-9,
+            gap=math.hypot(ag.nominal.speed, ag.nominal.turn_rate),
         )
         if self.channel_ideal:
             # Instant reliable delivery retires the previous promise.
             ag.sent[r] = [(p, now_ns)]
         else:
             ag.sent.setdefault(r, []).append((p, now_ns))
-        pair = (ag.id, r)
-        self.last_issued_ns[pair] = now_ns
-        self.last_send_ns[pair] = now_ns
-        self.latest_sent[pair] = p
-        if event:
-            self.n_e[ag.id] += 1
-            self.event_sends_ns.setdefault(pair, []).append(now_ns)
-        self.n_promise += 1
+        self.latest_sent[(ag.id, r)] = (p, now_ns)
         res = self.channel.transmit(ag.id, r, promise_to_wire(p))
         if res.delivered:
-            deliver_ns = now_ns + int(round(res.delay * NS))
+            deliver_ns = now_ns + to_ns(res.delay)
             self._push(deliver_ns, PRIO_PROMISE, "deliver", (r, res.wire))
         else:
             deliver_ns = None
@@ -335,12 +310,6 @@ class Engine:
         )
         if expires_ns is not None:
             self._push(expires_ns, PRIO_PROMISE, "send", (ag.id, r, now_ns))
-
-    def _record_req(self, requester: int, responder: int, now_ns: int) -> None:
-        self.n_req += 1
-        self.messages.append(
-            MessageRecord(now_ns, now_ns, "REQ", requester, responder, "bit", False)
-        )
 
     def _accept_promise(self, rag: _Agent, wire: tuple, now_ns: int) -> bool:
         p = promise_from_wire(wire, self.limits)
@@ -363,7 +332,7 @@ class Engine:
         # whatever triggered it.
         if now_ns > rag.round_anchor_ns:
             rag.round_anchor_ns = now_ns
-        if p.issuer in rag.round_pending and p.issued_at >= rag.round_start_ns * 1e-9:
+        if p.issuer in rag.round_pending and p.issued_at >= rag.rounds[-1] * 1e-9:
             rag.round_pending.discard(p.issuer)
         return True
 
@@ -376,7 +345,6 @@ class Engine:
         the warning are refused when they land. Promises issued at or after
         the warning (the replacement travels with it) stay acceptable.
         """
-        self.n_warn += 1
         self.messages.append(MessageRecord(detect_ns, detect_ns, "WARN", ag.id, r, "bit", False))
         rag = self.agents[r]
         detect_s = detect_ns * 1e-9
@@ -430,54 +398,54 @@ class Engine:
                 pair = (ag.id, r)
                 self.n_breach += 1
                 self.exempt_until_ns[pair] = now_ns + self.event_dwell_ns
-                if self.latest_sent.get(pair) is not p:
+                latest, issued_ns = self.latest_sent[pair]
+                if latest is not p:
                     # A newer promise already covers this recipient; the
                     # warning only matters if the newer one never arrived.
                     self._warn(ag, r, p, now_ns)
                     continue
-                if now_ns >= self.last_send_ns[pair] + self.event_dwell_ns:
+                resend_ns = issued_ns + self.event_dwell_ns
+                if now_ns >= resend_ns:
                     if not self.channel_ideal:
                         self._warn(ag, r, p, now_ns)
                     self._issue_promise(ag, r, now_ns, event=True)
                 else:
                     self._warn(ag, r, p, now_ns)
-                    resend_ns = self.last_send_ns[pair] + self.event_dwell_ns
-                    self._push(resend_ns, PRIO_PROMISE, "send", (ag.id, r, self.last_issued_ns[pair]))
+                    self._push(resend_ns, PRIO_PROMISE, "send", (ag.id, r, issued_ns))
 
     # ------------------------------------------------------------------
     # event handlers
 
     def _self_request(self, ts_ns: int, i: int, token: int) -> None:
         ag = self.agents[i]
-        if token != ag.self_req_token:
-            return
-        ag.round_seq += 1
-        self.n_s[i] += 1
-        self.request_times_ns[i].append(ts_ns)
+        if token == ag.self_req_token:
+            self._start_round(ag, ts_ns)
+
+    def _start_round(self, ag: _Agent, ts_ns: int) -> None:
+        ag.rounds.append(ts_ns)
         ag.round_anchor_ns = ts_ns
-        ag.round_start_ns = ts_ns
-        ag.round_pending = set(self.graph.neighbors(i))
-        for j in self.graph.neighbors(i):
-            self._record_req(i, j, ts_ns)
+        neighbors = self.graph.neighbors(ag.id)
+        ag.round_pending = set(neighbors)
+        self._request(ag, neighbors, ts_ns, event=False)
+
+    def _request(self, ag: _Agent, responders: Iterable[int], ts_ns: int, event: bool) -> None:
+        """Send a request bit to each responder, which answers with a promise
+        at once; on a lossy channel, retry in retry_ns while any is missing."""
+        for j in responders:
+            self.messages.append(MessageRecord(ts_ns, ts_ns, "REQ", ag.id, j, "bit", False))
             jag = self.agents[j]
             self._advance(jag, ts_ns)
-            self._issue_promise(jag, i, ts_ns, event=False)
+            self._issue_promise(jag, ag.id, ts_ns, event)
         if not self.channel_ideal and ag.round_pending:
-            self._push(ts_ns + self.retry_ns, PRIO_REQ_RETRY, "retry", (i, ag.round_seq))
+            self._push(ts_ns + self.retry_ns, PRIO_REQ_RETRY, "retry", (ag.id, len(ag.rounds)))
 
     def _req_retry(self, ts_ns: int, i: int, round_token: int) -> None:
         ag = self.agents[i]
-        if ag.round_seq != round_token or not ag.round_pending:
-            return
-        for j in sorted(ag.round_pending):
-            self._record_req(i, j, ts_ns)
-            jag = self.agents[j]
-            self._advance(jag, ts_ns)
-            self._issue_promise(jag, i, ts_ns, event=True)
-        self._push(ts_ns + self.retry_ns, PRIO_REQ_RETRY, "retry", (i, round_token))
+        if len(ag.rounds) == round_token and ag.round_pending:
+            self._request(ag, sorted(ag.round_pending), ts_ns, event=True)
 
     def _send_promise_event(self, ts_ns: int, i: int, r: int, token_ns: int) -> None:
-        if self.last_issued_ns.get((i, r)) != token_ns:
+        if self.latest_sent[(i, r)][1] != token_ns:
             return  # superseded by a newer send
         ag = self.agents[i]
         self._advance(ag, ts_ns)
@@ -518,15 +486,14 @@ class Engine:
 
     def _record(self, ts_ns: int) -> None:
         v = lyapunov(self.agents, self.spec, self.graph)
-        if self._last_v is not None and v > self._last_v + V_TOL_REL * max(1.0, self._last_v):
+        last = self.v_series[-1] if self.v_series else v
+        if v > last + V_TOL_REL * max(1.0, last):
             raise EngineInvariantError(
-                f"potential increased at t={ts_ns * 1e-9:.6f}s: {self._last_v!r} -> {v!r}"
+                f"potential increased at t={ts_ns * 1e-9:.6f}s: {last!r} -> {v!r}"
             )
-        self._last_v = v
-        self.times_ns.append(ts_ns)
         self.v_series.append(v)
         row = tuple(
-            (a.x, a.y, a.heading, "safe" if a.safe_active else "nominal") for a in self.agents
+            (a.x, a.y, a.heading, "nominal" if a.control is a.nominal else "safe") for a in self.agents
         )
         self.trace.append((ts_ns, row))
         if self.containment:
@@ -571,21 +538,12 @@ class Engine:
                     fb_time=0.0,
                 )
             ag.dists = [self.spec.distance(ag.id, j) for j in ag.view]
-        for ag in self.agents:
-            ag.round_seq = 1
-            self.n_s[ag.id] = 1
-            self.request_times_ns[ag.id].append(0)
-            ag.round_anchor_ns = 0
-            ag.round_start_ns = 0
-            ag.round_pending = set(self.graph.neighbors(ag.id))
+        # Every agent resolves before any round starts, so all self-requests
+        # are queued ahead of the first promise deliveries.
         for ag in self.agents:
             self._resolve(ag, 0)
         for ag in self.agents:
-            for j in self.graph.neighbors(ag.id):
-                self._record_req(ag.id, j, 0)
-                self._issue_promise(self.agents[j], ag.id, 0, event=False)
-            if not self.channel_ideal and ag.round_pending:
-                self._push(self.retry_ns, PRIO_REQ_RETRY, "retry", (ag.id, ag.round_seq))
+            self._start_round(ag, 0)
         self._push(0, PRIO_TICK, "tick", ())
 
     def run(self) -> RunResult:
@@ -610,7 +568,7 @@ class Engine:
         wall = _time.perf_counter() - start
         return RunResult(
             config=self.cfg,
-            times_ns=self.times_ns,
+            times_ns=[ts for ts, _ in self.trace],
             v_series=self.v_series,
             trace=self.trace,
             messages=self.messages,
@@ -624,17 +582,19 @@ class Engine:
             rule_info: Dict = {"kind": "static", "tightness": self.rule.tightness}
         else:
             rule_info = {"kind": "dynamic", "scale": self.rule.scale, "floor": self.rule.floor}
-        gaps = []
-        for times in self.request_times_ns.values():
-            gaps.extend(b - a for a, b in zip(times, times[1:]))
+        counts = dict.fromkeys(("PROMISE", "REQ", "WARN"), 0)
+        n_e = [0] * len(self.agents)
+        event_sends: Dict[Tuple[int, int], List[int]] = {}
+        for m in self.messages:
+            counts[m.kind] += 1
+            if m.event:  # only event-layer promise sends
+                n_e[m.sender] += 1
+                event_sends.setdefault((m.sender, m.receiver), []).append(m.sent_at_ns)
+        gaps = [b - a for ag in self.agents for a, b in zip(ag.rounds, ag.rounds[1:])]
         max_window = 0
-        for sends in self.event_sends_ns.values():
-            for a in range(len(sends)):
-                hi = sends[a] + self.event_dwell_ns
-                k = a
-                while k + 1 < len(sends) and sends[k + 1] <= hi:
-                    k += 1
-                max_window = max(max_window, k - a + 1)
+        for sends in event_sends.values():
+            for a, t in enumerate(sends):
+                max_window = max(max_window, bisect.bisect_right(sends, t + self.event_dwell_ns) - a)
         final_d = {}
         for i, j in self.graph.edges:
             ai, aj = self.agents[i], self.agents[j]
@@ -659,14 +619,14 @@ class Engine:
             },
             "v_initial": self.v_series[0],
             "v_final": self.v_series[-1],
-            "n_comm": self.n_promise,
-            "n_req_bits": self.n_req,
-            "n_warn_bits": self.n_warn,
+            "n_comm": counts["PROMISE"],
+            "n_req_bits": counts["REQ"],
+            "n_warn_bits": counts["WARN"],
             "n_breaches": self.n_breach,
-            "n_s": list(self.n_s),
-            "n_e": list(self.n_e),
-            "request_times_ns": {str(i): v for i, v in self.request_times_ns.items()},
-            "event_send_times_ns": {f"{i}->{r}": v for (i, r), v in sorted(self.event_sends_ns.items())},
+            "n_s": [len(ag.rounds) for ag in self.agents],
+            "n_e": n_e,
+            "request_times_ns": {str(ag.id): ag.rounds for ag in self.agents},
+            "event_send_times_ns": {f"{i}->{r}": v for (i, r), v in sorted(event_sends.items())},
             "min_request_gap_ns": min(gaps) if gaps else None,
             "max_event_sends_in_window": max_window,
             "containment_violations": len(self.violations),
@@ -730,15 +690,17 @@ def run_compare(cfg: ScenarioConfig, sample_dt: float = 0.1) -> List[Dict]:
     sampled every `sample_dt` seconds. Variants: worst-case baseline (self),
     fixed/adaptive promises crossed with fixed/adaptive dwell.
     """
+    if not sample_dt > 0.0 or time_problem(sample_dt):
+        raise ValueError(f"sample_dt must be positive and at least 1 ns, got {sample_dt!r}")
     results = {v: run(_compare_cfg(cfg, v)) for v in COMPARE_VARIANTS}
-    sample_ns = int(round(sample_dt * NS))
+    sample_ns = to_ns(sample_dt)
     rows = []
     send_times = {
         v: sorted(m.sent_at_ns for m in r.messages if m.kind == "PROMISE")
         for v, r in results.items()
     }
     t = 0
-    end_ns = int(round(cfg.duration * NS))
+    end_ns = to_ns(cfg.duration)
     while t <= end_ns:
         row: Dict = {"t_ns": t}
         for v, r in results.items():

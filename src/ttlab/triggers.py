@@ -46,6 +46,11 @@ _COS_PHIS, _SIN_PHIS = np.cos(_PHIS), np.sin(_PHIS)
 _ARRAY_OPS = (np.sin, np.cos, np.hypot, np.minimum)
 
 
+def to_ns(seconds: float) -> int:
+    """`seconds` in whole nanoseconds, the simulator's clock unit."""
+    return int(round(seconds * NS))
+
+
 def disk_sup_batch(
     px: np.ndarray,
     py: np.ndarray,

@@ -114,6 +114,13 @@ expiration = none
         ("edges = 0-1", "edges = 0-1, 0-9", "graph", "edges"),
         ("distance.0-1 = 1.5", "", "graph", "edges"),
         ("expiration = none", "expiration = none\n\n[engine]\ndt = 0.002", "engine", "dt"),
+        ("self_dwell = 0.3", "self_dwell = 1e300", "dwell", "self_dwell"),
+        ("expiration = none", "expiration = 1e300", "promise", "expiration"),
+        ("expiration = none", "expiration = none\n\n[network]\nmax_delay = 1e300", "network", "max_delay"),
+        ("expiration = none", "expiration = none\n\n[engine]\nduration = 1e300", "engine", "duration"),
+        ("expiration = none", "expiration = none\n\n[engine]\ndt = 4e-10", "engine", "dt"),
+        ("expiration = none", "expiration = none\n\n[engine]\nduration = 4e-10", "engine", "duration"),
+        ("self_dwell = 0.3", "self_dwell = 0.3\nadaptive = true\nadapt_floor = 1e300", "dwell", "adapt_floor"),
     ],
     ids=[
         "tightness",
@@ -131,6 +138,13 @@ expiration = none
         "edge-out-of-range",
         "edge-without-distance",
         "dt",
+        "self_dwell-ns-overflow",
+        "expiration-ns-overflow",
+        "max_delay-ns-overflow",
+        "duration-ns-overflow",
+        "dt-below-1ns",
+        "duration-below-1ns",
+        "adapt_floor-ns-overflow",
     ],
 )
 def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, old, new, section, key):
@@ -151,8 +165,24 @@ def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, old, new, 
         ["run", "--config", "formation4", "--duration", "inf"],
         ["sweep", "--config", "formation4", "--duration", "0.01", "--lambda-grid", "0.1,-1"],
         ["sweep", "--config", "formation4", "--duration", "0.01", "--lambda-grid", ",,"],
+        ["run", "--config", "formation4", "--duration", "1e300"],
+        ["run", "--config", "formation4", "--duration", "4e-10"],
+        # An existing file cannot be made the output directory.
+        ["run", "--config", "formation4", "--duration", "0.01", "--out", __file__],
+        ["sweep", "--config", "formation4", "--duration", "0.01", "--lambda-grid", "1", "--out", __file__],
+        ["compare", "--config", "formation4", "--duration", "0.01", "--out", __file__],
     ],
-    ids=["tightness", "duration", "lambda-grid", "lambda-grid-empty"],
+    ids=[
+        "tightness",
+        "duration",
+        "lambda-grid",
+        "lambda-grid-empty",
+        "duration-ns-overflow",
+        "duration-below-1ns",
+        "run-out-is-a-file",
+        "sweep-out-is-a-file",
+        "compare-out-is-a-file",
+    ],
 )
 def test_bad_override_exits_2_without_traceback(capsys, argv):
     assert main(argv) == 2

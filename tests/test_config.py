@@ -177,7 +177,16 @@ def test_integer_keys_are_exact(tmp_path):
 
 @pytest.mark.parametrize(
     "section, key, value",
-    [("engine", "duration", "inf"), ("engine", "dt", "nan"), ("promise", "expiration", "inf")],
+    [
+        ("engine", "duration", "inf"),
+        ("engine", "dt", "nan"),
+        ("promise", "expiration", "inf"),
+        # Finite seconds, but not a finite number of nanoseconds.
+        ("engine", "duration", "1e300"),
+        ("dwell", "self_dwell", "1e300"),
+        ("promise", "expiration", "1e300"),
+        ("network", "max_delay", "1e300"),
+    ],
 )
 def test_non_finite_times_rejected(tmp_path, section, key, value):
     text = MINIMAL + f"\n[{section}]\n{key} = {value}\n"

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,13 @@ def short_team(scenario):
 @pytest.fixture(scope="module")
 def short_robust(robust_scenario):
     return run(with_overrides(robust_scenario, duration=5.0))
+
+
+@pytest.fixture(scope="module")
+def short_tight(scenario):
+    """Tight promises breach often enough that event sends land exactly one
+    event dwell apart, two to a window."""
+    return run(with_overrides(scenario, tightness=0.05, duration=2.0))
 
 
 def test_descent_is_monotone(short_team):
@@ -49,21 +57,36 @@ def test_trace_modes_are_labeled(short_team):
     assert "safe" in modes  # agents park once their certificate expires
 
 
-def test_n_comm_counts_promise_payloads(short_team):
-    m = short_team.metrics
-    sent = [r for r in short_team.messages if r.kind == "PROMISE"]
+@pytest.mark.parametrize("fixture", ["short_team", "short_robust", "short_tight"])
+def test_n_comm_counts_promise_payloads(fixture, request):
+    res = request.getfixturevalue(fixture)
+    m = res.metrics
+    sent = [r for r in res.messages if r.kind == "PROMISE"]
     assert m["n_comm"] == len(sent)
     event_rows = [r for r in sent if r.event]
     assert sum(m["n_e"]) == len(event_rows)
+    assert m["n_warn_bits"] == sum(r.kind == "WARN" for r in res.messages)
+    by_pair = {}
+    for r in event_rows:
+        by_pair.setdefault(f"{r.sender}->{r.receiver}", []).append(r.sent_at_ns)
+    assert m["event_send_times_ns"] == by_pair
+    dwell_ns = m["dwell"]["event_dwell_ns"]
+    brute = max(
+        (sum(t <= u <= t + dwell_ns for u in times) for times in by_pair.values() for t in times),
+        default=0,
+    )
+    assert m["max_event_sends_in_window"] == brute
 
 
-def test_request_accounting(short_team):
-    m = short_team.metrics
+@pytest.mark.parametrize("fixture", ["short_team", "short_robust"])
+def test_request_accounting(fixture, request):
+    res = request.getfixturevalue(fixture)
+    m = res.metrics
     for i, times in m["request_times_ns"].items():
         assert m["n_s"][int(i)] == len(times)
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert all(g >= 300_000_000 for g in gaps)
-    req_rows = [r for r in short_team.messages if r.kind == "REQ"]
+    req_rows = [r for r in res.messages if r.kind == "REQ"]
     assert m["n_req_bits"] == len(req_rows)
 
 
@@ -169,6 +192,14 @@ def test_compare_table_shape(scenario):
     # the adaptive dwell must actually stretch silences, not alias the fixed one
     assert rows[-1]["ncomm_fpad"] < rows[-1]["ncomm_fpfd"]
     assert rows[-1]["ncomm_apad"] < rows[-1]["ncomm_apfd"]
+
+
+@pytest.mark.parametrize("sample_dt", [0.0, -0.5, 4e-10, 1e300, math.nan])
+def test_compare_rejects_sample_dt_off_the_ns_grid(scenario, sample_dt):
+    """A sample step that is not a positive whole number of nanoseconds
+    would never advance the sampling loop, or overflow it."""
+    with pytest.raises(ValueError, match="sample_dt"):
+        run_compare(with_overrides(scenario, duration=0.01), sample_dt=sample_dt)
 
 
 def test_next_check_is_margin_over_twice_max_speed():
