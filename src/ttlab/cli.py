@@ -84,17 +84,24 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
     )
 
 
-def _write(out: Path, write, *args) -> None:
-    """Make the --out directory and call write(*args); an OSError is a ConfigError."""
+def _write(write, *args, **kwargs) -> None:
+    """Call write(*args, **kwargs) on --out; an OSError is a ConfigError."""
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        write(*args)
+        write(*args, **kwargs)
     except OSError as e:
         raise ConfigError(f"--out: {e}") from None
 
 
+def _make_out(out: Optional[Path]) -> None:
+    """Make the --out directory before anything is simulated, so that a bad
+    one fails at once."""
+    if out is not None:
+        _write(out.mkdir, parents=True, exist_ok=True)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load(args.config), args)
+    _make_out(args.out)
     result = run(cfg)
     m = result.metrics
     line = (
@@ -103,7 +110,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"N_comm={m['n_comm']} warns={m['n_warn_bits']} wall={result.wall_time:.2f}s"
     )
     if args.out is not None:
-        _write(args.out, write_outputs, result, args.out)
+        _write(write_outputs, result, args.out)
         line += f" -> {args.out}"
     print(line)
     return 0
@@ -118,6 +125,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grid = [StaticBall(float(tok)).tightness for tok in tokens]
     except ValueError as e:
         raise ConfigError(f"--lambda-grid: {e}") from None
+    _make_out(args.out)
     t0 = time.perf_counter()
     rows = sweep_lambda(cfg, grid, parallel=args.parallel)
     wall = time.perf_counter() - t0
@@ -125,13 +133,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"lambda={r['lambda']:g} V_final={r['v_final']:.6g} N_comm={r['n_comm']}")
     print(f"{len(rows)} runs, wall={wall:.1f}s")
     if args.out is not None:
-        _write(args.out, write_sweep_csv, rows, args.out / "sweep.csv")
+        _write(write_sweep_csv, rows, args.out / "sweep.csv")
         print(f"-> {args.out / 'sweep.csv'}")
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load(args.config), args)
+    _make_out(args.out)
     t0 = time.perf_counter()
     rows = run_compare(cfg)
     wall = time.perf_counter() - t0
@@ -140,7 +149,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"{v}: N_comm={last['ncomm_' + v]} V_final={last['v_' + v]:.6g}")
     print(f"wall={wall:.1f}s")
     if args.out is not None:
-        _write(args.out, write_compare_csv, rows, args.out / "compare.csv")
+        _write(write_compare_csv, rows, args.out / "compare.csv")
         print(f"-> {args.out / 'compare.csv'}")
     return 0
 

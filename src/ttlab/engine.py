@@ -1,17 +1,30 @@
 """Discrete-event simulator for promise-based formation coordination.
 
 Time is integer nanoseconds. The event heap carries (timestamp, priority,
-sequence) keys so simultaneous events process in a fixed order: request
-retries first, then promise traffic (scheduled sends and deliveries), then
-self requests, then the control tick. Warning and request bits are reliable
-and instantaneous and are handled inline instead of through the heap.
+sequence) keys so simultaneous events process in a fixed order: certificate
+scan continuations first, then request retries, then promise traffic
+(scheduled sends and deliveries), then self requests, then the control
+tick. Warning and request bits are reliable and instantaneous and are
+handled inline instead of through the heap.
 
 Agent poses advance lazily under the held control (closed-form arcs); the
 held interval splits at the certificate horizon, past which the agent's
 speed drops to zero. Certificates are recomputed ("resolved") at start-up,
 at each instant with an accepted promise delivery, and on each warning that
 voids a view; never at plain ticks or request rounds, so the tick loop stays
-cheap. The message counts in metrics.json are derived from the message log,
+cheap.
+
+A resolve scans only the first chunk of the predicted trajectory
+(triggers.Scan). While no crossing has turned up, the agent's `t_star_ns`
+is only a lower bound, the last grid point scanned, and a continuation
+event at that instant scans the next chunk before any other event there can
+act on it. Once the crossing is found, the self request is queued where the
+full scan would have queued it, under the sequence number reserved at the
+resolve. So the prediction is rolled out only as far as simulated time
+reaches, and a later resolve supersedes a pending continuation as it does a
+self request.
+
+The message counts in metrics.json are derived from the message log,
 `Engine.messages`, the one record of every message sent.
 """
 
@@ -47,8 +60,9 @@ from .promises import (
     validate_noisy_promise,
     view_disk_at,
 )
-from .triggers import NS, adaptive_dwell, critical_time_ns, to_ns
+from .triggers import NS, Scan, adaptive_dwell, critical_time_ns, to_ns
 
+PRIO_SCAN = 0
 PRIO_REQ_RETRY = 1
 PRIO_PROMISE = 2
 PRIO_SELF_REQUEST = 3
@@ -125,6 +139,9 @@ class _Agent:
         "round_anchor_ns",
         "round_pending",
         "self_req_token",
+        "scan",
+        "req_floor_ns",
+        "req_seq",
         "view",
         "dists",
         "sent",
@@ -147,6 +164,11 @@ class _Agent:
         self.round_anchor_ns = 0
         self.round_pending: set = set()
         self.self_req_token = 0
+        # The certificate scan under way, and the earliest time and the heap
+        # sequence number of the self request it will queue.
+        self.scan: Optional[Scan] = None
+        self.req_floor_ns = 0
+        self.req_seq = 0
         self.view: Dict[int, Promise] = {}
         # Target distances to the neighbors, in the order of `view`.
         self.dists: List[float] = []
@@ -179,6 +201,9 @@ class Engine:
         self.exp_ns = None if cfg.expiration is None else to_ns(cfg.expiration)
         self.retry_ns = max(to_ns(cfg.network.max_delay), self.dt_ns)
         self.guard = GUARD_TICKS * cfg.limits.max_speed * cfg.dt
+        # An adaptive dwell this long already puts the self request past the
+        # run's end, so longer ones are cut to it before conversion to ns.
+        self.dwell_cap_s = 2.0 * (cfg.duration + cfg.dt)
 
         self.agents = [_Agent(i, st, cfg.limits) for i, st in enumerate(cfg.initial_states)]
         self.directed_pairs = sorted(
@@ -204,9 +229,15 @@ class Engine:
     # ------------------------------------------------------------------
     # event plumbing
 
-    def _push(self, ts_ns: int, prio: int, kind: str, data: tuple) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (ts_ns, prio, self._seq, kind, data))
+    def _push(
+        self, ts_ns: int, prio: int, kind: str, data: tuple, seq: Optional[int] = None
+    ) -> None:
+        """Queue an event under the next sequence number, or under `seq`,
+        one reserved earlier."""
+        if seq is None:
+            self._seq += 1
+            seq = self._seq
+        heapq.heappush(self._heap, (ts_ns, prio, seq, kind, data))
 
     # ------------------------------------------------------------------
     # kinematics
@@ -246,22 +277,16 @@ class Engine:
     # certificates
 
     def _resolve(self, ag: _Agent, now_ns: int) -> None:
-        """Recompute the agent's descent certificate and request schedule."""
+        """Recompute the agent's descent certificate and request schedule.
+
+        The self request goes out at max(anchor + dwell, t*, now); the
+        first and last terms are fixed here, since the anchor and the
+        adaptive dwell can move before t* is known. Only the scan's first
+        chunk runs here; continuation events take it on.
+        """
         self._advance(ag, now_ns)
-        t_star_ns, _ = critical_time_ns(
-            ag.id,
-            ag.x,
-            ag.y,
-            ag.heading,
-            ag.view,
-            now_ns,
-            self.spec,
-            self.limits,
-            self.dt_ns,
-            self.horizon_ns,
-            self.guard,
-        )
-        ag.t_star_ns = t_star_ns
+        ag.scan = Scan(ag.x, ag.y, ag.heading, now_ns, self.horizon_ns)
+        self._scan_on(ag)
         self._apply_mode_control(ag, now_ns)
         if self.cfg.dwell.adaptive:
             gaps = [p.gap for p in ag.view.values() if p.gap is not None]
@@ -269,12 +294,41 @@ class Engine:
             dwell_s = adaptive_dwell(
                 own_gap, gaps, self.cfg.dwell.adapt_scale, self.cfg.dwell.adapt_floor
             )
-            dwell = to_ns(dwell_s)
+            dwell = to_ns(min(dwell_s, self.dwell_cap_s))
         else:
             dwell = self.base_dwell_ns
-        request_ns = max(ag.round_anchor_ns + dwell, t_star_ns, now_ns)
+        ag.req_floor_ns = max(ag.round_anchor_ns + dwell, now_ns)
+        self._seq += 1
+        ag.req_seq = self._seq
         ag.self_req_token += 1
-        self._push(request_ns, PRIO_SELF_REQUEST, "selfreq", (ag.id, ag.self_req_token))
+        self._queue_scan_step(ag)
+
+    def _scan_on(self, ag: _Agent) -> None:
+        """Scan the agent's certificate one chunk further. Its t_star_ns is
+        then the crossing, or while the scan is pending a lower bound."""
+        scan = ag.scan
+        ag.t_star_ns, _ = critical_time_ns(
+            ag.id,
+            *scan.pose,
+            ag.view,
+            scan.next_ns,
+            self.spec,
+            self.limits,
+            self.dt_ns,
+            scan.end_ns - scan.next_ns,
+            self.guard,
+            scan,
+        )
+
+    def _queue_scan_step(self, ag: _Agent) -> None:
+        """Queue what follows the scan's last chunk: its continuation at
+        the lower bound, or once t* is known the self request."""
+        if ag.scan.pending:
+            self._push(ag.t_star_ns, PRIO_SCAN, "scan", (ag.id, ag.self_req_token))
+        else:
+            request_ns = max(ag.req_floor_ns, ag.t_star_ns)
+            data = (ag.id, ag.self_req_token)
+            self._push(request_ns, PRIO_SELF_REQUEST, "selfreq", data, ag.req_seq)
 
     # ------------------------------------------------------------------
     # promise traffic
@@ -415,6 +469,12 @@ class Engine:
 
     # ------------------------------------------------------------------
     # event handlers
+
+    def _scan_continuation(self, i: int, token: int) -> None:
+        ag = self.agents[i]
+        if token == ag.self_req_token:
+            self._scan_on(ag)
+            self._queue_scan_step(ag)
 
     def _self_request(self, ts_ns: int, i: int, token: int) -> None:
         ag = self.agents[i]
@@ -561,6 +621,8 @@ class Engine:
             _, _, _, kind, data = heapq.heappop(heap)
             if kind == "tick":
                 self._tick(ts_ns)
+            elif kind == "scan":
+                self._scan_continuation(*data)
             elif kind == "selfreq":
                 self._self_request(ts_ns, *data)
             elif kind == "retry":

@@ -16,7 +16,7 @@ until fresh information arrives.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -243,6 +243,39 @@ def _bisect_tree(a: int, b: int, levels: int) -> list[int]:
     return mids
 
 
+class Scan:
+    """How far a certificate scan has got, so that it can go on chunk by chunk.
+
+    critical_time_ns handed a Scan rolls out one chunk and records here
+    where it stopped. When that chunk holds no crossing and the horizon
+    reaches past it, `pending` is set and the call returns the chunk's last
+    grid point, a lower bound of t*. `next_ns` is the first grid point not
+    yet scanned (the scan's start before its first call) and `pose` the
+    predicted pose there; `last` is the last scanned point as (t_ns, x, y,
+    heading, speed, turn), which refine needs when the crossing comes
+    right after it; `chunk` is the next chunk's size, `end_ns` the end of
+    the horizon and `initial_rate` the rate at the scan's start. Each call
+    goes on with
+
+        critical_time_ns(i, *scan.pose, view, scan.next_ns, spec, limits,
+                         dt_ns, scan.end_ns - scan.next_ns, guard, scan)
+
+    and the same i, view, spec, limits, dt_ns and guard throughout, and
+    the chunks and results are those of one full scan.
+    """
+
+    __slots__ = ("pose", "next_ns", "end_ns", "last", "chunk", "initial_rate", "pending")
+
+    def __init__(self, x: float, y: float, heading: float, t_ns: int, horizon_ns: int) -> None:
+        self.pose = (x, y, heading)
+        self.next_ns = t_ns
+        self.end_ns = t_ns + horizon_ns
+        self.last: Optional[Tuple[int, float, float, float, float, float]] = None
+        self.chunk = SCAN_FIRST_CHUNK
+        self.initial_rate = 0.0
+        self.pending = False
+
+
 def critical_time_ns(
     i: int,
     x: float,
@@ -255,6 +288,7 @@ def critical_time_ns(
     dt_ns: int,
     horizon_ns: int,
     guard: float = 0.0,
+    scan: Optional[Scan] = None,
 ) -> Tuple[int, float]:
     """Scan the predicted trajectory for the descent-certificate expiry.
 
@@ -264,7 +298,13 @@ def critical_time_ns(
     (t_star_ns, initial_rate): the first crossing, refined to BISECT_TOL_NS
     by bisection under the control held in the bracketing interval (the
     last grid point when the horizon holds none), and the certificate rate
-    at t_last_ns. Neighbor disk radii are inflated by `guard`.
+    at the scan's start. Neighbor disk radii are inflated by `guard`.
+
+    Without `scan` the call scans up to the crossing. With one it scans a
+    single chunk, starting from the state `scan` records, and updates it;
+    while `scan.pending` the t_star_ns returned is only a lower bound (see
+    Scan). The grid points are computed chunk by chunk, so a scan costs
+    what it rolls out, however long the horizon.
     """
     order = sorted(view)
     proms = [view[j] for j in order]
@@ -273,26 +313,26 @@ def critical_time_ns(
     u_max = limits.max_speed
     v_max = limits.max_turn
 
+    # Grid point 0 is t_last_ns, point k >= 1 the k-th tick after it, up to
+    # the horizon's end: n points in all.
+    end_ns = t_last_ns + horizon_ns
     rem = t_last_ns % dt_ns
     first_grid = t_last_ns + (dt_ns - rem if rem else dt_ns)
-    ts_list = [t_last_ns, *range(first_grid, t_last_ns + horizon_ns + 1, dt_ns)]
-    n = len(ts_list)
+    n = 1 + max(0, (end_ns - first_grid) // dt_ns + 1)
 
-    state = (x, y, heading)
-    # (x, y, heading, speed, turn) at each scanned grid point, for refine.
-    rec: list[Tuple[float, float, float, float, float]] = []
+    def grid(k: int) -> int:
+        return first_grid + (k - 1) * dt_ns if k else t_last_ns
 
-    def refine(k: int) -> int:
-        """Crossing inside (ts_list[k-1], ts_list[k]]; return certified t*.
+    def refine(before: Tuple[int, float, float, float, float, float], hi: int) -> int:
+        """Crossing inside (lo, hi], lo the grid point `before` records;
+        return certified t*.
 
-        Bisects under the control held from ts_list[k-1]. The rates come
-        in batches: hi with the top half of the bisection tree's levels,
-        then the rest of the subtree the walk reaches; the walk itself
-        takes the same decisions as one evaluation per step.
+        Bisects under the control held from lo. The rates come in batches:
+        hi with the top half of the bisection tree's levels, then the rest
+        of the subtree the walk reaches; the walk itself takes the same
+        decisions as one evaluation per step.
         """
-        lo = ts_list[k - 1]
-        hi = ts_list[k]
-        x0, y0, th0, sp0, tu0 = rec[k - 1]
+        lo, x0, y0, th0, sp0, tu0 = before
         rates: dict[int, float] = {}
 
         def fetch(tns: list[int]) -> None:
@@ -328,36 +368,54 @@ def critical_time_ns(
                 b = mid
         return a
 
-    t_star_ns = ts_list[-1]  # the horizon, unless a crossing comes first
-    initial_rate = 0.0
-    start, chunk = 0, SCAN_FIRST_CHUNK
-    while start < n:
+    lazy = scan is not None
+    if scan is None:
+        scan = Scan(x, y, heading, t_last_ns, horizon_ns)
+    # `before` is the last scanned point, (t_ns, x, y, heading, speed, turn),
+    # or None at the scan's start.
+    before, chunk, initial_rate = scan.last, scan.chunk, scan.initial_rate
+    state = (x, y, heading)
+    start = 0
+    while True:
         stop = min(start + chunk, n)
-        t_sec = np.array([tn * 1e-9 for tn in ts_list[start:stop]])
+        ts = [grid(k) for k in range(start, stop)]
+        t_sec = np.array([tn * 1e-9 for tn in ts])
         disks = []
         for p in proms:
             cxj, cyj, rj = disk_params_batch(p, t_sec)
             disks.append((cxj, cyj, rj + guard))
         centers = [list(zip(cxj.tolist(), cyj.tolist())) for cxj, cyj, _ in disks]
         rows = []
-        for local in range(stop - start):
-            k = start + local
+        recs = []
+        for local, tn in enumerate(ts):
             sx, sy, th = state
             sp, tu = goal_law(sx, sy, th, [c[local] for c in centers], dists, gain, u_max, v_max)
             rows.append((sx, sy, sp * math.cos(th), sp * math.sin(th)))
-            rec.append((sx, sy, th, sp, tu))
-            if k + 1 < n:
-                nx, ny, nth = arc_step(sx, sy, th, sp, tu, (ts_list[k + 1] - ts_list[k]) * 1e-9)
+            recs.append((tn, sx, sy, th, sp, tu))
+            if start + local + 1 < n:
+                nx, ny, nth = arc_step(sx, sy, th, sp, tu, (grid(start + local + 1) - tn) * 1e-9)
                 state = (nx, ny, wrap_angle(nth))
         rate = rate_bound(*(np.array(v) for v in zip(*rows)), disks, dists)
-        if start == 0:
+        if before is None:
             initial_rate = float(rate[0])
         hits = np.nonzero(rate >= 0.0)[0]
         if hits.size:
-            k = start + int(hits[0])
-            t_star_ns = ts_list[k] if k == 0 else refine(k)
+            k = int(hits[0])
+            if k:
+                before = recs[k - 1]
+            t_star_ns = ts[0] if before is None else refine(before, ts[k])
             break
+        before = recs[-1]
         start, chunk = stop, min(2 * chunk, SCAN_MAX_CHUNK)
+        if start == n:
+            t_star_ns = ts[-1]  # the horizon: no crossing before it
+            break
+        if lazy:
+            scan.pose, scan.next_ns = state, grid(start)
+            scan.last, scan.chunk, scan.initial_rate = before, chunk, initial_rate
+            scan.pending = True
+            return ts[-1], initial_rate
+    scan.pending = False
     return t_star_ns, initial_rate
 
 

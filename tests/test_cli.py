@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -238,3 +239,44 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "N_comm=" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+def test_bad_out_fails_before_simulating(monkeypatch, capsys, command):
+    """The --out directory is made before the runs, so an unusable one
+    fails at once instead of after the whole sweep."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before checking --out")
+
+    for name in ("run", "sweep_lambda", "run_compare"):
+        monkeypatch.setattr(f"ttlab.cli.{name}", never)
+    argv = [command, "--config", "formation4", "--duration", "0.01", "--out", __file__]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "dwell",
+    [
+        {"self_dwell": 1e9},
+        {"self_dwell": 1e200},
+        {"adaptive": True, "adapt_scale": 1e300},
+    ],
+    ids=["self_dwell-1e9", "self_dwell-1e200", "adapt_scale-1e300"],
+)
+def test_huge_dwell_runs(tmp_path, capsys, scenario, dwell):
+    """A dwell far past the run's end is valid: the trigger scan only rolls
+    out the grid points it reaches, and an adaptive dwell too long for the
+    ns clock is cut to one that still lands past the end."""
+    from ttlab.config import save_config
+
+    p = tmp_path / "scenario.cfg"
+    save_config(replace(scenario, dwell=replace(scenario.dwell, **dwell)), p)
+    rc = main(["run", "--config", str(p), "--duration", "0.05", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "Traceback" not in captured.err
+    assert (tmp_path / "out" / "metrics.json").is_file()

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import ttlab.engine as engine_mod
-from ttlab.config import with_overrides
+from ttlab.config import validate_config, with_overrides
+from ttlab.model import UnicycleState
 from ttlab.promises import BREACH_TOL
 from ttlab.engine import run, run_compare, run_self_triggered, sweep_lambda, write_outputs
 from ttlab.triggers import rate_bound
@@ -297,3 +298,130 @@ def test_agent_without_neighbors(scenario, n, edges, law):
         assert res.v_series[-1] < res.v_series[0]
     else:
         assert set(res.v_series) == {0.0}
+
+
+def _cycle5(scenario, duration):
+    """Five agents on a cycle at tightness 0: every promise is a point, so
+    breaches and resolves never stop."""
+    edges = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
+    states = tuple(
+        UnicycleState(
+            3.0 * math.cos(2 * math.pi * k / 5) + 0.3 * k,
+            3.0 * math.sin(2 * math.pi * k / 5),
+            0.7 * k,
+        )
+        for k in range(5)
+    )
+    cfg = replace(
+        with_overrides(scenario, tightness=0.0, duration=duration),
+        n_agents=5,
+        edges=edges,
+        distances=tuple((i, j, 2.0) for i, j in edges),
+        gain=1.0,
+        initial_states=states,
+    )
+    validate_config(cfg)
+    return cfg
+
+
+def _run_counting_continuations(cfg, outdir):
+    """Run cfg and write its outputs; return them with the number of scan
+    continuations that went on with a scan."""
+    calls = [0]
+    scan_on = engine_mod.Engine._scan_continuation
+
+    def counted(self, i, token):
+        calls[0] += token == self.agents[i].self_req_token
+        return scan_on(self, i, token)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine_mod.Engine, "_scan_continuation", counted)
+        write_outputs(run(cfg), outdir)
+    return {f: (outdir / f).read_bytes() for f in OUTPUT_FILES}, calls[0]
+
+
+@pytest.mark.parametrize("case", ["team", "self", "lambda0", "robust-7", "cycle5-lambda0"])
+def test_lazy_scan_matches_full_scan(case, scenario, robust_scenario, tmp_path, monkeypatch):
+    """Scanning each certificate one chunk per continuation event changes
+    no output byte against scanning it to the crossing at the resolve.
+
+    The self-law run has self requests of two agents due at the same
+    nanosecond (1.8 s), which keep their order only because each request
+    is queued under the sequence number reserved at its resolve."""
+    if case in ("team", "self"):
+        cfg = with_overrides(scenario, law=case, duration=2.0)
+    elif case == "lambda0":
+        cfg = with_overrides(scenario, tightness=0.0, duration=0.16)
+    elif case == "robust-7":
+        cfg = with_overrides(robust_scenario, seed=7, duration=2.0)
+    else:
+        cfg = _cycle5(scenario, 0.1)
+    lazy, continued = _run_counting_continuations(cfg, tmp_path / "lazy")
+    scan_on = engine_mod.Engine._scan_on
+
+    def eager(self, ag):
+        scan_on(self, ag)
+        while ag.scan.pending:
+            scan_on(self, ag)
+
+    monkeypatch.setattr(engine_mod.Engine, "_scan_on", eager)
+    full, none = _run_counting_continuations(cfg, tmp_path / "full")
+    for f in OUTPUT_FILES:
+        assert lazy[f] == full[f], f"{f} differs from the full-scan run"
+    assert continued > 0
+    assert none == 0
+
+
+@pytest.mark.parametrize("case", ["lambda0", "robust-7"])
+def test_scan_continuation_runs_first_at_its_instant(case, scenario, robust_scenario, monkeypatch):
+    """A pending scan leaves t_star_ns at a lower bound, so its continuation
+    runs before any other event at that instant can act on it."""
+    log = []
+
+    def logged(name, handler):
+        def wrapper(self, ts_ns, *args):
+            log.append((ts_ns, name))
+            return handler(self, ts_ns, *args)
+
+        return wrapper
+
+    for name in ("_tick", "_drain_promises", "_self_request", "_req_retry"):
+        handler = getattr(engine_mod.Engine, name)
+        monkeypatch.setattr(engine_mod.Engine, name, logged(name, handler))
+    continuation = engine_mod.Engine._scan_continuation
+
+    def logged_continuation(self, i, token):
+        ag = self.agents[i]
+        if token == ag.self_req_token:
+            log.append((ag.t_star_ns, "scan"))
+        return continuation(self, i, token)
+
+    monkeypatch.setattr(engine_mod.Engine, "_scan_continuation", logged_continuation)
+    if case == "lambda0":
+        run(with_overrides(scenario, tightness=0.0, duration=0.16))
+    else:
+        run(with_overrides(robust_scenario, seed=7, duration=1.0))
+    shared = 0
+    for k, (ts, name) in enumerate(log):
+        if name == "scan":
+            earlier = [n for t, n in log[:k] if t == ts]
+            assert set(earlier) <= {"scan"}, f"continuation at {ts} ns runs after {earlier}"
+            shared += any(t == ts and n != "scan" for t, n in log[k:])
+    assert shared > 0
+
+
+def test_adaptive_dwell_cap_keeps_outputs(scenario, tmp_path):
+    """Cutting the adaptive dwell at twice the run length changes no output
+    byte: every dwell the cut shortens put its self request past the end
+    already. At adapt_scale 1e300 the uncut dwell is infinite and cannot be
+    converted to ns at all."""
+    outputs = []
+    for scale, cap in ((1e200, math.inf), (1e200, None), (1e300, None)):
+        cfg = replace(scenario, dwell=replace(scenario.dwell, adaptive=True, adapt_scale=scale))
+        engine = engine_mod.Engine(with_overrides(cfg, duration=1.0))
+        if cap is not None:
+            engine.dwell_cap_s = cap
+        outdir = tmp_path / f"{scale}-{cap}"
+        write_outputs(engine.run(), outdir)
+        outputs.append([(outdir / f).read_bytes() for f in OUTPUT_FILES])
+    assert outputs[0] == outputs[1] == outputs[2]

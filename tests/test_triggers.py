@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from ttlab.triggers import (
     BISECT_TOL_NS,
     SCAN_FIRST_CHUNK,
     SCAN_MAX_CHUNK,
+    Scan,
     adaptive_dwell,
     critical_time_ns,
     disk_params_batch,
@@ -395,6 +397,106 @@ def test_batched_refinement_matches_sequential_bisection(monkeypatch):
         assert got == want
         assert 1 <= len(calls) - _chunks_through(k) <= 2
         checked += 1
+
+
+def _resumed_scan(own, view, t_last, spec, dt, horizon, guard, cuts=()):
+    """critical_time_ns one chunk per call, each resumed from the Scan the
+    last one left; chunk k is cuts[k] points long where given. Returns the
+    final result and the lower bounds the pending calls returned."""
+    scan = Scan(*own, t_last, horizon)
+    bounds = []
+    for k in itertools.count():
+        if k < len(cuts):
+            scan.chunk = cuts[k]
+        left = scan.end_ns - scan.next_ns
+        result = critical_time_ns(0, *scan.pose, view, scan.next_ns, spec, LIM, dt, left, guard, scan)
+        if not scan.pending:
+            return result, bounds
+        bounds.append(result[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cuts=st.lists(st.integers(1, 2 * SCAN_MAX_CHUNK), max_size=10),
+    one_by_one=st.booleans(),
+    horizon_ticks=st.integers(0, 500),
+    coarse=st.booleans(),
+)
+def test_resumed_scan_matches_full_scan(seed, cuts, one_by_one, horizon_ticks, coarse):
+    """Cutting the scan at arbitrary chunk bounds and resuming it from its
+    Scan state gives the (t_star_ns, initial_rate) of one full call, bit
+    for bit: on random views, with starts on and off the tick grid, with
+    crossings at the start, at a cut and past the horizon, and with chunks
+    of one point throughout, which make every grid point a cut. Each
+    pending call returns a grid point that bounds t* from below."""
+    rng = np.random.default_rng(seed)
+    dt = 10 * DT if coarse else DT
+    own, view, t_last, spec, guard = _random_view(rng, dt)
+    horizon = horizon_ticks * dt
+    if one_by_one:
+        cuts = [1] * (horizon_ticks + 2)
+    want = critical_time_ns(0, *own, view, t_last, spec, LIM, dt, horizon, guard)
+    for chunks in (cuts, ()):  # drawn chunk sizes, then the engine's own
+        (t_star, rate), bounds = _resumed_scan(own, view, t_last, spec, dt, horizon, guard, chunks)
+        assert t_star == want[0]
+        assert _bits(rate) == _bits(want[1])
+        assert bounds == sorted(set(bounds))
+        assert all(b in (t_last, b - b % dt) and t_last <= b <= t_star for b in bounds)
+
+
+def _radius_rate(threshold):
+    """A stand-in for rate_bound that crosses zero where the first disk's
+    radius reaches `threshold`: with a fallback disk, at a chosen time."""
+
+    def rate(px, py, fx, fy, disks, dists):
+        return np.atleast_1d(np.asarray(disks[0][2], dtype=float)) - threshold
+
+    return rate
+
+
+@pytest.mark.parametrize("where", ["start", "cut", "later-chunk", "none"])
+def test_resumed_scan_at_pinned_crossings(where, monkeypatch):
+    """With a rate that crosses zero at a chosen time, the resumed scan
+    matches the full scan: a crossing at the start returns the start; a
+    crossing just past the last point of the first chunk is found at the
+    first point of the resumed chunk, whose refinement returns its lo, the
+    pending call's lower bound; a crossing deep inside a later chunk; and
+    none before the horizon, which returns the last grid point."""
+    spec = FormationSpec({(0, 1): 1.0}, 150.0)
+    p = make_promise(
+        1, 0, 0.0, UnicycleState(2.0, 0.0, 0.0), ControlInput(0.0, 0.0, LIM), StaticBall(0.0)
+    )
+    view = {1: fallback_to_reachability(p, 0.0)}
+    t_last = 1_531_377  # off the tick grid
+    first_grid = 2 * DT
+    cross_ns = {
+        "start": t_last,
+        "cut": first_grid + (SCAN_FIRST_CHUNK - 2) * DT + 1,
+        "later-chunk": first_grid + 40 * DT + 123_456,
+        "none": 10 * NS,
+    }[where]
+    threshold = view_disk_at(view[1], cross_ns * 1e-9).radius
+    monkeypatch.setattr(triggers, "rate_bound", _radius_rate(threshold))
+    own = (0.0, 0.0, 0.0)
+    want = critical_time_ns(0, *own, view, t_last, spec, LIM, DT, HORIZON_SCAN)
+    got, bounds = _resumed_scan(own, view, t_last, spec, DT, HORIZON_SCAN, 0.0)
+    assert got == want
+    last_grid = t_last + HORIZON_SCAN - (t_last + HORIZON_SCAN) % DT
+    expected = {
+        "start": t_last,
+        "cut": cross_ns - 1,
+        "later-chunk": None,
+        "none": last_grid,
+    }[where]
+    if expected is not None:
+        assert want[0] == expected
+    else:
+        assert cross_ns - BISECT_TOL_NS <= want[0] < cross_ns
+    if where == "cut":
+        assert bounds == [cross_ns - 1]  # the first chunk's last point
+    if where == "start":
+        assert bounds == []
 
 
 def test_adaptive_dwell_rules():

@@ -1,0 +1,94 @@
+"""Alternating before/after benchmark pairs, summarised into one JSON file.
+
+Usage, with two checkouts (say the parent commit and the change):
+
+    python3 tools/bench_pairs.py --before ../parent --after . --pairs 10 \
+        --seconds 15 --out BENCH_7.json
+
+For each workload, each pair runs ``bench/run.py --workload W`` once in each
+checkout, one after the other, and the order alternates from pair to pair,
+so that a drift in host speed falls on both sides alike. Each side's
+end-to-end metrics are summarised by their median and quartiles, and each
+metric gets the number of pairs the after side won. With ``--trace`` the
+per-layer counters of one traced run per side are added.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Dict, List
+
+WORKLOADS = ("team", "lambda0", "robust", "sweep")
+
+
+def bench(checkout: Path, workload: str, seconds: float, trace: bool) -> Dict:
+    """One bench/run.py run in `checkout`; its final result line."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload]
+    cmd += ["--trace", "1"] if trace else ["--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"{checkout}: {workload} printed nothing:\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def summary(values: List[float]) -> Dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--before", type=Path, required=True, help="checkout of the parent commit")
+    ap.add_argument("--after", type=Path, required=True, help="checkout of the change")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=30.0, help="bench/run.py --seconds")
+    ap.add_argument("--workload", action="append", choices=WORKLOADS, help="default: all four")
+    ap.add_argument("--trace", action="store_true", help="add one traced run per side")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    sides = {"before": args.before, "after": args.after}
+    import numpy
+
+    host = {"nproc": os.cpu_count(), "python": platform.python_version()}
+    host["numpy"] = numpy.__version__
+    report: Dict = {"host": host, "pairs": args.pairs, "seconds": args.seconds, "workloads": {}}
+    for w in args.workload or WORKLOADS:
+        runs: Dict[str, List[Dict]] = {"before": [], "after": []}
+        for k in range(args.pairs):
+            order = ("before", "after") if k % 2 == 0 else ("after", "before")
+            for side in order:
+                runs[side].append(bench(sides[side], w, args.seconds, trace=False))
+                print(f"{w} pair {k} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
+        entry: Dict = {
+            side: {k: sum(r[k] for r in rs) for k in ("failed", "attempted")}
+            for side, rs in runs.items()
+        }
+        entry["metrics"] = {}
+        for name in runs["before"][0]["metrics"]:
+            vals = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
+            entry["metrics"][name] = {
+                "unit": runs["before"][0]["metrics"][name]["unit"],
+                "before": summary(vals["before"]),
+                "after": summary(vals["after"]),
+                "after_wins": sum(a < b for a, b in zip(vals["after"], vals["before"])),
+            }
+        if args.trace:
+            entry["per_layer"] = {
+                side: {n: m["value"] for n, m in bench(path, w, 0, trace=True)["metrics"].items()}
+                for side, path in sides.items()
+            }
+        report["workloads"][w] = entry
+        args.out.write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
