@@ -52,13 +52,13 @@ from .promises import (
     Promise,
     StaticBall,
     breach_margin,
+    expected_position,
     fallback_to_reachability,
     is_expired,
     make_promise,
     promise_from_wire,
     promise_to_wire,
     validate_noisy_promise,
-    view_disk_at,
 )
 from .triggers import NS, Scan, adaptive_dwell, critical_time_ns, to_ns
 
@@ -264,7 +264,7 @@ class Engine:
 
     def _apply_mode_control(self, ag: _Agent, now_ns: int) -> None:
         now_s = now_ns * 1e-9
-        points = [view_disk_at(p, now_s).center for p in ag.view.values()]
+        points = [expected_position(p, now_s) for p in ag.view.values()]
         lim = self.limits
         speed, turn = goal_law(
             ag.x, ag.y, ag.heading, points, ag.dists, self.spec.gain, lim.max_speed, lim.max_turn
@@ -547,14 +547,12 @@ class Engine:
     def _record(self, ts_ns: int) -> None:
         v = lyapunov(self.agents, self.spec, self.graph)
         last = self.v_series[-1] if self.v_series else v
-        if v > last + V_TOL_REL * max(1.0, last):
-            raise EngineInvariantError(
-                f"potential increased at t={ts_ns * 1e-9:.6f}s: {last!r} -> {v!r}"
-            )
-        self.v_series.append(v)
         row = tuple(
             (a.x, a.y, a.heading, "nominal" if a.control is a.nominal else "safe") for a in self.agents
         )
+        if v > last + V_TOL_REL * max(1.0, last):
+            raise EngineInvariantError(self._rise_report(ts_ns, row, last, v))
+        self.v_series.append(v)
         self.trace.append((ts_ns, row))
         if self.containment:
             # Scheduled like the breach monitor: a view is checked again
@@ -574,6 +572,24 @@ class Engine:
                 if margin < 0.0:
                     self.violations.append((ts_ns, i, r))
                 due[k] = (p, _next_check_ns(ts_ns, margin, max_speed))
+
+    def _rise_report(self, ts_ns: int, row: tuple, last: float, v: float) -> str:
+        """The potential-increase error: the edge whose term rose most, its agents'
+        last two trace rows and now, and the last five messages involving them."""
+        prev = self.trace[-1][1] if self.trace else row
+
+        def term(q: tuple, i: int, j: int) -> float:
+            d2 = self.spec.distance(i, j) ** 2
+            return ((q[j][0] - q[i][0]) ** 2 + (q[j][1] - q[i][1]) ** 2 - d2) ** 2
+
+        i, j = max(self.graph.edges, key=lambda e: term(row, *e) - term(prev, *e))
+        out = [f"potential increased at t={ts_ns * 1e-9:.6f}s: {last!r} -> {v!r}; edge {i}-{j} rose most"]
+        rows = [*self.trace[-2:], (ts_ns, row)]
+        out += [f"  t={_fmt_t(t)} agent {k}: pose {r[k][:3]!r}, {r[k][3]}" for t, r in rows for k in (i, j)]
+        for m in [m for m in self.messages if {m.sender, m.receiver} & {i, j}][-5:]:
+            deliver = "dropped" if m.deliver_at_ns is None else f"delivered {_fmt_t(m.deliver_at_ns)}"
+            out.append(f"  {m.kind} {m.sender}->{m.receiver} sent {_fmt_t(m.sent_at_ns)}, {deliver}")
+        return "\n".join(out)
 
     # ------------------------------------------------------------------
     # lifecycle

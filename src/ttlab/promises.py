@@ -13,9 +13,10 @@ caps the radius with the anchor reachability bound:
 which contains every admissible deviation the commitment allows, is monotone
 in delta (tighter promises give nested disks) and nondecreasing in tau, and
 never exceeds the anchor reachability disk by more than twice the chord
-length dist(zoh, anchor). disk_kernel is its one implementation: the
-engine evaluates it on floats through view_disk_at, the trigger scan on
-arrays of times through triggers.disk_params_batch.
+length dist(zoh, anchor). disk_kernel is its one implementation. Its centre
+half alone gives expected_position, the estimate of the control tick, e_map
+and u_double_star; on floats it gives disk_at, for the breach, containment
+and refinement checks and the fallback; on arrays, triggers.disk_params_batch.
 
 The breach margin m(t) = radius(t) + BREACH_TOL - |issuer(t) - center(t)|
 falls by at most 2 * max_speed per second. The radius never shrinks (ball,
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple, Union
 
 from .model import ARC_EPS, ControlInput, DiskSet, UnicycleState
@@ -97,8 +98,13 @@ class Promise:
     fb_center: Optional[Tuple[float, float]] = None
     fb_radius: Optional[float] = None
     fb_time: Optional[float] = None
+    # sin and cos of the anchor heading, set by __post_init__ (so also by replace).
+    anchor_sin: float = field(init=False, compare=False, repr=False)
+    anchor_cos: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "anchor_sin", math.sin(self.anchor_state.heading))
+        object.__setattr__(self, "anchor_cos", math.cos(self.anchor_state.heading))
         if self.radius < 0.0:
             raise ValueError(f"promise radius must be >= 0, got {self.radius}")
         if self.noise_slack < 0.0:
@@ -147,36 +153,40 @@ def make_promise(
     )
 
 
+def _disk_center(p: Promise, tau, sin, cos):
+    """Centre half of disk_kernel: the hold prediction (arc_step's arc) or the frozen centre."""
+    if p.mode is _FALLBACK:
+        return p.fb_center
+    a = p.anchor_state
+    c = p.anchor_control
+    if abs(c.turn_rate) > ARC_EPS:
+        th1 = a.heading + c.turn_rate * tau
+        k = c.speed / c.turn_rate
+        return a.x + k * (sin(th1) - p.anchor_sin), a.y - k * (cos(th1) - p.anchor_cos)
+    return a.x + c.speed * tau * p.anchor_cos, a.y + c.speed * tau * p.anchor_sin
+
+
 def disk_kernel(p: Promise, tau, late, ops):
     """Center (x, y) and radius of p's disk at age tau, grown at max speed
     for `late` further seconds.
 
-    This is the one implementation of the promise disk. `ops` is the tuple
-    (sin, cos, hypot, minimum) that fits the type of tau and late:
-    (math.sin, math.cos, math.hypot, min) on floats for view_disk_at, the
-    numpy ufuncs on arrays of ages for triggers.disk_params_batch. numpy's
-    array sin and cos agree with libm bit for bit, so the two callers get
-    the same centers; np.hypot and math.hypot can differ in the last bit,
-    so a radius can too, and each caller keeps the bits it always had. A
-    fallback promise's frozen disk stands for every age: only `late`,
-    counted from its fallback time, grows it.
+    This is the one implementation of the promise disk: _disk_center, then
+    the radius half. `ops` is the tuple (sin, cos, hypot, minimum) that fits
+    the type of tau and late: (math.sin, math.cos, math.hypot, min) on
+    floats for disk_at, the numpy ufuncs on arrays of ages for
+    triggers.disk_params_batch. numpy's array sin and cos agree with libm
+    bit for bit, so the two callers get the same centers; np.hypot and
+    math.hypot can differ in the last bit, so a radius can too, and each
+    caller keeps the bits it always had. A fallback promise's frozen disk
+    stands for every age: only `late`, counted from its fallback time,
+    grows it.
     """
+    sin, cos, hypot, minimum = ops
+    zx, zy = _disk_center(p, tau, sin, cos)
     u_max = p.anchor_control.limits.max_speed
     if p.mode is _FALLBACK:
-        cx, cy = p.fb_center  # type: ignore[misc]
-        return cx, cy, p.fb_radius + u_max * late  # type: ignore[operator]
-    sin, cos, hypot, minimum = ops
+        return zx, zy, p.fb_radius + u_max * late  # type: ignore[operator]
     a = p.anchor_state
-    c = p.anchor_control
-    # The zero-order-hold prediction: model.arc_step's arc, over any array of ages.
-    if abs(c.turn_rate) > ARC_EPS:
-        th1 = a.heading + c.turn_rate * tau
-        k = c.speed / c.turn_rate
-        zx = a.x + k * (sin(th1) - math.sin(a.heading))
-        zy = a.y - k * (cos(th1) - math.cos(a.heading))
-    else:
-        zx = a.x + c.speed * tau * math.cos(a.heading)
-        zy = a.y + c.speed * tau * math.sin(a.heading)
     s = p.noise_slack * (1.0 + tau + 0.5 * u_max * tau * tau)
     r_ball = p.radius * tau + s
     r_reach = hypot(zx - a.x, zy - a.y) + u_max * tau + p.noise_slack + 2.0 * s
@@ -186,29 +196,34 @@ def disk_kernel(p: Promise, tau, late, ops):
 _FLOAT_OPS = (math.sin, math.cos, math.hypot, min)
 
 
-def view_disk_at(p: Promise, t: float) -> DiskSet:
-    """Position disk guaranteed to contain the issuer at time t.
-
-    A fallback promise's frozen disk grows at max speed from its fallback
-    time. A ball promise continues past its expiry at the reachability rate:
-    recipients whose replacement promise has not arrived keep a sound view
-    by growing the last valid disk at max speed.
-    """
+def _ages(p: Promise, t: float) -> Tuple[float, float]:
+    """(tau, late) of p's disk at time t for disk_kernel. A fallback disk grows
+    at max speed from its fallback time, and so does a ball promise's last
+    disk past its expiry, which keeps a view sound until its replacement
+    arrives."""
     if p.mode is _FALLBACK:
         if t < p.fb_time:  # type: ignore[operator]
             raise ValueError(f"t={t} precedes fallback time {p.fb_time}")
-        tau, late = 0.0, t - p.fb_time  # type: ignore[operator]
-    elif p.expires_at is not None and t > p.expires_at:
-        tau, late = p.expires_at - p.issued_at, t - p.expires_at
-    else:
-        tau, late = t - p.issued_at, 0.0
-    cx, cy, r = disk_kernel(p, tau, late, _FLOAT_OPS)
+        return 0.0, t - p.fb_time  # type: ignore[operator]
+    if p.expires_at is not None and t > p.expires_at:
+        return p.expires_at - p.issued_at, t - p.expires_at
+    return t - p.issued_at, 0.0
+
+
+def disk_at(p: Promise, t: float) -> Tuple[float, float, float]:
+    """Position disk (cx, cy, r) guaranteed to contain the issuer at time t."""
+    return disk_kernel(p, *_ages(p, t), _FLOAT_OPS)
+
+
+def view_disk_at(p: Promise, t: float) -> DiskSet:
+    """Position disk guaranteed to contain the issuer at time t: disk_at as a DiskSet."""
+    cx, cy, r = disk_at(p, t)
     return DiskSet((cx, cy), r)
 
 
 def expected_position(p: Promise, t: float) -> Tuple[float, float]:
-    """Center of the promise disk: the recipient's point estimate."""
-    return view_disk_at(p, t).center
+    """Center of the promise disk at t, the recipient's point estimate: the centre half only."""
+    return _disk_center(p, _ages(p, t)[0], math.sin, math.cos)
 
 
 def breach_margin(p: Promise, t: float, x: float, y: float) -> float:
@@ -216,9 +231,8 @@ def breach_margin(p: Promise, t: float, x: float, y: float) -> float:
 
     Negative exactly when a position there breaches the promise.
     """
-    disk = view_disk_at(p, t)
-    cx, cy = disk.center
-    return disk.radius + BREACH_TOL - math.hypot(x - cx, y - cy)
+    cx, cy, r = disk_at(p, t)
+    return r + BREACH_TOL - math.hypot(x - cx, y - cy)
 
 
 def check_breach(p: Promise, t: float, actual: UnicycleState) -> bool:
@@ -232,12 +246,12 @@ def check_breach(p: Promise, t: float, actual: UnicycleState) -> bool:
 
 def fallback_to_reachability(p: Promise, t_star: float) -> Promise:
     """Replace a warned promise: freeze its disk at t_star, then grow at max speed."""
-    disk = view_disk_at(p, t_star)
+    cx, cy, r = disk_at(p, t_star)
     return replace(
         p,
         mode=_FALLBACK,
-        fb_center=disk.center,
-        fb_radius=disk.radius,
+        fb_center=(cx, cy),
+        fb_radius=r,
         fb_time=t_star,
         expires_at=None,
     )

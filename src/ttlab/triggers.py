@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import DiskSet, FormationSpec, Limits, UnicycleState, arc_step, wrap_angle
 from .controllers import goal_law
-from .promises import _FALLBACK, Promise, disk_kernel, view_disk_at
+from .promises import _FALLBACK, Promise, disk_at, disk_kernel
 
 NS = 1_000_000_000
 BISECT_TOL_NS = 1_000  # refine the crossing to one microsecond
@@ -345,8 +345,8 @@ def critical_time_ns(
             for p in proms:
                 cols = []
                 for tn in tns:
-                    disk = view_disk_at(p, tn * 1e-9)
-                    cols.append((*disk.center, disk.radius + guard))
+                    cx, cy, r = disk_at(p, tn * 1e-9)
+                    cols.append((cx, cy, r + guard))
                 disks.append(tuple(zip(*cols)))
             rate = rate_bound(*(np.array(v) for v in zip(*rows)), disks, dists)
             rates.update(zip(tns, rate.tolist()))

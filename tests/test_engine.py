@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -425,3 +426,33 @@ def test_adaptive_dwell_cap_keeps_outputs(scenario, tmp_path):
         write_outputs(engine.run(), outdir)
         outputs.append([(outdir / f).read_bytes() for f in OUTPUT_FILES])
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_potential_increase_error_names_edge_agents_and_messages(scenario, monkeypatch):
+    """Knocking agent 0 ten metres sideways at 0.2 s raises the potential; the
+    error names the edge that rose most, its agents' poses and modes, and
+    their last messages."""
+    record = engine_mod.Engine._record
+
+    def knocked(self, ts_ns):
+        if ts_ns == 200_000_000:
+            self.agents[0].x += 10.0
+        record(self, ts_ns)
+
+    monkeypatch.setattr(engine_mod.Engine, "_record", knocked)
+    with pytest.raises(engine_mod.EngineInvariantError) as err:
+        run(with_overrides(scenario, duration=0.5))
+    lines = str(err.value).splitlines()
+    m = re.match(r"potential increased at t=0\.200000s: (\S+) -> (\S+); edge (\d+)-(\d+) rose most", lines[0])
+    assert m and float(m[1]) < float(m[2])
+    i, j = int(m[3]), int(m[4])
+    assert i == 0
+    poses = [ln for ln in lines if " agent " in ln]
+    assert [ln.split(":")[0].split()[-1] for ln in poses] == [str(i), str(j)] * 3
+    assert [ln.split()[0] for ln in poses[-2:]] == ["t=0.200000000"] * 2
+    assert all(ln.endswith(("nominal", "safe")) for ln in poses)
+    msgs = lines[1 + len(poses):]
+    assert 1 <= len(msgs) <= 5
+    for ln in msgs:
+        sender, receiver = re.search(r"(\d+)->(\d+)", ln).groups()
+        assert {int(sender), int(receiver)} & {i, j}

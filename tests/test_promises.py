@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttlab.model import ControlInput, Limits, UnicycleState, arc_step, step_unicycle
+from ttlab.model import ARC_EPS, ControlInput, Limits, UnicycleState, arc_step, step_unicycle
 from ttlab.promises import (
     BREACH_TOL,
     DynamicBall,
@@ -15,6 +15,8 @@ from ttlab.promises import (
     StaticBall,
     breach_margin,
     check_breach,
+    disk_at,
+    expected_position,
     fallback_to_reachability,
     is_expired,
     make_promise,
@@ -23,6 +25,7 @@ from ttlab.promises import (
     validate_noisy_promise,
     view_disk_at,
 )
+from ttlab.triggers import disk_params_batch
 
 LIM = Limits(5.0, 3.0)
 U_MAX = LIM.max_speed
@@ -310,14 +313,12 @@ def test_fallback_disk_grows_at_max_speed():
 
 
 @st.composite
-def _promise_and_times(draw):
+def _promise_and_times(draw, turns=st.floats(-LIM.max_turn, LIM.max_turn)):
     """A promise of one of four kinds and two times t0 <= t1 it is monitored at."""
     coord = st.floats(-20.0, 20.0)
     heading = st.floats(-math.pi, math.pi)
     anchor = UnicycleState(draw(coord), draw(coord), draw(heading))
-    control = ControlInput(
-        draw(st.floats(0.0, U_MAX)), draw(st.floats(-LIM.max_turn, LIM.max_turn)), LIM
-    )
+    control = ControlInput(draw(st.floats(0.0, U_MAX)), draw(turns), LIM)
     issued_at = draw(st.floats(0.0, 2.0))
     kind = draw(st.sampled_from(["ball", "noisy", "expired", "fallback"]))
     expires_at = issued_at + draw(st.floats(0.01, 1.0)) if kind == "expired" else None
@@ -361,3 +362,67 @@ def test_breach_margin_bound_is_tight():
     m1 = breach_margin(p, 0.75, x1, y1)
     assert m0 == BREACH_TOL
     assert m1 == pytest.approx(m0 - 2.0 * U_MAX * 0.25, abs=1e-12)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+# Turn rates exactly 0, inside the straight-line band |turn| <= ARC_EPS, at
+# and just past its edge, and anywhere up to the limit.
+_SPLIT_TURNS = st.one_of(
+    st.sampled_from([0.0, ARC_EPS, -ARC_EPS, math.nextafter(ARC_EPS, 1.0), -2.0 * ARC_EPS]),
+    st.floats(-ARC_EPS, ARC_EPS),
+    st.floats(-1e-6, 1e-6),
+    st.floats(-LIM.max_turn, LIM.max_turn),
+)
+
+
+@given(_promise_and_times(_SPLIT_TURNS))
+@settings(max_examples=500, deadline=None)
+def test_disk_halves_match_view_disk_at_bit_for_bit(case):
+    """The centre half alone (expected_position), the float disk (disk_at)
+    and the array path (disk_params_batch) give view_disk_at's bits, and a
+    ball promise's centre is model.arc_step's arc at the disk's age."""
+    p, t0, t1 = case
+    times = [t0, t1]
+    for t in times:
+        disk = view_disk_at(p, t)
+        assert _bits(expected_position(p, t)) == _bits(disk.center)
+        assert _bits(disk_at(p, t)) == _bits((*disk.center, disk.radius))
+        if p.mode is PromiseMode.BALL_RADIUS:
+            end = t if p.expires_at is None else min(t, p.expires_at)
+            a, c = p.anchor_state, p.anchor_control
+            arc = arc_step(a.x, a.y, a.heading, c.speed, c.turn_rate, end - p.issued_at)
+            assert _bits(disk.center) == _bits(arc[:2])
+        else:
+            assert disk.center == p.fb_center
+    cx, cy, _ = disk_params_batch(p, np.array(times))
+    centres = [c for t in times for c in expected_position(p, t)]
+    assert _bits(np.column_stack([cx, cy]).ravel()) == _bits(centres)
+
+
+def test_anchor_trig_is_cached_outside_the_promise_value():
+    p = make_promise(
+        0, 1, 0.5, UnicycleState(1.0, -2.0, 2.5), ControlInput(1.5, 0.4, LIM), StaticBall(0.2)
+    )
+    trig = (math.sin(2.5), math.cos(2.5))
+    wire = promise_to_wire(p)
+    rebuilt = promise_from_wire(wire, LIM)
+    copies = [
+        fallback_to_reachability(p, 0.75),
+        validate_noisy_promise(p, 0.1, 0.2),
+        rebuilt,
+    ]
+    for q in [p, *copies]:
+        assert (q.anchor_sin, q.anchor_cos) == trig
+    # replace recomputes them for a new anchor heading.
+    moved = replace(p, anchor_state=UnicycleState(1.0, -2.0, -0.5))
+    assert (moved.anchor_sin, moved.anchor_cos) == (math.sin(-0.5), math.cos(-0.5))
+    # They are no part of the promise's value: not compared, shown or sent.
+    assert rebuilt == p
+    odd = replace(p)
+    object.__setattr__(odd, "anchor_sin", 0.0)
+    assert odd == p
+    assert "anchor_sin" not in repr(p) and "anchor_cos" not in repr(p)
+    assert len(wire) == 11 and not set(trig) & set(wire)
