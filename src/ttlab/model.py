@@ -13,15 +13,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-# Below this turn rate the circular arc degenerates to a straight line. The
-# line is off the arc by at most speed * turn * dt**2 / 2, so the band is
-# kept narrow; the cancellation-free form below is accurate down to it.
-ARC_EPS = 1e-12
-# Below this turn rate the arc is taken in the cancellation-free form (see
-# arc_step). Above it the difference form is kept: its error, about
-# eps * speed / turn, is under 1e-10 m at 5 m/s, it takes two sines fewer,
-# and runs whose turn rates stay above it keep their outputs bit for bit.
-ARC_FINE = 1e-5
+# Below this turn rate the circular arc degenerates to a straight line.
+ARC_EPS = 1e-9
 
 TWO_PI = 2.0 * math.pi
 
@@ -167,13 +160,8 @@ def arc_step(
     This is the single source of the arc math for agent motion; both the
     public :func:`step_unicycle` and the simulation internals call it.
     promises.disk_kernel evaluates the same arc over arrays of ages.
-
-    For small turn rates sin(th1) - sin(heading) cancels and leaves an
-    error of eps * speed / turn, so below ``ARC_FINE`` the arc is written
-    with sin(w) and 1 - cos(w) = 2 sin(w/2)**2 of the turned angle w.
     """
-    a = abs(turn)
-    if a >= ARC_FINE:
+    if abs(turn) > ARC_EPS:
         th1 = heading + turn * dt
         k = speed / turn
         return (
@@ -181,15 +169,6 @@ def arc_step(
             y - k * (math.cos(th1) - math.cos(heading)),
             th1,
         )
-    if a > ARC_EPS:
-        w = turn * dt
-        k = speed / turn
-        s = math.sin(w)
-        q = math.sin(0.5 * w)
-        v = 2.0 * q * q
-        sh = math.sin(heading)
-        ch = math.cos(heading)
-        return x + k * (ch * s - sh * v), y + k * (sh * s + ch * v), heading + w
     return (
         x + speed * dt * math.cos(heading),
         y + speed * dt * math.sin(heading),

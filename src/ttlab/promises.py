@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple, Union
 
-from .model import ARC_EPS, ARC_FINE, ControlInput, DiskSet, UnicycleState
+from .model import ARC_EPS, ControlInput, DiskSet, UnicycleState
 
 BREACH_TOL = 1e-9
 
@@ -159,19 +159,10 @@ def _disk_center(p: Promise, tau, sin, cos):
         return p.fb_center
     a = p.anchor_state
     c = p.anchor_control
-    turn = abs(c.turn_rate)
-    if turn >= ARC_FINE:
+    if abs(c.turn_rate) > ARC_EPS:
         th1 = a.heading + c.turn_rate * tau
         k = c.speed / c.turn_rate
         return a.x + k * (sin(th1) - p.anchor_sin), a.y - k * (cos(th1) - p.anchor_cos)
-    if turn > ARC_EPS:
-        w = c.turn_rate * tau
-        k = c.speed / c.turn_rate
-        s = sin(w)
-        q = sin(0.5 * w)
-        v = 2.0 * q * q
-        sh, ch = p.anchor_sin, p.anchor_cos
-        return a.x + k * (ch * s - sh * v), a.y + k * (sh * s + ch * v)
     return a.x + c.speed * tau * p.anchor_cos, a.y + c.speed * tau * p.anchor_sin
 
 

@@ -1,9 +1,8 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttlab.model import (
@@ -131,48 +130,6 @@ def test_step_composition(x, y, th, speed, turn, dt):
     assert math.isclose(once.x, twice.x, abs_tol=1e-9)
     assert math.isclose(once.y, twice.y, abs_tol=1e-9)
     assert abs(wrap_angle(once.heading - twice.heading)) < 1e-9
-
-
-# Turn rates where the difference form sin(th1) - sin(th) cancels, and the
-# band just above ARC_EPS that the straight line used to cover.
-_SMALL_TURNS = st.one_of(st.floats(1e-12, 1e-4), st.floats(-1e-4, -1e-12))
-
-
-@given(
-    st.floats(-10.0, 10.0),
-    st.floats(-10.0, 10.0),
-    st.floats(-3.1, 3.1),
-    st.floats(0.0, 5.0),
-    _SMALL_TURNS,
-    st.floats(0.0, 2.0),
-)
-@example(0.0, 0.0, 1.0, 1.0, 2.0**-24, 0.854738314981087)
-@example(0.0, 0.0, 1.0, 5.0, 1.19e-7, 2.0)
-@example(0.0, 0.0, 1.0, 5.0, 5.79e-10, 2.0)
-@settings(max_examples=300)
-def test_step_composition_small_turns(x, y, th, speed, turn, dt):
-    """Step composition at small turn rates, to the same 1e-9."""
-    s0 = UnicycleState(x, y, th)
-    c = ControlInput(speed, turn, LIM)
-    once = step_unicycle(step_unicycle(s0, c, dt), c, dt)
-    twice = step_unicycle(s0, c, 2 * dt)
-    assert math.isclose(once.x, twice.x, abs_tol=1e-9)
-    assert math.isclose(once.y, twice.y, abs_tol=1e-9)
-    assert abs(wrap_angle(once.heading - twice.heading)) < 1e-9
-
-
-def test_small_turn_arc_matches_reference():
-    """At small turn rates the step agrees with the arc in 40-digit arithmetic."""
-    mp.mp.dps = 40
-    for turn in (2.0e-12, 5.79e-10, 1.19e-7, 3.0e-6, 9.9e-6, 1.0e-5, 5.8e-5):
-        for th in (-2.5, 0.3, 1.0):
-            s = step_unicycle(UnicycleState(0.0, 0.0, th), ControlInput(5.0, turn, LIM), 2.0)
-            w, th0 = mp.mpf(turn), mp.mpf(th)
-            k = mp.mpf(5.0) / w
-            ref_x = k * (mp.sin(th0 + 2 * w) - mp.sin(th0))
-            ref_y = -k * (mp.cos(th0 + 2 * w) - mp.cos(th0))
-            assert abs(s.x - float(ref_x)) < 1e-9
-            assert abs(s.y - float(ref_y)) < 1e-9
 
 
 @given(st.floats(0.0, 5.0), st.floats(-3.0, 3.0), st.floats(0.0, 3.0))

@@ -353,24 +353,6 @@ def test_breach_margin_falls_at_most_twice_max_speed(case, x, y, heading, speed,
     assert m1 >= m0 - 2.0 * U_MAX * (t1 - t0) - 2.0 * BREACH_TOL
 
 
-@given(
-    _promise_and_times(st.one_of(st.floats(1e-12, 1e-4), st.floats(-1e-4, -1e-12))),
-    st.floats(-25.0, 25.0),
-    st.floats(-25.0, 25.0),
-    st.floats(-math.pi, math.pi),
-    st.floats(0.0, U_MAX),
-    st.one_of(st.floats(1e-12, 1e-4), st.floats(-1e-4, -1e-12)),
-)
-@settings(max_examples=500, deadline=None)
-def test_breach_margin_bound_holds_at_small_turns(case, x, y, heading, speed, turn):
-    """The 2 * max_speed bound where the arc's difference form cancels."""
-    p, t0, t1 = case
-    x1, y1, _ = arc_step(x, y, heading, speed, turn, t1 - t0)
-    m0 = breach_margin(p, t0, x, y)
-    m1 = breach_margin(p, t1, x1, y1)
-    assert m1 >= m0 - 2.0 * U_MAX * (t1 - t0) - 2.0 * BREACH_TOL
-
-
 def test_breach_margin_bound_is_tight():
     # Center and issuer moving apart head-on, both at max speed: the margin
     # falls at exactly 2 * max_speed, so no smaller rate may schedule checks.
