@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from .config import ConfigError, ScenarioConfig, bundled_config, load_config, with_overrides
+from .config import LAWS, ConfigError, ScenarioConfig, bundled_config, load_config, with_overrides
 from .engine import (
     COMPARE_VARIANTS,
     EngineInvariantError,
@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="simulate one scenario")
     _add_common(runp)
-    runp.add_argument("--law", choices=("self", "team", "robust-team"), default=None)
+    runp.add_argument("--law", choices=LAWS, default=None)
     runp.add_argument(
         "--tightness",
         type=float,

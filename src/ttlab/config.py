@@ -1,25 +1,35 @@
 """Scenario configuration: INI parsing, validation, and serialization.
 
 The exact section and key names are documented in docs/config_reference.md
-and are part of the tool's stable interface. Parsing failures carry the file
-path plus the offending section/key; syntax errors keep configparser's
-line numbers.
+and are part of the tool's stable interface. Each scalar section is the fields
+of one frozen dataclass (`SECTIONS`, the promise rule, and `ENGINE`), which give
+each key's name, type and default; the other formats are parsed by hand. A file
+may hold only the keys save_config writes. Parsing failures carry the file path
+plus the offending section/key; syntax errors keep configparser's line numbers.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from .model import CommGraph, FormationSpec, Limits, UnicycleState
+from .model import CommGraph, FormationSpec, Limits, UnicycleState, lyapunov
 from .network import NetworkParams
 from .promises import DynamicBall, PromiseRuleConfig, StaticBall
 from .triggers import NS, to_ns
 
 LAWS = ("self", "team", "robust-team")
+RULES = {"static": StaticBall, "dynamic": DynamicBall}
+# The keys that are times in seconds, run on the whole-nanosecond clock.
+TIME_KEYS = {
+    "engine": ("duration", "dt"),
+    "dwell": ("self_dwell", "event_dwell", "adapt_floor"),
+    "network": ("max_delay",),
+    "promise": ("expiration",),
+}
 
 
 class ConfigError(Exception):
@@ -53,7 +63,7 @@ class ScenarioConfig:
     initial_states: Tuple[UnicycleState, ...]
     limits: Limits
     dwell: DwellConfig = field(default_factory=DwellConfig)
-    promise_rule: PromiseRuleConfig = field(default_factory=lambda: StaticBall(0.1))
+    promise_rule: PromiseRuleConfig = field(default_factory=StaticBall)
     expiration: Optional[float] = None
     network: NetworkParams = field(default_factory=NetworkParams)
     law: str = "team"
@@ -69,6 +79,12 @@ class ScenarioConfig:
         return FormationSpec({(i, j): d for i, j, d in self.distances}, self.gain)
 
 
+# The sections that are all the fields of one dataclass, each held in the
+# ScenarioConfig field of the same name, and the fields that are [engine].
+SECTIONS = {"limits": Limits, "dwell": DwellConfig, "network": NetworkParams}
+ENGINE = [f for f in fields(ScenarioConfig) if f.name in ("law", "duration", "dt", "safe_turn")]
+
+
 def time_problem(seconds: float) -> Optional[str]:
     """Why `seconds` is not a usable time on the whole-nanosecond clock, or None."""
     if not math.isfinite(seconds * NS):
@@ -76,6 +92,17 @@ def time_problem(seconds: float) -> Optional[str]:
     if seconds > 0.0 and to_ns(seconds) == 0:
         return "rounds to 0 ns"
     return None
+
+
+def _overflow_key(cfg: ScenarioConfig, spec: FormationSpec, graph: CommGraph) -> str:
+    """The key to blame for an initial potential that overflows: an edge's
+    distance whose fourth power does, or else the agent farthest out."""
+    for i, j in graph.edges:
+        d = spec.distance(i, j)
+        if not math.isfinite(d * d * d * d):
+            return f"[formation] distance.{i}-{j} = {d!r}"
+    far = max(cfg.initial_states, key=lambda st: abs(st.x) + abs(st.y))
+    return f"[agents] state.{cfg.initial_states.index(far)}"
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
@@ -108,6 +135,12 @@ def validate_config(cfg: ScenarioConfig) -> None:
             f"[graph] edges {', '.join(missing)} without a target distance: add "
             + ", ".join(f"[formation] distance.{e}" for e in missing)
         )
+    try:
+        v0 = lyapunov(cfg.initial_states, spec, graph)
+    except OverflowError:
+        v0 = math.inf
+    if not math.isfinite(v0):
+        raise ConfigError(f"{_overflow_key(cfg, spec, graph)}: the initial potential is not finite")
     for key in ("duration", "dt"):
         v = getattr(cfg, key)
         if not 0.0 < v < math.inf:
@@ -122,19 +155,13 @@ def validate_config(cfg: ScenarioConfig) -> None:
             f"[promise] expiration {cfg.expiration} must be finite and exceed"
             f" event_dwell {cfg.dwell.event_dwell}"
         )
-    times = {
-        "[engine] duration": cfg.duration,
-        "[engine] dt": cfg.dt,
-        "[dwell] self_dwell": cfg.dwell.self_dwell,
-        "[dwell] event_dwell": cfg.dwell.event_dwell,
-        "[dwell] adapt_floor": cfg.dwell.adapt_floor if cfg.dwell.adaptive else 0.0,
-        "[network] max_delay": cfg.network.max_delay,
-        "[promise] expiration": cfg.expiration or 0.0,
-    }
-    for where, seconds in times.items():
-        problem = time_problem(seconds)
-        if problem:
-            raise ConfigError(f"{where} = {seconds!r} {problem}")
+    owner = {"engine": cfg, "promise": cfg, "dwell": cfg.dwell, "network": cfg.network}
+    for section, keys in TIME_KEYS.items():
+        for key in keys:
+            seconds = getattr(owner[section], key) or 0.0
+            problem = time_problem(seconds)
+            if problem:
+                raise ConfigError(f"[{section}] {key} = {seconds!r} {problem}")
     if cfg.law != "robust-team" and not cfg.network.ideal:
         raise ConfigError(
             "drop/delay/noise parameters require law = robust-team; "
@@ -159,65 +186,67 @@ def _parse_pair(text: str, where: str) -> Tuple[int, int]:
         raise ConfigError(f"{where}: {e}") from None
 
 
-def _get(parser: configparser.ConfigParser, path: str, section: str, key: str) -> str:
+# For each type of key: how its value is read, and what it is if that fails.
+_KINDS = {
+    "str": (str, "text"),
+    "bool": (lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()], "a boolean"),
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+}
+
+
+def _value(parser: configparser.ConfigParser, path: str, section: str, key: str, kind="str"):
+    """[section] key as a value of type kind: 'str', 'bool', 'int' or 'float'.
+    A float must be finite, and a time key a finite number of nanoseconds."""
     try:
-        return parser.get(section, key)
+        raw = parser.get(section, key)
     except configparser.NoSectionError:
         raise ConfigError(f"{path}: missing section [{section}]") from None
     except configparser.NoOptionError:
         raise ConfigError(f"{path}: missing key {key!r} in section [{section}]") from None
-
-
-def _get_float(parser, path, section, key, default=None, ns=False) -> float:
-    """The float at [section] key; with ns, a time in seconds, finite in nanoseconds too."""
-    if default is not None and not parser.has_option(section, key):
-        return default
-    raw = _get(parser, path, section, key)
+    where = f"{path}: [{section}] {key} = {raw!r}"
+    convert, noun = _KINDS[kind]
     try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{path}: [{section}] {key} = {raw!r} is not a number") from None
-    if not math.isfinite(value * NS if ns else value):
-        unit = " in nanoseconds" if ns else ""
-        raise ConfigError(f"{path}: [{section}] {key} = {raw!r} is not finite{unit}")
+        value = convert(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{where} is not {noun}") from None
+    ns = key in TIME_KEYS.get(section, ())
+    if kind == "float" and not math.isfinite(value * NS if ns else value):
+        raise ConfigError(f"{where} is not finite{' in nanoseconds' if ns else ''}")
     return value
 
 
-def _get_int(parser, path, section, key, default=None) -> int:
-    if default is not None and not parser.has_option(section, key):
-        return default
-    raw = _get(parser, path, section, key)
+def _floats(parser, path: str, section: str, key: str, shape: str, make=lambda *v: v):
+    """make(*floats) from [section] key, the comma-separated floats that shape names."""
+    parts = _value(parser, path, section, key).split(",")
+    if len(parts) != len(shape.split(",")):
+        raise ConfigError(f"{path}: [{section}] {key} needs {shape!r}")
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{path}: [{section}] {key} = {raw!r} is not an integer") from None
+        return make(*(float(v) for v in parts))
+    except ValueError as e:
+        raise ConfigError(f"{path}: [{section}] {key}: {e}") from None
 
 
-def _in_section(path, section, make, *args, **kwargs):
-    """make(*args, **kwargs), locating the ValueError its validation raises."""
+def _read(parser: configparser.ConfigParser, path: str, section: str, cls, keys=()):
+    """cls made from [section]: each of its fields (or of keys) is a key parsed as
+    the field's type, and an absent key is left out so that its default applies."""
+    kwargs = {
+        f.name: _value(parser, path, section, f.name, f.type)
+        for f in keys or fields(cls)
+        if f.default is MISSING or parser.has_option(section, f.name)
+    }
     try:
-        return make(*args, **kwargs)
+        return cls(**kwargs)
     except ValueError as e:
         raise ConfigError(f"{path}: [{section}] {e}") from None
-
-
-def _get_bool(parser, path, section, key, default: bool) -> bool:
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key).strip().lower()
-    if raw in ("true", "yes", "on", "1"):
-        return True
-    if raw in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"{path}: [{section}] {key} = {raw!r} is not a boolean")
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        text = path.read_text()
-    except OSError as e:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}") from None
     try:
         parser.read_string(text, source=str(path))
@@ -225,15 +254,15 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"config syntax error: {e}") from None
 
     spath = str(path)
-    n = _get_int(parser, spath, "graph", "agents")
-    edges_raw = _get(parser, spath, "graph", "edges")
-    edges = tuple(
-        _parse_pair(tok.strip(), f"{spath}: [graph] edges")
-        for tok in edges_raw.split(",")
-        if tok.strip()
-    )
+    # configparser would copy [DEFAULT] keys into every section.
+    if parser.defaults():
+        keys = ", ".join(parser.defaults())
+        raise ConfigError(f"{spath}: [DEFAULT] {keys}: not part of the format")
+    n = _value(parser, spath, "graph", "agents", "int")
+    raw_edges = _value(parser, spath, "graph", "edges").split(",")
+    edges = tuple(_parse_pair(t.strip(), f"{spath}: [graph] edges") for t in raw_edges if t.strip())
 
-    gain = _get_float(parser, spath, "formation", "gain")
+    gain = _value(parser, spath, "formation", "gain", "float")
     distances = []
     pair_keys: Dict[Tuple[int, int], str] = {}
     for key in parser.options("formation"):
@@ -246,155 +275,101 @@ def load_config(path: str | Path) -> ScenarioConfig:
                     f" distance of pair {pair[0]}-{pair[1]}"
                 )
             pair_keys[pair] = key
-            d = _get_float(parser, spath, "formation", key)
+            d = _value(parser, spath, "formation", key, "float")
             if not d > 0.0:
                 raise ConfigError(f"{spath}: [formation] {key} must be positive, got {d}")
             distances.append((*pair, d))
     distances.sort()
 
-    states = []
-    for k in range(n):
-        raw = _get(parser, spath, "agents", f"state.{k}")
-        parts = [tok.strip() for tok in raw.split(",")]
-        if len(parts) != 3:
-            raise ConfigError(f"{spath}: [agents] state.{k} needs 'x, y, heading'")
-        try:
-            states.append(UnicycleState(float(parts[0]), float(parts[1]), float(parts[2])))
-        except ValueError as e:
-            raise ConfigError(f"{spath}: [agents] state.{k}: {e}") from None
-
-    max_speed = _get_float(parser, spath, "limits", "max_speed")
-    max_turn = _get_float(parser, spath, "limits", "max_turn")
-    limits = _in_section(spath, "limits", Limits, max_speed, max_turn)
-
-    dwell = _in_section(
-        spath,
-        "dwell",
-        DwellConfig,
-        self_dwell=_get_float(parser, spath, "dwell", "self_dwell", 0.3, ns=True),
-        event_dwell=_get_float(parser, spath, "dwell", "event_dwell", 0.003, ns=True),
-        adaptive=_get_bool(parser, spath, "dwell", "adaptive", False),
-        adapt_scale=_get_float(parser, spath, "dwell", "adapt_scale", 0.6),
-        adapt_floor=_get_float(parser, spath, "dwell", "adapt_floor", 0.3),
+    states = tuple(
+        _floats(parser, spath, "agents", f"state.{k}", "x, y, heading", UnicycleState)
+        for k in range(n)
     )
-
     rule_kind = parser.get("promise", "rule", fallback="static").strip().lower()
-    rule: PromiseRuleConfig
-    if rule_kind == "static":
-        tightness = _get_float(parser, spath, "promise", "tightness", 0.1)
-        rule = _in_section(spath, "promise", StaticBall, tightness)
-    elif rule_kind == "dynamic":
-        scale = _get_float(parser, spath, "promise", "scale", 0.5)
-        floor = _get_float(parser, spath, "promise", "floor", 1e-6)
-        rule = _in_section(spath, "promise", DynamicBall, scale, floor)
-    else:
-        raise ConfigError(f"{spath}: [promise] rule must be 'static' or 'dynamic', got {rule_kind!r}")
-    exp_raw = parser.get("promise", "expiration", fallback="none").strip().lower()
+    if rule_kind not in RULES:
+        raise ConfigError(f"{spath}: [promise] rule = {rule_kind!r} is not {' or '.join(RULES)}")
+    schema = {**SECTIONS, "promise": RULES[rule_kind]}
+    made = {section: _read(parser, spath, section, cls) for section, cls in schema.items()}
     expiration = None
-    if exp_raw not in ("none", ""):
-        expiration = _get_float(parser, spath, "promise", "expiration", ns=True)
-
-    network = _in_section(
-        spath,
-        "network",
-        NetworkParams,
-        drop_prob=_get_float(parser, spath, "network", "drop_prob", 0.0),
-        max_delay=_get_float(parser, spath, "network", "max_delay", 0.0, ns=True),
-        noise_bound=_get_float(parser, spath, "network", "noise_bound", 0.0),
-        radius_noise_bound=_get_float(parser, spath, "network", "radius_noise_bound", 0.0),
-        seed=_get_int(parser, spath, "network", "seed", 0),
-    )
-
+    if parser.get("promise", "expiration", fallback="none").lower() not in ("none", ""):
+        expiration = _value(parser, spath, "promise", "expiration", "float")
     workspace = None
-    if parser.has_section("workspace") and parser.has_option("workspace", "bounds"):
-        parts = [tok.strip() for tok in parser.get("workspace", "bounds").split(",")]
-        if len(parts) != 4:
-            raise ConfigError(f"{spath}: [workspace] bounds needs 'xmin, xmax, ymin, ymax'")
-        try:
-            workspace = tuple(float(v) for v in parts)  # type: ignore[assignment]
-        except ValueError as e:
-            raise ConfigError(f"{spath}: [workspace] bounds: {e}") from None
+    if parser.has_section("workspace"):
+        workspace = _floats(parser, spath, "workspace", "bounds", "xmin, xmax, ymin, ymax")
 
     cfg = ScenarioConfig(
         n_agents=n,
         edges=edges,
         distances=tuple(distances),
         gain=gain,
-        initial_states=tuple(states),
-        limits=limits,
-        dwell=dwell,
-        promise_rule=rule,
+        initial_states=states,
+        promise_rule=made.pop("promise"),
         expiration=expiration,
-        network=network,
-        law=parser.get("engine", "law", fallback="team").strip(),
-        duration=_get_float(parser, spath, "engine", "duration", 30.0, ns=True),
-        dt=_get_float(parser, spath, "engine", "dt", 1e-3, ns=True),
-        safe_turn=_get_bool(parser, spath, "engine", "safe_turn", True),
-        workspace=workspace,
+        workspace=workspace,  # type: ignore[arg-type]
+        **made,
+        # The [engine] keys are ScenarioConfig's own, so dict passes them on.
+        **_read(parser, spath, "engine", dict, ENGINE),
     )
     try:
         validate_config(cfg)
     except (ConfigError, ValueError) as e:
         raise ConfigError(f"{spath}: {e}") from None
+    # A file may hold only the keys save_config writes, distance.i-j either way round.
+    written = _sections(cfg)
+    written["formation"].update(dict.fromkeys(pair_keys.values()))
+    for section in parser.sections():
+        if section not in written:
+            keys = ", ".join(parser.options(section)) or "none"
+            raise ConfigError(f"{spath}: unknown section [{section}] (keys: {keys})")
+        for key in parser.options(section):
+            if key not in written[section]:
+                known = ", ".join(written[section])
+                raise ConfigError(f"{spath}: [{section}] {key} is not one of {known}")
     return cfg
+
+
+def _sections(cfg: ScenarioConfig) -> Dict[str, Dict[str, str]]:
+    """The scenario file for cfg: for each section, each key's value as text."""
+    def scalars(obj, keys=()) -> Dict[str, str]:
+        values = {f.name: getattr(obj, f.name) for f in keys or fields(obj)}
+        return {k: str(v).lower() if isinstance(v, bool) else str(v) for k, v in values.items()}
+
+    kind = next(k for k, cls in RULES.items() if isinstance(cfg.promise_rule, cls))
+    sections = {
+        "graph": {
+            "agents": str(cfg.n_agents),
+            "edges": ", ".join(f"{i}-{j}" for i, j in cfg.edges),
+        },
+        "formation": {
+            "gain": repr(cfg.gain),
+            **{f"distance.{i}-{j}": repr(d) for i, j, d in cfg.distances},
+        },
+        "agents": {
+            f"state.{k}": f"{st.x!r}, {st.y!r}, {st.heading!r}"
+            for k, st in enumerate(cfg.initial_states)
+        },
+        "limits": scalars(cfg.limits),
+        "dwell": scalars(cfg.dwell),
+        "promise": {
+            "rule": kind,
+            **scalars(cfg.promise_rule),
+            "expiration": "none" if cfg.expiration is None else repr(cfg.expiration),
+        },
+        "network": scalars(cfg.network),
+        "engine": scalars(cfg, ENGINE),
+    }
+    if cfg.workspace is not None:
+        sections["workspace"] = {"bounds": ", ".join(repr(v) for v in cfg.workspace)}
+    return sections
 
 
 def save_config(cfg: ScenarioConfig, path: str | Path) -> None:
     """Write a config back out; load_config(save_config(c)) == c."""
-    lines = []
-    lines.append("[graph]")
-    lines.append(f"agents = {cfg.n_agents}")
-    lines.append("edges = " + ", ".join(f"{i}-{j}" for i, j in cfg.edges))
-    lines.append("")
-    lines.append("[formation]")
-    lines.append(f"gain = {cfg.gain!r}")
-    for i, j, d in cfg.distances:
-        lines.append(f"distance.{i}-{j} = {d!r}")
-    lines.append("")
-    lines.append("[agents]")
-    for k, st in enumerate(cfg.initial_states):
-        lines.append(f"state.{k} = {st.x!r}, {st.y!r}, {st.heading!r}")
-    lines.append("")
-    lines.append("[limits]")
-    lines.append(f"max_speed = {cfg.limits.max_speed!r}")
-    lines.append(f"max_turn = {cfg.limits.max_turn!r}")
-    lines.append("")
-    lines.append("[dwell]")
-    d = cfg.dwell
-    lines.append(f"self_dwell = {d.self_dwell!r}")
-    lines.append(f"event_dwell = {d.event_dwell!r}")
-    lines.append(f"adaptive = {str(d.adaptive).lower()}")
-    lines.append(f"adapt_scale = {d.adapt_scale!r}")
-    lines.append(f"adapt_floor = {d.adapt_floor!r}")
-    lines.append("")
-    lines.append("[promise]")
-    if isinstance(cfg.promise_rule, StaticBall):
-        lines.append("rule = static")
-        lines.append(f"tightness = {cfg.promise_rule.tightness!r}")
-    else:
-        lines.append("rule = dynamic")
-        lines.append(f"scale = {cfg.promise_rule.scale!r}")
-        lines.append(f"floor = {cfg.promise_rule.floor!r}")
-    lines.append(f"expiration = {'none' if cfg.expiration is None else repr(cfg.expiration)}")
-    lines.append("")
-    lines.append("[network]")
-    nw = cfg.network
-    lines.append(f"drop_prob = {nw.drop_prob!r}")
-    lines.append(f"max_delay = {nw.max_delay!r}")
-    lines.append(f"noise_bound = {nw.noise_bound!r}")
-    lines.append(f"radius_noise_bound = {nw.radius_noise_bound!r}")
-    lines.append(f"seed = {nw.seed}")
-    lines.append("")
-    lines.append("[engine]")
-    lines.append(f"law = {cfg.law}")
-    lines.append(f"duration = {cfg.duration!r}")
-    lines.append(f"dt = {cfg.dt!r}")
-    lines.append(f"safe_turn = {str(cfg.safe_turn).lower()}")
-    if cfg.workspace is not None:
-        lines.append("")
-        lines.append("[workspace]")
-        lines.append("bounds = " + ", ".join(repr(v) for v in cfg.workspace))
-    Path(path).write_text("\n".join(lines) + "\n")
+    text = "\n\n".join(
+        "\n".join([f"[{section}]", *(f"{k} = {v}" for k, v in keys.items())])
+        for section, keys in _sections(cfg).items()
+    )
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def bundled_config(name: str) -> ScenarioConfig:

@@ -550,7 +550,7 @@ class Engine:
         row = tuple(
             (a.x, a.y, a.heading, "nominal" if a.control is a.nominal else "safe") for a in self.agents
         )
-        if v > last + V_TOL_REL * max(1.0, last):
+        if not v <= last + V_TOL_REL * max(1.0, last):
             raise EngineInvariantError(self._rise_report(ts_ns, row, last, v))
         self.v_series.append(v)
         self.trace.append((ts_ns, row))
@@ -751,8 +751,8 @@ COMPARE_VARIANTS = ("self", "fpfd", "fpad", "apfd", "apad")
 
 
 def _compare_cfg(cfg: ScenarioConfig, variant: str) -> ScenarioConfig:
-    dyn = cfg.promise_rule if isinstance(cfg.promise_rule, DynamicBall) else DynamicBall(0.5, 1e-6)
-    fixed = cfg.promise_rule if isinstance(cfg.promise_rule, StaticBall) else StaticBall(0.1)
+    dyn = cfg.promise_rule if isinstance(cfg.promise_rule, DynamicBall) else DynamicBall()
+    fixed = cfg.promise_rule if isinstance(cfg.promise_rule, StaticBall) else StaticBall()
     base = replace(cfg, law="team")
     if variant == "self":
         return replace(base, law="self")

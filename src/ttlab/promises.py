@@ -55,7 +55,7 @@ _FALLBACK = PromiseMode.REACHABILITY_FALLBACK
 class StaticBall:
     """Fixed control-ball rule: radius = 2 * max_speed * tightness."""
 
-    tightness: float
+    tightness: float = 0.1
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.tightness and math.isfinite(self.tightness)):
@@ -66,8 +66,8 @@ class StaticBall:
 class DynamicBall:
     """State-dependent rule: radius = scale * ||control - safe|| + floor."""
 
-    scale: float
-    floor: float
+    scale: float = 0.5
+    floor: float = 1e-6
 
     def __post_init__(self) -> None:
         for name in ("scale", "floor"):

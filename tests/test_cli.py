@@ -122,6 +122,16 @@ expiration = none
         ("expiration = none", "expiration = none\n\n[engine]\ndt = 4e-10", "engine", "dt"),
         ("expiration = none", "expiration = none\n\n[engine]\nduration = 4e-10", "engine", "duration"),
         ("self_dwell = 0.3", "self_dwell = 0.3\nadaptive = true\nadapt_floor = 1e300", "dwell", "adapt_floor"),
+        # A key, section or rule key outside the schema is an error, not ignored.
+        ("tightness = 0.1", "tightnes = 0.5", "promise", "tightnes"),
+        ("self_dwell = 0.3", "self_dwell = 0.3\nadaptve = true", "dwell", "adaptve"),
+        ("expiration = none", "expiration = none\n\n[engnie]\ndt = 0.001", "engnie", "dt"),
+        ("tightness = 0.1", "tightness = 0.1\nscale = 0.5", "promise", "scale"),
+        ("state.1 = 2.0, 0.0, 1.5707963267948966", "state.1 = 2.0, 0.0, 1.5707963267948966\nstate.2 = 1.0, 1.0, 0.0", "agents", "state.2"),
+        ("[graph]", "[DEFAULT]\ntightness = 0.5\n\n[graph]", "DEFAULT", "tightness"),
+        # The initial potential overflows.
+        ("distance.0-1 = 1.5", "distance.0-1 = 1e300", "formation", "distance.0-1"),
+        ("state.0 = 0.0, 0.0, 0.0", "state.0 = 1e155, 10.0, 0", "agents", "state.0"),
     ],
     ids=[
         "tightness",
@@ -146,6 +156,14 @@ expiration = none
         "dt-below-1ns",
         "duration-below-1ns",
         "adapt_floor-ns-overflow",
+        "unknown-key",
+        "unknown-bool-key",
+        "unknown-section",
+        "other-rule-key",
+        "state-beyond-agents",
+        "default-section",
+        "potential-overflow-distance",
+        "potential-overflow-state",
     ],
 )
 def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, old, new, section, key):

@@ -1,16 +1,23 @@
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
 from ttlab.config import (
+    ENGINE,
+    RULES,
     ConfigError,
+    DwellConfig,
+    ScenarioConfig,
     bundled_config,
     load_config,
     save_config,
     validate_config,
     with_overrides,
 )
+from ttlab.network import NetworkParams
 from ttlab.promises import DynamicBall, StaticBall
 
 MINIMAL = """
@@ -74,8 +81,26 @@ def test_bundled_scenarios_load():
         bundled_config("no_such_scenario")
 
 
-def test_save_load_round_trip(tmp_path):
-    cfg = bundled_config("formation4_robust")
+ROBUST = bundled_config("formation4_robust")
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ROBUST,
+        # Every other branch of the writer: the dynamic rule, adaptive dwell, a
+        # workspace and safe_turn = false.
+        replace(
+            ROBUST,
+            promise_rule=DynamicBall(0.4, 1e-5),
+            dwell=replace(ROBUST.dwell, adaptive=True, adapt_scale=0.7),
+            workspace=(-100.0, 100.0, -50.0, 50.0),
+            safe_turn=False,
+        ),
+    ],
+    ids=["formation4_robust", "dynamic-adaptive-workspace"],
+)
+def test_save_load_round_trip(tmp_path, cfg):
     out = tmp_path / "rt.cfg"
     save_config(cfg, out)
     again = load_config(out)
@@ -87,6 +112,13 @@ def test_missing_section_and_key_errors(tmp_path):
         load_config(_write(tmp_path, MINIMAL.replace("[limits]", "[limitz]")))
     with pytest.raises(ConfigError, match="missing key 'gain'"):
         load_config(_write(tmp_path, MINIMAL.replace("gain = 10.0", "")))
+
+
+def test_file_that_is_not_utf8_is_a_config_error(tmp_path):
+    p = tmp_path / "utf16.cfg"
+    p.write_bytes(b"\xff\xfe" + MINIMAL.encode("utf-16-le"))
+    with pytest.raises(ConfigError, match=re.escape(f"{p}: ") + ".*can't decode"):
+        load_config(p)
 
 
 def test_bad_values_carry_location(tmp_path):
@@ -197,3 +229,41 @@ def test_non_finite_times_rejected(tmp_path, section, key, value):
 def test_non_finite_override_rejected():
     with pytest.raises(ConfigError, match=r"\[engine\] duration must be finite"):
         with_overrides(bundled_config("formation4"), duration=math.inf)
+
+
+def _documented_defaults():
+    """{(section, key): default} from the `default` columns of the reference."""
+    doc = Path(__file__).resolve().parents[1] / "docs" / "config_reference.md"
+    out = {}
+    for line in doc.read_text().splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if line.startswith("## ["):
+            section = line[len("## [") : line.index("]")]
+        elif line.startswith("| key |"):
+            header = cells
+        elif line.startswith("| `") and "default" in header:
+            out[(section, cells[0].strip("`"))] = cells[header.index("default")].strip("`")
+    return out
+
+
+def test_reference_defaults_match_the_dataclass_fields():
+    """The reference's default column is the one copy of each default outside
+    the dataclasses; it must list every defaulted key, and agree with it."""
+    owners = {
+        "dwell": fields(DwellConfig),
+        "promise": fields(StaticBall) + fields(DynamicBall),
+        "network": fields(NetworkParams),
+        "engine": ENGINE,
+    }
+    documented = _documented_defaults()
+    expected = {(s, f.name): f.default for s, keys in owners.items() for f in keys}
+    expected[("promise", "expiration")] = None
+    assert set(documented) == set(expected) | {("promise", "rule")}
+    rule = {f.name: f for f in fields(ScenarioConfig)}["promise_rule"]
+    assert RULES[documented.pop(("promise", "rule"))] is rule.default_factory
+    for (section, key), text in documented.items():
+        default = expected[(section, key)]
+        if default is None or isinstance(default, bool):
+            assert text == str(default).lower(), (section, key)
+        else:
+            assert type(default)(text) == default, (section, key)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -426,6 +427,20 @@ def test_adaptive_dwell_cap_keeps_outputs(scenario, tmp_path):
         write_outputs(engine.run(), outdir)
         outputs.append([(outdir / f).read_bytes() for f in OUTPUT_FILES])
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_nan_potential_is_an_invariant_error(scenario, monkeypatch):
+    """NaN compares false with every bound, so the descent check must not let it
+    through as "not an increase"."""
+    lyapunov = engine_mod.lyapunov
+    calls = itertools.count()
+
+    def nan_on_tick_100(*args):
+        return math.nan if next(calls) == 100 else lyapunov(*args)
+
+    monkeypatch.setattr(engine_mod, "lyapunov", nan_on_tick_100)
+    with pytest.raises(engine_mod.EngineInvariantError, match=r"t=0\.100000s: \S+ -> nan"):
+        run(with_overrides(scenario, duration=0.5))
 
 
 def test_potential_increase_error_names_edge_agents_and_messages(scenario, monkeypatch):
