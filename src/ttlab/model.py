@@ -13,13 +13,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-# Below this turn rate the circular arc degenerates to a straight line, which
-# is off the arc by at most speed * turn * dt**2 / 2.
-ARC_EPS = 1e-12
-# Below this turn rate arc_offset takes the turned angle's sine and versine
-# (see there); above it, the difference of sines, whose error of about
-# eps * speed / turn is under 1e-10 m at 5 m/s.
-ARC_FINE = 1e-5
+# Below this turn rate the circular arc degenerates to a straight line.
+ARC_EPS = 1e-9
 
 TWO_PI = 2.0 * math.pi
 
@@ -157,41 +152,28 @@ class FormationSpec:
         return [e for e in graph.edges if e not in self._dist]
 
 
-def arc_offset(heading, sh, ch, speed, turn, tau, sin, cos):
-    """Displacement (dx, dy) after tau seconds of constant (speed, turn) from
-    a heading with sine sh and cosine ch.
-
-    This is the one source of the arc math: arc_step calls it on floats for
-    agent motion, promises._disk_center on floats or on arrays of ages with
-    the matching sin and cos. For small turn rates sin(th1) - sh cancels to
-    an error of about eps * speed / turn, so below ``ARC_FINE`` the arc is
-    written with sin(w) and 1 - cos(w) = 2 sin(w/2)**2 of the turned angle w.
-    """
-    a = abs(turn)
-    if a >= ARC_FINE:
-        k = speed / turn
-        th1 = heading + turn * tau
-        return k * (sin(th1) - sh), -(k * (cos(th1) - ch))
-    if a > ARC_EPS:
-        k = speed / turn
-        w = turn * tau
-        s = sin(w)
-        q = sin(0.5 * w)
-        v = 2.0 * q * q
-        return k * (ch * s - sh * v), k * (sh * s + ch * v)
-    return speed * tau * ch, speed * tau * sh
-
-
 def arc_step(
     x: float, y: float, heading: float, speed: float, turn: float, dt: float
 ) -> Tuple[float, float, float]:
-    """Exact constant-control unicycle step on raw floats (arc_offset's arc).
+    """Exact constant-control unicycle step on raw floats.
 
-    Both the public :func:`step_unicycle` and the simulation internals call it.
+    This is the single source of the arc math for agent motion; both the
+    public :func:`step_unicycle` and the simulation internals call it.
+    promises.disk_kernel evaluates the same arc over arrays of ages.
     """
-    sh, ch = math.sin(heading), math.cos(heading)
-    dx, dy = arc_offset(heading, sh, ch, speed, turn, dt, math.sin, math.cos)
-    return x + dx, y + dy, heading + turn * dt
+    if abs(turn) > ARC_EPS:
+        th1 = heading + turn * dt
+        k = speed / turn
+        return (
+            x + k * (math.sin(th1) - math.sin(heading)),
+            y - k * (math.cos(th1) - math.cos(heading)),
+            th1,
+        )
+    return (
+        x + speed * dt * math.cos(heading),
+        y + speed * dt * math.sin(heading),
+        heading + turn * dt,
+    )
 
 
 def step_unicycle(state: UnicycleState, control: ControlInput, dt: float) -> UnicycleState:
@@ -210,8 +192,8 @@ def step_unicycle(state: UnicycleState, control: ControlInput, dt: float) -> Uni
     -------
     UnicycleState
         Pose at the end of the interval. For |turn_rate| above ``ARC_EPS``
-        the update is the closed-form circular arc (see :func:`arc_offset`),
-        otherwise a straight line; headings wrap back into (-pi, pi].
+        the update is the closed-form circular arc, otherwise a straight
+        line; headings wrap back into (-pi, pi].
     """
     if dt < 0.0:
         raise ValueError("dt must be nonnegative")

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple, Union
 
-from .model import ControlInput, DiskSet, UnicycleState, arc_offset
+from .model import ARC_EPS, ControlInput, DiskSet, UnicycleState
 
 BREACH_TOL = 1e-9
 
@@ -159,8 +159,11 @@ def _disk_center(p: Promise, tau, sin, cos):
         return p.fb_center
     a = p.anchor_state
     c = p.anchor_control
-    dx, dy = arc_offset(a.heading, p.anchor_sin, p.anchor_cos, c.speed, c.turn_rate, tau, sin, cos)
-    return a.x + dx, a.y + dy
+    if abs(c.turn_rate) > ARC_EPS:
+        th1 = a.heading + c.turn_rate * tau
+        k = c.speed / c.turn_rate
+        return a.x + k * (sin(th1) - p.anchor_sin), a.y - k * (cos(th1) - p.anchor_cos)
+    return a.x + c.speed * tau * p.anchor_cos, a.y + c.speed * tau * p.anchor_sin
 
 
 def disk_kernel(p: Promise, tau, late, ops):

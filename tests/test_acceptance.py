@@ -49,7 +49,7 @@ U_MAX = LIM.max_speed
 V0 = 21451.0
 V30_TEAM = 0.00440910837153384
 V30_SELF = 0.0023688850508369694
-V30_TEAM02 = 0.004416738609853334
+V30_TEAM02 = 0.004416738617724851
 
 TEAM_N_COMM = 1002
 TEAM_N_S = [99, 96, 98, 98]
@@ -67,9 +67,9 @@ FINAL_DIST = {
 
 SWEEP_GRID = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 SWEEP_TABLE = {
-    0.0: (0.0019690950092812625, 6539),
+    0.0: (0.0019690954100492824, 6539),
     0.1: (0.00440910837153384, 1002),
-    0.2: (0.004416738609853334, 998),
+    0.2: (0.004416738617724851, 998),
     0.3: (0.004355044852329579, 998),
     0.4: (0.0044113908889687895, 997),
     0.5: (0.001051347751492614, 997),

