@@ -109,8 +109,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
     """Reject configurations the simulator cannot run soundly."""
     if cfg.law not in LAWS:
         raise ConfigError(f"[engine] law must be one of {LAWS}, got {cfg.law!r}")
-    if cfg.n_agents < 1:
-        raise ConfigError(f"[graph] agents must be at least 1, got {cfg.n_agents}")
     if len(cfg.initial_states) != cfg.n_agents:
         raise ConfigError(
             f"{cfg.n_agents} agents declared but {len(cfg.initial_states)} initial states given"
@@ -259,6 +257,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
         keys = ", ".join(parser.defaults())
         raise ConfigError(f"{spath}: [DEFAULT] {keys}: not part of the format")
     n = _value(parser, spath, "graph", "agents", "int")
+    if n < 1:
+        raise ConfigError(f"{spath}: [graph] agents must be at least 1, got {n}")
     raw_edges = _value(parser, spath, "graph", "edges").split(",")
     edges = tuple(_parse_pair(t.strip(), f"{spath}: [graph] edges") for t in raw_edges if t.strip())
 
@@ -310,10 +310,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
         # The [engine] keys are ScenarioConfig's own, so dict passes them on.
         **_read(parser, spath, "engine", dict, ENGINE),
     )
-    try:
-        validate_config(cfg)
-    except (ConfigError, ValueError) as e:
-        raise ConfigError(f"{spath}: {e}") from None
     # A file may hold only the keys save_config writes, distance.i-j either way round.
     written = _sections(cfg)
     written["formation"].update(dict.fromkeys(pair_keys.values()))
@@ -325,6 +321,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
             if key not in written[section]:
                 known = ", ".join(written[section])
                 raise ConfigError(f"{spath}: [{section}] {key} is not one of {known}")
+    try:
+        validate_config(cfg)
+    except (ConfigError, ValueError) as e:
+        raise ConfigError(f"{spath}: {e}") from None
     return cfg
 
 

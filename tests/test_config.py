@@ -114,6 +114,13 @@ def test_missing_section_and_key_errors(tmp_path):
         load_config(_write(tmp_path, MINIMAL.replace("gain = 10.0", "")))
 
 
+def test_unknown_key_is_reported_before_validation(tmp_path):
+    # Without the misspelled event_dwell, the default 0.003 makes dt too coarse.
+    bad = MINIMAL + "\n[dwell]\nevent_dwel = 0.01\n\n[engine]\ndt = 0.002\n"
+    with pytest.raises(ConfigError, match=r"\[dwell\] event_dwel is not one of"):
+        load_config(_write(tmp_path, bad))
+
+
 def test_file_that_is_not_utf8_is_a_config_error(tmp_path):
     p = tmp_path / "utf16.cfg"
     p.write_bytes(b"\xff\xfe" + MINIMAL.encode("utf-16-le"))
