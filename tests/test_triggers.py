@@ -19,9 +19,15 @@ from ttlab.model import (
 )
 from ttlab.promises import StaticBall, fallback_to_reachability, make_promise, view_disk_at
 from ttlab.triggers import (
+    _COS_PHIS,
+    _SIN_PHIS,
+    _SQRT3,
     BISECT_TOL_NS,
     SCAN_FIRST_CHUNK,
     SCAN_MAX_CHUNK,
+    SUP_BLOCK_ROWS,
+    SUP_NEWTON_ITERS,
+    SUP_SAMPLES,
     Scan,
     adaptive_dwell,
     critical_time_ns,
@@ -275,6 +281,130 @@ def test_disk_sup_batch_rows_are_independent():
         assert _bits(stacked[i : i + 1]) == _bits(disk_sup_batch(*row, float(d[i])))
 
 
+def _disk_sup_reference(px, py, fx, fy, cx, cy, r, d):
+    """Reference: disk_sup_batch's body as it stood before its numpy calls
+    were cut down, copied verbatim. The kernel must keep its bits."""
+    m = SUP_SAMPLES
+    ax = cx - px
+    ay = cy - py
+    aa = ax * ax + ay * ay
+    A = aa + r * r - d * d
+    Bx = 2.0 * r * ax
+    By = 2.0 * r * ay
+    C = -(ax * fx + ay * fy)
+    Dx = -r * fx
+    Dy = -r * fy
+    # The rows x samples grid of h is built SUP_BLOCK_ROWS rows at a time.
+    n = len(A)
+    best = np.empty(n)
+    idx = np.empty(n, dtype=np.intp)
+    dH_max = np.empty(n)
+    for start in range(0, n, SUP_BLOCK_ROWS):
+        rows = slice(start, start + SUP_BLOCK_ROWS)
+        T1 = A[rows, None] + Bx[rows, None] * _COS_PHIS + By[rows, None] * _SIN_PHIS
+        T2 = C[rows, None] + Dx[rows, None] * _COS_PHIS + Dy[rows, None] * _SIN_PHIS
+        H = 4.0 * T1 * T2
+        best[rows] = H.max(axis=1)
+        idx[rows] = H.argmax(axis=1)
+        dH_max[rows] = np.abs(np.diff(H, axis=1, append=H[:, :1])).max(axis=1)
+    # L_hat * r * (pi/m)^2 with L_hat = max|dH| / (r * 2 pi / m); r cancels.
+    pad = dH_max * (np.pi / (2.0 * m))
+
+    phi = 2.0 * np.pi * idx / m
+    lim = np.pi / m
+    for _ in range(SUP_NEWTON_ITERS):
+        c = np.cos(phi)
+        s = np.sin(phi)
+        t1 = A + Bx * c + By * s
+        t2 = C + Dx * c + Dy * s
+        t1p = -Bx * s + By * c
+        t2p = -Dx * s + Dy * c
+        h1 = 4.0 * (t1p * t2 + t1 * t2p)
+        h2 = 4.0 * (-(Bx * c + By * s) * t2 + 2.0 * t1p * t2p - t1 * (Dx * c + Dy * s))
+        concave = h2 < 0.0
+        denom = np.where(concave, h2, -1.0)
+        step = np.where(concave, -h1 / denom, 0.0)
+        phi = phi + np.clip(step, -lim, lim)
+    c = np.cos(phi)
+    s = np.sin(phi)
+    refined = 4.0 * (A + Bx * c + By * s) * (C + Dx * c + Dy * s)
+    best = np.maximum(best, refined)
+
+    # Disk center.
+    best = np.maximum(best, 4.0 * (aa - d * d) * C)
+
+    # Interior stationary points (only exist when the agent is moving).
+    fn = np.hypot(fx, fy)
+    moving = fn > 0.0
+    safe_fn = np.where(moving, fn, 1.0)
+    ux = fx / safe_fn
+    uy = fy / safe_fn
+    k1 = d / _SQRT3
+    gstar = (8.0 * d * d * d / (3.0 * _SQRT3)) * fn
+    zero = np.zeros_like(fn)
+    for sx, sy, val in (
+        (k1 * ux, k1 * uy, gstar),
+        (-k1 * ux, -k1 * uy, -gstar),
+        (d * uy, -d * ux, zero),
+        (-d * uy, d * ux, zero),
+    ):
+        ddx = sx - ax
+        ddy = sy - ay
+        inside = (ddx * ddx + ddy * ddy <= r * r) & moving
+        best = np.where(inside, np.maximum(best, val), best)
+    return best + pad
+
+
+def _kernel_rows(rng, n, stationary=0.0, parked_disk=0.0):
+    """n random kernel rows: agents and disk centres within a few metres,
+    radii up to 6 with a share `parked_disk` of point disks (r = 0), and a
+    share `stationary` of rows with a velocity of signed zeros."""
+    px, py = rng.uniform(-5.0, 5.0, (2, n))
+    fx, fy = rng.uniform(-5.0, 5.0, (2, n))
+    still = rng.random(n) < stationary
+    fx[still] = rng.choice([0.0, -0.0], still.sum())
+    fy[still] = rng.choice([0.0, -0.0], still.sum())
+    cx, cy = px + rng.uniform(-3.0, 3.0, n), py + rng.uniform(-3.0, 3.0, n)
+    r = rng.uniform(0.0, 6.0, n)
+    r[rng.random(n) < parked_disk] = 0.0
+    return px, py, fx, fy, cx, cy, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.sampled_from([1, SUP_BLOCK_ROWS, SUP_BLOCK_ROWS + 1, 600]), st.integers(1, 40)),
+    per_row_d=st.booleans(),
+    stationary=st.sampled_from([0.0, 0.3, 1.0]),
+    parked_disk=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_disk_sup_batch_matches_reference(seed, n, per_row_d, stationary, parked_disk):
+    """disk_sup_batch keeps the reference kernel's bits on every row: with
+    one d or a d per row, with point disks, with stationary rows whose
+    velocity is +0 or -0, and with row counts that cross SUP_BLOCK_ROWS."""
+    rng = np.random.default_rng(seed)
+    rows = _kernel_rows(rng, n, stationary, parked_disk)
+    d = rng.uniform(0.2, 4.0, n) if per_row_d else float(rng.uniform(0.2, 4.0))
+    assert _bits(disk_sup_batch(*rows, d)) == _bits(_disk_sup_reference(*rows, d))
+
+
+def test_stationary_rows_give_positive_zero():
+    """Every term of g has the factor (p - y) . f, so a row whose velocity
+    is (+-0, +-0) bounds the rate by exactly +0.0, in disk_sup_batch and in
+    rate_bound's sum over neighbors: the scan may count such a point as a
+    crossing without evaluating it."""
+    rng = np.random.default_rng(31)
+    n = 4000
+    rows = [_kernel_rows(rng, n, stationary=1.0, parked_disk=0.2) for _ in range(3)]
+    dists = rng.uniform(0.2, 4.0, 3).tolist()
+    plus_zero = _bits(np.zeros(n))
+    assert _bits(disk_sup_batch(*rows[0], rng.uniform(0.2, 4.0, n))) == plus_zero
+    px, py, fx, fy = rows[0][:4]
+    disks = [rw[4:] for rw in rows]
+    assert _bits(rate_bound(px, py, fx, fy, disks, dists)) == plus_zero
+    assert _bits(rate_bound(0.0, 0.0, -0.0, -0.0, [(1.0, 2.0, 0.5)], [1.0])) == _bits([0.0])
+
+
 def _sequential_scan(x, y, heading, view, t_last_ns, spec, dt_ns, horizon_ns, guard):
     """Reference: critical_time_ns for agent 0 with the per-neighbor loop and
     one bisection step per rate evaluation, as the scan ran before it
@@ -397,6 +527,15 @@ def test_batched_refinement_matches_sequential_bisection(monkeypatch):
         assert got == want
         assert 1 <= len(calls) - _chunks_through(k) <= 2
         checked += 1
+
+
+def test_first_scan_chunk_holds_two_points():
+    """A lazy scan's first chunk must reach past the resolve instant. A
+    one-point first chunk's lower bound of t* is the resolve instant itself,
+    so the control update right after the scan sees t >= t* and puts the
+    agent in safe mode: a first chunk of one point changed a λ=0 run's
+    output digest."""
+    assert SCAN_FIRST_CHUNK >= 2
 
 
 def _resumed_scan(own, view, t_last, spec, dt, horizon, guard, cuts=()):
