@@ -76,55 +76,78 @@ def disk_sup_batch(
     d is one target distance for every row or an array of one per row.
     Every operation is elementwise or a reduction within a row, so a row's
     result does not depend on the rows stacked beside it.
+
+    Each term of g has the factor (p - y) . f, so a stationary row, one
+    with fx and fy both +0 or -0, gets exactly +0.0 for finite inputs:
+    every sample, the center and the pad are zeros of either sign, the
+    interior points are skipped, and +0.0 pad makes their sum +0.0. The
+    trigger scan relies on this to skip such rows.
     """
     m = SUP_SAMPLES
     ax = cx - px
     ay = cy - py
     aa = ax * ax + ay * ay
-    A = aa + r * r - d * d
+    rr = r * r
+    dd = d * d
+    A = aa + rr - dd
     Bx = 2.0 * r * ax
     By = 2.0 * r * ay
     C = -(ax * fx + ay * fy)
     Dx = -r * fx
     Dy = -r * fy
-    # The rows x samples grid of h is built SUP_BLOCK_ROWS rows at a time.
+    # The rows x samples grid of h is built in place, SUP_BLOCK_ROWS rows at
+    # a time; each sum keeps the order A + Bx cos + By sin.
     n = len(A)
     best = np.empty(n)
     idx = np.empty(n, dtype=np.intp)
     dH_max = np.empty(n)
     for start in range(0, n, SUP_BLOCK_ROWS):
         rows = slice(start, start + SUP_BLOCK_ROWS)
-        T1 = A[rows, None] + Bx[rows, None] * _COS_PHIS + By[rows, None] * _SIN_PHIS
-        T2 = C[rows, None] + Dx[rows, None] * _COS_PHIS + Dy[rows, None] * _SIN_PHIS
-        H = 4.0 * T1 * T2
+        T1 = Bx[rows, None] * _COS_PHIS
+        T2 = Dx[rows, None] * _COS_PHIS
+        tmp = By[rows, None] * _SIN_PHIS
+        T1 += A[rows, None]
+        T1 += tmp
+        np.multiply(Dy[rows, None], _SIN_PHIS, out=tmp)
+        T2 += C[rows, None]
+        T2 += tmp
+        H = np.multiply(4.0, T1, out=T1)
+        H *= T2
         best[rows] = H.max(axis=1)
         idx[rows] = H.argmax(axis=1)
-        dH_max[rows] = np.abs(np.diff(H, axis=1, append=H[:, :1])).max(axis=1)
+        # |h(phi_k+1) - h(phi_k)| around the circle, the last sample to the first.
+        dH = T2
+        np.subtract(H[:, 1:], H[:, :-1], out=dH[:, :-1])
+        np.subtract(H[:, :1], H[:, -1:], out=dH[:, -1:])
+        dH_max[rows] = np.abs(dH, out=dH).max(axis=1)
     # L_hat * r * (pi/m)^2 with L_hat = max|dH| / (r * 2 pi / m); r cancels.
     pad = dH_max * (np.pi / (2.0 * m))
 
     phi = 2.0 * np.pi * idx / m
     lim = np.pi / m
+    nBx = -Bx
+    nDx = -Dx
     for _ in range(SUP_NEWTON_ITERS):
         c = np.cos(phi)
         s = np.sin(phi)
-        t1 = A + Bx * c + By * s
-        t2 = C + Dx * c + Dy * s
-        t1p = -Bx * s + By * c
-        t2p = -Dx * s + Dy * c
+        bc, bs, dc, ds = Bx * c, By * s, Dx * c, Dy * s
+        t1 = A + bc + bs
+        t2 = C + dc + ds
+        t1p = nBx * s + By * c
+        t2p = nDx * s + Dy * c
         h1 = 4.0 * (t1p * t2 + t1 * t2p)
-        h2 = 4.0 * (-(Bx * c + By * s) * t2 + 2.0 * t1p * t2p - t1 * (Dx * c + Dy * s))
+        h2 = 4.0 * (-(bc + bs) * t2 + 2.0 * t1p * t2p - t1 * (dc + ds))
         concave = h2 < 0.0
         denom = np.where(concave, h2, -1.0)
         step = np.where(concave, -h1 / denom, 0.0)
-        phi = phi + np.clip(step, -lim, lim)
+        phi = phi + np.minimum(np.maximum(step, -lim), lim)
     c = np.cos(phi)
     s = np.sin(phi)
     refined = 4.0 * (A + Bx * c + By * s) * (C + Dx * c + Dy * s)
     best = np.maximum(best, refined)
 
     # Disk center.
-    best = np.maximum(best, 4.0 * (aa - d * d) * C)
+    best = np.maximum(best, 4.0 * (aa - dd) * C)
 
     # Interior stationary points (only exist when the agent is moving).
     fn = np.hypot(fx, fy)
@@ -134,17 +157,17 @@ def disk_sup_batch(
     uy = fy / safe_fn
     k1 = d / _SQRT3
     gstar = (8.0 * d * d * d / (3.0 * _SQRT3)) * fn
-    zero = np.zeros_like(fn)
+    kux, kuy, dux, duy = k1 * ux, k1 * uy, d * ux, d * uy
     for sx, sy, val in (
-        (k1 * ux, k1 * uy, gstar),
-        (-k1 * ux, -k1 * uy, -gstar),
-        (d * uy, -d * ux, zero),
-        (-d * uy, d * ux, zero),
+        (kux, kuy, gstar),
+        (-kux, -kuy, -gstar),
+        (duy, -dux, 0.0),
+        (-duy, dux, 0.0),
     ):
         ddx = sx - ax
         ddy = sy - ay
-        inside = (ddx * ddx + ddy * ddy <= r * r) & moving
-        best = np.where(inside, np.maximum(best, val), best)
+        inside = (ddx * ddx + ddy * ddy <= rr) & moving
+        np.maximum(best, val, out=best, where=inside)
     return best + pad
 
 
@@ -181,15 +204,15 @@ def rate_bound(px, py, fx, fy, disks, dists: Sequence[float]) -> np.ndarray:
     px, py, fx, fy = (np.atleast_1d(v) for v in (px, py, fx, fy))
     rate = np.zeros(px.shape)
     k, n = len(disks), px.size
-    cols = np.empty((3, k, n))
-    for j, disk in enumerate(disks):
-        for c in range(3):
-            cols[c, j] = disk[c]
-    sup = disk_sup_batch(
-        *(np.tile(v, k) for v in (px, py, fx, fy)),
-        *cols.reshape(3, k * n),
-        np.repeat(np.asarray(dists, dtype=float), n),
-    )
+    # The kernel's columns (px, py, fx, fy, cx, cy, r, d), one block of n
+    # rows per neighbor; the point's own columns repeat in every block.
+    cols = np.empty((8, k, n))
+    for c, v in enumerate((px, py, fx, fy)):
+        cols[c] = v
+    for j, (cx, cy, r) in enumerate(disks):
+        cols[4, j], cols[5, j], cols[6, j] = cx, cy, r
+    cols[7] = np.asarray(dists, dtype=float)[:, None]
+    sup = disk_sup_batch(*cols.reshape(8, k * n))
     for row in sup.reshape(k, n):
         rate += row
     return rate
@@ -305,6 +328,12 @@ def critical_time_ns(
     while `scan.pending` the t_star_ns returned is only a lower bound (see
     Scan). The grid points are computed chunk by chunk, so a scan costs
     what it rolls out, however long the horizon.
+
+    The rollout stops at the first grid point where the agent is
+    stationary (fx == fy == 0.0 under its own law): the rate there is
+    exactly +0.0 (see disk_sup_batch), so that point is a crossing unless
+    an earlier one is. Only the points before it go to the kernel, and none
+    when it is the chunk's first; the crossing is refined as any other.
     """
     order = sorted(view)
     proms = [view[j] for j in order]
@@ -387,15 +416,27 @@ def critical_time_ns(
         centers = [list(zip(cxj.tolist(), cyj.tolist())) for cxj, cyj, _ in disks]
         rows = []
         recs = []
+        stationary = False
         for local, tn in enumerate(ts):
             sx, sy, th = state
             sp, tu = goal_law(sx, sy, th, [c[local] for c in centers], dists, gain, u_max, v_max)
-            rows.append((sx, sy, sp * math.cos(th), sp * math.sin(th)))
+            fx, fy = sp * math.cos(th), sp * math.sin(th)
+            if fx == 0.0 and fy == 0.0:
+                stationary = True
+                break
+            rows.append((sx, sy, fx, fy))
             recs.append((tn, sx, sy, th, sp, tu))
             if start + local + 1 < n:
                 nx, ny, nth = arc_step(sx, sy, th, sp, tu, (grid(start + local + 1) - tn) * 1e-9)
                 state = (nx, ny, wrap_angle(nth))
-        rate = rate_bound(*(np.array(v) for v in zip(*rows)), disks, dists)
+        # A stationary point's rate is exactly +0.0 (see disk_sup_batch), a
+        # crossing: the rollout stops there and bounds only the points
+        # before it.
+        m = len(rows)
+        rate = np.zeros(m + stationary)
+        if m:
+            cut = [(cxj[:m], cyj[:m], rj[:m]) for cxj, cyj, rj in disks]
+            rate[:m] = rate_bound(*(np.array(v) for v in zip(*rows)), cut, dists)
         if before is None:
             initial_rate = float(rate[0])
         hits = np.nonzero(rate >= 0.0)[0]

@@ -538,6 +538,51 @@ def test_first_scan_chunk_holds_two_points():
     assert SCAN_FIRST_CHUNK >= 2
 
 
+@pytest.mark.parametrize(
+    "goal_ahead,still_at,rollout_rows",
+    [
+        (-0.5, 0, []),
+        (0.36, SCAN_FIRST_CHUNK, [SCAN_FIRST_CHUNK]),
+        (0.56, SCAN_FIRST_CHUNK + 4, [SCAN_FIRST_CHUNK, 4]),
+    ],
+    ids=["first-point", "second-chunk-start", "mid-chunk"],
+)
+def test_scan_stops_at_first_stationary_point(goal_ahead, still_at, rollout_rows, monkeypatch):
+    """An agent whose goal lies behind it gets speed 0 from goal_law, and
+    its rate there is +0.0, a crossing. The scan finds the every-row
+    reference's t* without evaluating that point or any after it: on a
+    stationary start it calls no kernel and its rate is +0.0; when the
+    stationary point opens the second chunk, that chunk calls no kernel;
+    mid-chunk, the kernel gets only the points before it. With a 10 ms
+    tick and gain 150 the agent, heading straight for its parked
+    neighbor's goal point, overshoots it and stops."""
+    spec = FormationSpec({(0, 1): 1.0}, 150.0)
+    p = make_promise(
+        1, 0, 0.0, UnicycleState(1.0 + goal_ahead, 0.0, 0.0), ControlInput(0.0, 0.0, LIM),
+        StaticBall(0.0),
+    )
+    view, own, dt = {1: p}, (0.0, 0.0, 0.0), 10 * DT
+    k, want = _sequential_scan(*own, view, 0, spec, dt, HORIZON_SCAN, 0.0)
+    assert k == still_at
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return disk_sup_batch(*args)
+
+    monkeypatch.setattr(triggers, "disk_sup_batch", counted)
+    t_star, rate = critical_time_ns(0, *own, view, 0, spec, LIM, dt, HORIZON_SCAN)
+    assert t_star == want
+    assert calls[: len(rollout_rows)] == rollout_rows
+    refinement = calls[len(rollout_rows) :]
+    if still_at:
+        assert rate < 0.0 and 1 <= len(refinement) <= 2
+    else:
+        assert _bits(rate) == _bits(0.0) and refinement == []
+    (resumed, _), _ = _resumed_scan(own, view, 0, spec, dt, HORIZON_SCAN, 0.0)
+    assert resumed == t_star
+
+
 def _resumed_scan(own, view, t_last, spec, dt, horizon, guard, cuts=()):
     """critical_time_ns one chunk per call, each resumed from the Scan the
     last one left; chunk k is cuts[k] points long where given. Returns the

@@ -9,8 +9,10 @@ For each workload, each pair runs ``bench/run.py --workload W`` once in each
 checkout, one after the other, and the order alternates from pair to pair,
 so that a drift in host speed falls on both sides alike. Each side's
 end-to-end metrics are summarised by their median and quartiles, and each
-metric gets the number of pairs the after side won. With ``--trace`` the
-per-layer counters of one traced run per side are added.
+metric gets the number of pairs the after side won and a verdict (see
+``verdict``) against the bound the before checkout's ``BENCHMARK.json``
+fixes for it. With ``--trace`` the per-layer counters of one traced run per
+side are added.
 """
 
 from __future__ import annotations
@@ -44,6 +46,35 @@ def summary(values: List[float]) -> Dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def verdict(before: List[float], after: List[float], bound: float, better: str = "lower") -> str:
+    """What pairs of runs say about one metric, `before[k]` and `after[k]`
+    being the k-th pair.
+
+    - "gain": the after side wins at least nine tenths of the pairs, ties
+      counting for neither, and the medians differ by more than the
+      before side's interquartile range;
+    - "regression": the after median is worse than the before median by
+      more than `bound`, a fraction of the before median;
+    - "unresolved": the before side's interquartile range is wider than
+      `bound` times its median, unless every after run beats every before
+      run;
+    - "no change" otherwise.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    b = [sign * v for v in before]
+    a = [sign * v for v in after]
+    wins = sum(x < y for x, y in zip(a, b))
+    sb, med_a = summary(b), statistics.median(a)
+    med_b, iqr_b = sb["median"], sb["q3"] - sb["q1"]
+    if wins >= 0.9 * len(b) and med_b - med_a > iqr_b:
+        return "gain"
+    if med_a - med_b > bound * abs(med_b):
+        return "regression"
+    if iqr_b > bound * abs(med_b) and not max(a) < min(b):
+        return "unresolved"
+    return "no change"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", type=Path, required=True, help="checkout of the parent commit")
@@ -55,6 +86,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     sides = {"before": args.before, "after": args.after}
+    spec = json.loads((args.before / "BENCHMARK.json").read_text())
+    rules = {m["name"]: m for m in spec["end_to_end"]}
     import numpy
 
     host = {"nproc": os.cpu_count(), "python": platform.python_version()}
@@ -80,6 +113,12 @@ def main(argv=None) -> int:
                 "after": summary(vals["after"]),
                 "after_wins": sum(a < b for a, b in zip(vals["after"], vals["before"])),
             }
+            if name in rules:
+                rule = rules[name]
+                entry["metrics"][name]["bound"] = rule["bound"]
+                entry["metrics"][name]["verdict"] = verdict(
+                    vals["before"], vals["after"], rule["bound"], rule["better"]
+                )
         if args.trace:
             entry["per_layer"] = {
                 side: {n: m["value"] for n, m in bench(path, w, 0, trace=True)["metrics"].items()}
