@@ -66,7 +66,7 @@ def verdict(before: List[float], after: List[float], bound: float, better: str =
     wins = sum(x < y for x, y in zip(a, b))
     sb, med_a = summary(b), statistics.median(a)
     med_b, iqr_b = sb["median"], sb["q3"] - sb["q1"]
-    if wins >= 0.9 * len(b) and med_b - med_a > iqr_b:
+    if 10 * wins >= 9 * len(b) and med_b - med_a > iqr_b:
         return "gain"
     if med_a - med_b > bound * abs(med_b):
         return "regression"
