@@ -13,12 +13,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-# Above this turn rate the arc is the closed form x + (v/w)(sin th1 - sin th).
-# At and below it that difference of sines cancels, with an error that grows
-# as eps * v / |w| (about 1e-10 m at 1e-5 rad/s and 5 m/s), so the arc is
-# taken as its chord (chord_offset), which is exact to a few ulp at every w;
-# at w = 0 exactly both are the straight line.
-ARC_EPS = 1e-5
+# Below this turn rate the circular arc degenerates to a straight line.
+ARC_EPS = 1e-9
 
 TWO_PI = 2.0 * math.pi
 
@@ -173,29 +169,11 @@ def arc_step(
             y - k * (math.cos(th1) - math.cos(heading)),
             th1,
         )
-    if turn == 0.0:
-        dx, dy = speed * dt * math.cos(heading), speed * dt * math.sin(heading)
-    else:
-        dx, dy = chord_offset(heading, speed, turn, dt, math.sin, math.cos)
-    return x + dx, y + dy, heading + turn * dt
-
-
-def chord_offset(heading: float, speed: float, turn: float, tau, sin, cos):
-    """Displacement (dx, dy) of the arc after tau seconds, as its chord.
-
-    The chord has length speed * tau * sin(h) / h, with h = turn * tau / 2,
-    and points along the mid-interval heading + h; where h is 0 (tau = 0,
-    or a product that underflows) the factor sin(h) / h is 1. Nothing in it
-    cancels, whatever the turn rate. Callers take turn = 0 as the straight
-    line speed * tau along the heading, which needs no sin(h) / h. `sin`
-    and `cos` are math's on a float tau or numpy's on an array of ages
-    (promises.disk_kernel), which give the same bits.
-    """
-    half = 0.5 * turn * tau
-    zero = half == 0.0  # adding it turns 0 / 0 into 1 / 1 and leaves other h as they are
-    length = speed * tau * ((sin(half) + zero) / (half + zero))
-    mid = heading + half
-    return length * cos(mid), length * sin(mid)
+    return (
+        x + speed * dt * math.cos(heading),
+        y + speed * dt * math.sin(heading),
+        heading + turn * dt,
+    )
 
 
 def step_unicycle(state: UnicycleState, control: ControlInput, dt: float) -> UnicycleState:
@@ -214,8 +192,8 @@ def step_unicycle(state: UnicycleState, control: ControlInput, dt: float) -> Uni
     -------
     UnicycleState
         Pose at the end of the interval. For |turn_rate| above ``ARC_EPS``
-        the update is the closed-form circular arc, otherwise the same arc
-        written as its chord; headings wrap back into (-pi, pi].
+        the update is the closed-form circular arc, otherwise a straight
+        line; headings wrap back into (-pi, pi].
     """
     if dt < 0.0:
         raise ValueError("dt must be nonnegative")

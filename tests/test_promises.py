@@ -353,31 +353,6 @@ def test_breach_margin_falls_at_most_twice_max_speed(case, x, y, heading, speed,
     assert m1 >= m0 - 2.0 * U_MAX * (t1 - t0) - 2.0 * BREACH_TOL
 
 
-_SMALL_TURNS = st.one_of(st.floats(1e-9, 1e-4), st.floats(-1e-4, -1e-9))
-
-
-@given(
-    st.floats(-math.pi, math.pi),
-    _SMALL_TURNS,
-    _SMALL_TURNS,
-    st.floats(0.0, 2.0),
-    st.floats(0.0, 2.0),
-    st.floats(0.0, 1.0),
-)
-@settings(max_examples=300, deadline=None)
-def test_breach_margin_bound_holds_head_on_at_small_turn_rates(heading, turn_p, turn_a, t0, dt, gap):
-    """The worst case of that bound: a point promise's centre and the issuer
-    moving apart head-on at max speed, both at turn rates where the closed-form
-    arc cancels. The margin still falls by at most 2 * max_speed per second."""
-    p = _promise(UnicycleState(0.0, 0.0, heading), ControlInput(U_MAX, turn_p, LIM), 0.0)
-    cx, cy = expected_position(p, t0)
-    x0, y0 = cx - gap * math.cos(heading), cy - gap * math.sin(heading)
-    x1, y1, _ = arc_step(x0, y0, heading + math.pi, U_MAX, turn_a, dt)
-    m0 = breach_margin(p, t0, x0, y0)
-    m1 = breach_margin(p, t0 + dt, x1, y1)
-    assert m1 >= m0 - 2.0 * U_MAX * dt - 2.0 * BREACH_TOL
-
-
 def test_breach_margin_bound_is_tight():
     # Center and issuer moving apart head-on, both at max speed: the margin
     # falls at exactly 2 * max_speed, so no smaller rate may schedule checks.
@@ -393,8 +368,8 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
-# Turn rates exactly 0, inside the chord band |turn| <= ARC_EPS, at and just
-# past its edge, and anywhere up to the limit.
+# Turn rates exactly 0, inside the straight-line band |turn| <= ARC_EPS, at
+# and just past its edge, and anywhere up to the limit.
 _SPLIT_TURNS = st.one_of(
     st.sampled_from([0.0, ARC_EPS, -ARC_EPS, math.nextafter(ARC_EPS, 1.0), -2.0 * ARC_EPS]),
     st.floats(-ARC_EPS, ARC_EPS),
