@@ -46,9 +46,9 @@ def summary(values: List[float]) -> Dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def verdict(before: List[float], after: List[float], bound: float, better: str = "lower") -> str:
-    """What pairs of runs say about one metric, `before[k]` and `after[k]`
-    being the k-th pair.
+def verdict(before: List[float], after: List[float], bound: float) -> str:
+    """What pairs of runs say about one metric, lower being better,
+    `before[k]` and `after[k]` being the k-th pair.
 
     - "gain": the after side wins at least nine tenths of the pairs, ties
       counting for neither, and the medians differ by more than the
@@ -60,17 +60,14 @@ def verdict(before: List[float], after: List[float], bound: float, better: str =
       run;
     - "no change" otherwise.
     """
-    sign = 1.0 if better == "lower" else -1.0
-    b = [sign * v for v in before]
-    a = [sign * v for v in after]
-    wins = sum(x < y for x, y in zip(a, b))
-    sb, med_a = summary(b), statistics.median(a)
+    wins = sum(a < b for a, b in zip(after, before))
+    sb, med_a = summary(before), statistics.median(after)
     med_b, iqr_b = sb["median"], sb["q3"] - sb["q1"]
-    if 10 * wins >= 9 * len(b) and med_b - med_a > iqr_b:
+    if 10 * wins >= 9 * len(before) and med_b - med_a > iqr_b:
         return "gain"
     if med_a - med_b > bound * abs(med_b):
         return "regression"
-    if iqr_b > bound * abs(med_b) and not max(a) < min(b):
+    if iqr_b > bound * abs(med_b) and not max(after) < min(before):
         return "unresolved"
     return "no change"
 
@@ -88,6 +85,7 @@ def main(argv=None) -> int:
     sides = {"before": args.before, "after": args.after}
     spec = json.loads((args.before / "BENCHMARK.json").read_text())
     rules = {m["name"]: m for m in spec["end_to_end"]}
+    assert all(m["better"] == "lower" for m in rules.values()), "verdict reads lower as better"
     import numpy
 
     host = {"nproc": os.cpu_count(), "python": platform.python_version()}
@@ -117,7 +115,7 @@ def main(argv=None) -> int:
                 rule = rules[name]
                 entry["metrics"][name]["bound"] = rule["bound"]
                 entry["metrics"][name]["verdict"] = verdict(
-                    vals["before"], vals["after"], rule["bound"], rule["better"]
+                    vals["before"], vals["after"], rule["bound"]
                 )
         if args.trace:
             entry["per_layer"] = {
