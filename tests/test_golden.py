@@ -1,17 +1,24 @@
-"""Golden digests: the exact output bytes of four short reference runs.
+"""Golden digests: the exact output bytes of short reference runs.
 
 c9 in the acceptance suite only compares a run with its own rerun, so a
 change that moved the numbers the same way twice would pass it. These
 SHA-256 digests pin the bytes of every output file instead; a refactor that
 is meant to keep behaviour must keep them.
+
+The four GOLDEN runs are the reference workloads. The PATHS runs reach code
+those four never execute: the applied control with `safe_turn` off, the
+dynamic promise rule with the adaptive dwell (whose radius and dwell are
+computed from the planning control), a ball promise's disk past its expiry,
+and the `run_compare` table.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from ttlab.config import bundled_config, with_overrides
-from ttlab.engine import run, write_outputs
+from ttlab.engine import _compare_cfg, run, run_compare, write_compare_csv, write_outputs
 
 FILES = ("metrics.json", "lyapunov.csv", "messages.csv", "trace.csv")
 
@@ -60,16 +67,71 @@ GOLDEN = {
 }
 
 
-def _digests(name, tmp_path):
-    scenario, overrides, _ = GOLDEN[name]
-    result = run(with_overrides(bundled_config(scenario), **overrides))
-    write_outputs(result, tmp_path)
-    return tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in FILES)
+# name -> (config builder, digests in FILES order)
+PATHS = {
+    "safe-turn-off": (
+        lambda: replace(with_overrides(bundled_config("formation4"), duration=2.0), safe_turn=False),
+        (
+            "cee14325e051327676f00321db59afd4f45721a257cb1b69aaf5de28218ee133",
+            "36765ed25cd0f4e61e0d1d598cd1612698d2181da641245782f8896827361c9c",
+            "c61f1227ebcbf703ef16d53fec484dd3172fec63ea1755768c2df2af02793350",
+            "f069ed694a5ce8c3d34a69612bbaf5b40b6f58a86d594ca3efbee784e37d468d",
+        ),
+    ),
+    "dynamic-adaptive": (
+        lambda: _compare_cfg(with_overrides(bundled_config("formation4"), duration=2.0), "apad"),
+        (
+            "1c28fedb41fa9cab44b7c6555b551a23e7a000b7226f1ff74d98a139ee895abc",
+            "fe044cd4fb6c5ce13ba94d88f8ee17ffcea74390faf357470fd9d5dca30e06de",
+            "baee77f928071ffd8ccb9d4ce9ab5ca79fc0e91777ded4a0a119b85e4ad0e7e2",
+            "b8c29653bbe750a1e900e1e3d4be6da1018041639415f5c170871a7867e74951",
+        ),
+    ),
+    # Expiration 0.2 s against a self dwell of 0.3 s: views outlive their
+    # promises' expiry whenever the reissue is dropped.
+    "robust-past-expiry": (
+        lambda: replace(
+            with_overrides(bundled_config("formation4_robust"), seed=7, duration=3.0),
+            expiration=0.2,
+        ),
+        (
+            "1b69265bbacad26f757a5b60f31240db0d27adc2d1e6f8a2fae08c5cc630f3d2",
+            "dfea88975964d3f28191b26891f650bc197feb61a2a6dcda4983c2280a86bf77",
+            "8f1d853ea968272c4a0c57e7a13c2aecce33b870ea20a0787e1fba62423ff3b0",
+            "a8a41b6afe2a007d8aa9855c80f44a3d640818bdd6a8269cd999d100352b3713",
+        ),
+    ),
+}
+
+COMPARE_DIGEST = "47a8a8fd158cf3294a5e024c7413615f035d279cbbcb49aeacda28bca58dc4b2"
+
+
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _digests(cfg, tmp_path):
+    write_outputs(run(cfg), tmp_path)
+    return tuple(_sha(tmp_path / f) for f in FILES)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digests(name, tmp_path):
-    got = _digests(name, tmp_path)
-    want = GOLDEN[name][2]
+    scenario, overrides, want = GOLDEN[name]
+    got = _digests(with_overrides(bundled_config(scenario), **overrides), tmp_path)
     for f, g, w in zip(FILES, got, want):
         assert g == w, f"{name}: {f} digest changed"
+
+
+@pytest.mark.parametrize("name", sorted(PATHS))
+def test_path_digests(name, tmp_path):
+    build, want = PATHS[name]
+    got = _digests(build(), tmp_path)
+    for f, g, w in zip(FILES, got, want):
+        assert g == w, f"{name}: {f} digest changed"
+
+
+def test_compare_table_digest(tmp_path):
+    rows = run_compare(with_overrides(bundled_config("formation4"), duration=1.0), sample_dt=0.1)
+    write_compare_csv(rows, tmp_path / "compare.csv")
+    assert _sha(tmp_path / "compare.csv") == COMPARE_DIGEST
