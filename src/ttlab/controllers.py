@@ -120,15 +120,17 @@ def u_double_star(
 
 
 def team_control(
-    nominal: ControlInput, t: float, t_star: float, safe_turn: bool = False
-) -> ControlInput:
-    """Team law with the safe fallback from the certified horizon t_star on.
+    speed: float, turn: float, safe: bool, safe_turn: bool = False
+) -> Tuple[float, float]:
+    """The applied (speed, turn rate) of the team law, on raw floats.
 
-    Before t_star the nominal control applies and is returned as is. From
-    t_star on the agent holds position; with safe_turn it keeps turning at
-    the nominal rate (position still frozen), which lets an agent whose goal
-    lies behind it recover heading while waiting for fresh information.
+    (speed, turn) is the nominal control. Outside safe mode, that is strictly
+    before the certified horizon t*, it applies as is. In safe mode, from t*
+    on (t >= t*, boundary included), the agent holds position; with
+    safe_turn it keeps turning at the nominal rate (position still frozen),
+    which lets an agent whose goal lies behind it recover heading while
+    waiting for fresh information.
     """
-    if t < t_star:
-        return nominal
-    return ControlInput(0.0, nominal.turn_rate if safe_turn else 0.0, nominal.limits)
+    if not safe:
+        return speed, turn
+    return 0.0, turn if safe_turn else 0.0

@@ -132,8 +132,9 @@ class _Agent:
         "y",
         "heading",
         "state_ts_ns",
-        "control",
-        "nominal",
+        "speed",
+        "turn",
+        "safe",
         "t_star_ns",
         "rounds",
         "round_anchor_ns",
@@ -145,19 +146,22 @@ class _Agent:
         "view",
         "dists",
         "sent",
+        "due_ns",
         "void_before",
     )
 
-    def __init__(self, aid: int, state: UnicycleState, limits) -> None:
+    def __init__(self, aid: int, state: UnicycleState) -> None:
         self.id = aid
         self.x = state.x
         self.y = state.y
         self.heading = state.heading
         self.state_ts_ns = 0
-        self.control = safe_mode(limits)
-        # The agent is in safe mode whenever its control is not the nominal
-        # one: team_control hands the nominal control back unchanged before t*.
-        self.nominal = safe_mode(limits)
+        # The nominal control as raw floats, and whether the agent is in safe
+        # mode, which it is from t* on. The flag is the one record of the
+        # mode; the applied control is team_control of the three.
+        self.speed = 0.0
+        self.turn = 0.0
+        self.safe = True
         self.t_star_ns = 0
         # Start times of the request rounds; the last is the current round.
         self.rounds: List[int] = []
@@ -173,8 +177,10 @@ class _Agent:
         # Target distances to the neighbors, in the order of `view`.
         self.dists: List[float] = []
         # Promises in flight per recipient, each with the first tick at
-        # which it can be breached.
+        # which it can be breached, and a bound on the earliest of those:
+        # the breach monitor has nothing to do before it.
         self.sent: Dict[int, List[Tuple[Promise, int]]] = {}
+        self.due_ns: float = math.inf
         self.void_before: Dict[int, float] = {}
 
 
@@ -205,7 +211,7 @@ class Engine:
         # run's end, so longer ones are cut to it before conversion to ns.
         self.dwell_cap_s = 2.0 * (cfg.duration + cfg.dt)
 
-        self.agents = [_Agent(i, st, cfg.limits) for i, st in enumerate(cfg.initial_states)]
+        self.agents = [_Agent(i, st) for i, st in enumerate(cfg.initial_states)]
         self.directed_pairs = sorted(
             [(i, j) for i, j in self.graph.edges] + [(j, i) for i, j in self.graph.edges]
         )
@@ -223,6 +229,9 @@ class Engine:
         self.contain_due: List[Tuple[Optional[Promise], int]] = [
             (None, 0) for _ in self.directed_pairs
         ]
+        # A bound on the earliest of those ticks. A view that changes
+        # resets it, so the next record checks the new view at once.
+        self.contain_next_ns: float = 0
         self.v_series: List[float] = []
         self.trace: List[Tuple[int, tuple]] = []
 
@@ -244,8 +253,8 @@ class Engine:
 
     def _step(self, ag: _Agent, ts_ns: int) -> None:
         dt = (ts_ns - ag.state_ts_ns) * 1e-9
-        c = ag.control
-        nx, ny, nth = arc_step(ag.x, ag.y, ag.heading, c.speed, c.turn_rate, dt)
+        speed, turn = team_control(ag.speed, ag.turn, ag.safe, self.safe_turn)
+        nx, ny, nth = arc_step(ag.x, ag.y, ag.heading, speed, turn, dt)
         ag.x = nx
         ag.y = ny
         ag.heading = wrap_angle(nth)
@@ -254,12 +263,12 @@ class Engine:
     def _advance(self, ag: _Agent, ts_ns: int) -> None:
         if ts_ns <= ag.state_ts_ns:
             return
-        if ag.control is ag.nominal and ag.t_star_ns < ts_ns:
+        if not ag.safe and ag.t_star_ns < ts_ns:
             # The certificate runs out inside this interval: integrate the
-            # nominal stretch, then freeze the position.
+            # nominal stretch, then switch to safe mode.
             if ag.t_star_ns > ag.state_ts_ns:
                 self._step(ag, ag.t_star_ns)
-            ag.control = team_control(ag.nominal, ag.t_star_ns, ag.t_star_ns, self.safe_turn)
+            ag.safe = True
         self._step(ag, ts_ns)
 
     def _apply_mode_control(self, ag: _Agent, now_ns: int) -> None:
@@ -269,9 +278,14 @@ class Engine:
         speed, turn = goal_law(
             ag.x, ag.y, ag.heading, points, ag.dists, self.spec.gain, lim.max_speed, lim.max_turn
         )
-        nominal = ControlInput(speed, turn, lim)
-        ag.nominal = nominal
-        ag.control = team_control(nominal, now_ns, ag.t_star_ns, self.safe_turn)
+        if not (0.0 <= speed <= lim.max_speed and abs(turn) <= lim.max_turn):
+            raise EngineInvariantError(
+                f"agent {ag.id} at t={_fmt_t(now_ns)}s: nominal control out of bounds"
+                f" or not finite: speed {speed!r}, turn rate {turn!r}"
+            )
+        ag.speed = speed
+        ag.turn = turn
+        ag.safe = now_ns >= ag.t_star_ns
 
     # ------------------------------------------------------------------
     # certificates
@@ -290,7 +304,7 @@ class Engine:
         self._apply_mode_control(ag, now_ns)
         if self.cfg.dwell.adaptive:
             gaps = [p.gap for p in ag.view.values() if p.gap is not None]
-            own_gap = math.hypot(ag.nominal.speed, ag.nominal.turn_rate)
+            own_gap = math.hypot(ag.speed, ag.turn)
             dwell_s = adaptive_dwell(
                 own_gap, gaps, self.cfg.dwell.adapt_scale, self.cfg.dwell.adapt_floor
             )
@@ -334,24 +348,32 @@ class Engine:
     # promise traffic
 
     def _issue_promise(self, ag: _Agent, r: int, now_ns: int, event: bool) -> None:
+        """Send r a promise anchored at the applied control, and schedule its
+        first breach check at once. This is the one place the held control
+        becomes a ControlInput: the anchor, and in safe mode the planning
+        control the dynamic rule sizes the ball from."""
         now_s = now_ns * 1e-9
         expires_ns = None if self.exp_ns is None else now_ns + self.exp_ns
+        lim = self.limits
+        anchor = ControlInput(*team_control(ag.speed, ag.turn, ag.safe, self.safe_turn), lim)
         p = make_promise(
             ag.id,
             r,
             now_s,
             UnicycleState(ag.x, ag.y, ag.heading),
-            ag.control,
+            anchor,
             self.rule,
-            planning_control=ag.nominal,
+            planning_control=ControlInput(ag.speed, ag.turn, lim) if ag.safe else anchor,
             expires_at=None if expires_ns is None else expires_ns * 1e-9,
-            gap=math.hypot(ag.nominal.speed, ag.nominal.turn_rate),
+            gap=math.hypot(ag.speed, ag.turn),
         )
         if self.channel_ideal:
             # Instant reliable delivery retires the previous promise.
             ag.sent[r] = [(p, now_ns)]
         else:
             ag.sent.setdefault(r, []).append((p, now_ns))
+        if now_ns < ag.due_ns:
+            ag.due_ns = now_ns
         self.latest_sent[(ag.id, r)] = (p, now_ns)
         res = self.channel.transmit(ag.id, r, promise_to_wire(p))
         if res.delivered:
@@ -381,6 +403,7 @@ class Engine:
         if stale:
             return False
         rag.view[p.issuer] = p
+        self.contain_next_ns = 0
         # Receiving information restarts the request clock: the next request
         # is scheduled at least one self dwell after the latest update,
         # whatever triggered it.
@@ -414,6 +437,7 @@ class Engine:
         # the true position there, so the grown disk stays sound.
         fb_t = max((detect_ns - self.dt_ns) * 1e-9, cur.issued_at)
         rag.view[ag.id] = fallback_to_reachability(cur, fb_t)
+        self.contain_next_ns = 0
         self._resolve(rag, detect_ns)
 
     def _monitor(self, ag: _Agent, now_ns: int) -> None:
@@ -422,10 +446,14 @@ class Engine:
         A promise is checked only from the tick _next_check_ns gives it: its
         margin falls by at most 2 * max_speed per second, so the ticks in
         between are provably breach-free and skipping them keeps every
-        breach tick.
+        breach tick. Before the earliest of those ticks, ag.due_ns, there is
+        nothing to do. A promise issued during the pass lowers ag.due_ns to
+        now, so it is checked from the next tick on.
         """
-        if not ag.sent:
+        if now_ns < ag.due_ns:
             return
+        ag.due_ns = math.inf
+        nxt = math.inf
         now_s = now_ns * 1e-9
         x, y = ag.x, ag.y
         max_speed = self.limits.max_speed
@@ -439,14 +467,17 @@ class Engine:
                 p, due_ns = entry
                 if now_ns < due_ns:
                     keep.append(entry)
+                elif is_expired(p, now_s):
                     continue
-                if is_expired(p, now_s):
-                    continue
-                margin = breach_margin(p, now_s, x, y)
-                if margin < 0.0:
-                    breached.append(p)
                 else:
-                    keep.append((p, _next_check_ns(now_ns, margin, max_speed)))
+                    margin = breach_margin(p, now_s, x, y)
+                    if margin < 0.0:
+                        breached.append(p)
+                        continue
+                    due_ns = _next_check_ns(now_ns, margin, max_speed)
+                    keep.append((p, due_ns))
+                if due_ns < nxt:
+                    nxt = due_ns
             ag.sent[r] = keep
             for p in breached:
                 pair = (ag.id, r)
@@ -466,6 +497,8 @@ class Engine:
                 else:
                     self._warn(ag, r, p, now_ns)
                     self._push(resend_ns, PRIO_PROMISE, "send", (ag.id, r, issued_ns))
+        if nxt < ag.due_ns:
+            ag.due_ns = nxt
 
     # ------------------------------------------------------------------
     # event handlers
@@ -548,30 +581,36 @@ class Engine:
         v = lyapunov(self.agents, self.spec, self.graph)
         last = self.v_series[-1] if self.v_series else v
         row = tuple(
-            (a.x, a.y, a.heading, "nominal" if a.control is a.nominal else "safe") for a in self.agents
+            (a.x, a.y, a.heading, "safe" if a.safe else "nominal") for a in self.agents
         )
         if not v <= last + V_TOL_REL * max(1.0, last):
             raise EngineInvariantError(self._rise_report(ts_ns, row, last, v))
         self.v_series.append(v)
         self.trace.append((ts_ns, row))
-        if self.containment:
+        if self.containment and ts_ns >= self.contain_next_ns:
             # Scheduled like the breach monitor: a view is checked again
-            # only once it can have been left, and a new view at once.
+            # only once it can have been left, and a new view at once. A
+            # pair exempt now is tried again at the next tick.
             ts_s = ts_ns * 1e-9
             agents = self.agents
             max_speed = self.limits.max_speed
             due = self.contain_due
+            nxt = math.inf
             for k, (i, r) in enumerate(self.directed_pairs):
                 p = agents[r].view[i]
                 checked, due_ns = due[k]
-                if checked is p and ts_ns < due_ns:
-                    continue
-                if ts_ns <= self.exempt_until_ns.get((i, r), -1):
-                    continue
-                margin = breach_margin(p, ts_s, agents[i].x, agents[i].y)
-                if margin < 0.0:
-                    self.violations.append((ts_ns, i, r))
-                due[k] = (p, _next_check_ns(ts_ns, margin, max_speed))
+                if checked is not p or ts_ns >= due_ns:
+                    if ts_ns <= self.exempt_until_ns.get((i, r), -1):
+                        due_ns = ts_ns + 1
+                    else:
+                        margin = breach_margin(p, ts_s, agents[i].x, agents[i].y)
+                        if margin < 0.0:
+                            self.violations.append((ts_ns, i, r))
+                        due_ns = _next_check_ns(ts_ns, margin, max_speed)
+                        due[k] = (p, due_ns)
+                if due_ns < nxt:
+                    nxt = due_ns
+            self.contain_next_ns = nxt
 
     def _rise_report(self, ts_ns: int, row: tuple, last: float, v: float) -> str:
         """The potential-increase error: the edge whose term rose most, its agents'

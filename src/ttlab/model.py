@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,9 +143,23 @@ class FormationSpec:
                 raise ValueError(f"conflicting distances for edge {key}")
             norm[key] = d
         self._dist = norm
+        self._sq_edges: Optional[Tuple[Tuple[int, int], ...]] = None
+        self._sq: List[float] = []
 
     def distance(self, i: int, j: int) -> float:
         return self._dist[(min(i, j), max(i, j))]
+
+    def squared(self, edges: Tuple[Tuple[int, int], ...]) -> List[float]:
+        """d_ij ** 2 for each edge in order, computed once for these edges.
+
+        The squares are taken on the first call, not at construction, so a
+        distance whose square overflows raises OverflowError where the
+        potential is evaluated, and validate_config can name it.
+        """
+        if self._sq_edges is not edges:
+            self._sq = [self.distance(i, j) ** 2 for i, j in edges]
+            self._sq_edges = edges
+        return self._sq
 
     def uncovered(self, graph: CommGraph) -> List[Tuple[int, int]]:
         """The graph edges that have no target distance."""
@@ -217,10 +231,10 @@ def lyapunov(states: Sequence, spec: FormationSpec, graph: CommGraph) -> float:
     length.
     """
     total = 0.0
-    for i, j in graph.edges:
+    for (i, j), d2 in zip(graph.edges, spec.squared(graph.edges)):
         dx = states[j].x - states[i].x
         dy = states[j].y - states[i].y
-        err = dx * dx + dy * dy - spec.distance(i, j) ** 2
+        err = dx * dx + dy * dy - d2
         total += err * err
     return total
 

@@ -222,8 +222,19 @@ def view_disk_at(p: Promise, t: float) -> DiskSet:
 
 
 def expected_position(p: Promise, t: float) -> Tuple[float, float]:
-    """Center of the promise disk at t, the recipient's point estimate: the centre half only."""
-    return _disk_center(p, _ages(p, t)[0], math.sin, math.cos)
+    """Center of the promise disk at t, the recipient's point estimate: the centre half only.
+
+    The centre's age is _ages' tau, taken here without its tuple: a ball
+    promise's centre stops at its expiry, and a fallback disk's centre is
+    frozen (and, as in _ages, not defined before its fallback time).
+    """
+    if p.mode is _FALLBACK:
+        _ages(p, t)
+        return p.fb_center  # type: ignore[return-value]
+    e = p.expires_at
+    if e is not None and t > e:
+        t = e
+    return _disk_center(p, t - p.issued_at, math.sin, math.cos)
 
 
 def breach_margin(p: Promise, t: float, x: float, y: float) -> float:

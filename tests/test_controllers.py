@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from ttlab.config import with_overrides
 from ttlab.controllers import e_map, goal_law, goal_point, team_control, u_double_star, u_star
+from ttlab.engine import Engine
 from ttlab.model import ControlInput, FormationSpec, Limits, UnicycleState
 from ttlab.promises import StaticBall, fallback_to_reachability, make_promise
 
@@ -108,23 +110,23 @@ def test_goal_law_matches_wrappers():
 
 
 def test_team_control_safe_after_t_star():
-    nominal = ControlInput(2.0, 1.0, LIM)
-    assert team_control(nominal, 0.1, 0.2) is nominal
-    after = team_control(nominal, 0.3, 0.2)
-    assert (after.speed, after.turn_rate) == (0.0, 0.0)
+    assert team_control(2.0, 1.0, False) == (2.0, 1.0)
+    assert team_control(2.0, 1.0, True) == (0.0, 0.0)
 
 
 def test_team_control_safe_turn_keeps_turning():
     # goal behind: nominal turn saturates, position frozen
-    nominal = ControlInput(0.0, LIM.max_turn, LIM)
-    c = team_control(nominal, 0.3, 0.2, safe_turn=True)
-    assert c.speed == 0.0
-    assert c.turn_rate == LIM.max_turn
+    assert team_control(0.0, LIM.max_turn, True, safe_turn=True) == (0.0, LIM.max_turn)
+    assert team_control(2.0, -1.0, False, safe_turn=True) == (2.0, -1.0)
 
 
-def test_team_control_boundary_inclusive():
+def test_team_control_boundary_inclusive(scenario):
     """The safe interval includes its boundary: at exactly t_star the agent
     already holds position, as the engine does on its tick grid."""
-    nominal = ControlInput(2.0, 1.0, LIM)
-    c = team_control(nominal, 200, 200, safe_turn=True)
-    assert (c.speed, c.turn_rate) == (0.0, 1.0)
+    eng = Engine(with_overrides(scenario, duration=0.01))
+    ag = eng.agents[0]
+    ag.t_star_ns = 200
+    eng._apply_mode_control(ag, 199)
+    assert not ag.safe
+    eng._apply_mode_control(ag, 200)
+    assert ag.safe

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -276,6 +277,82 @@ def test_containment_schedule_keeps_every_miss(robust_scenario, tmp_path, monkey
     assert len(violations) > 100
 
 
+def _shifted_view(promise_from_wire):
+    """promise_from_wire with the anchor moved 5 cm east: every delivered
+    view starts out missing its issuer."""
+
+    def shifted(wire, limits):
+        p = promise_from_wire(wire, limits)
+        a = p.anchor_state
+        return replace(p, anchor_state=UnicycleState(a.x + 0.05, a.y, a.heading))
+
+    return shifted
+
+
+def _shrunk_fallback(fallback_to_reachability):
+    """fallback_to_reachability with the frozen disk cut to radius 0: the
+    warned issuer lies outside its new view when the exemption ends."""
+
+    def shrunk(p, t_star):
+        return replace(fallback_to_reachability(p, t_star), fb_radius=0.0)
+
+    return shrunk
+
+
+@pytest.mark.parametrize("fault", ["shifted-view", "shrunk-fallback"])
+def test_containment_schedule_finds_misses_on_new_views(
+    fault, robust_scenario, tmp_path, monkeypatch
+):
+    """Views made unsound on purpose are missed on the same ticks under the
+    schedule as under an every-tick scan, however far off the other pairs'
+    checks are: a delivered view is checked at the next tick, and a warned
+    view as soon as its pair's exemption ends."""
+    if fault == "shifted-view":
+        monkeypatch.setattr(engine_mod, "promise_from_wire", _shifted_view(engine_mod.promise_from_wire))
+    else:
+        monkeypatch.setattr(
+            engine_mod,
+            "fallback_to_reachability",
+            _shrunk_fallback(engine_mod.fallback_to_reachability),
+        )
+    cfg = with_overrides(robust_scenario, duration=1.0)
+    _, violations = _assert_schedule_matches_every_tick(cfg, tmp_path, monkeypatch)
+    assert violations
+
+
+@pytest.mark.parametrize("change", ["accept", "warn"])
+def test_changed_view_is_checked_at_the_next_record(change, robust_scenario):
+    """A delivery or a warning that replaces a view resets the containment
+    bound, so the next record checks the new view even when every other
+    pair's check is far off.
+
+    In a plain run a warned view's old check falls due about when the
+    pair's exemption ends, so no output shows a missing reset there; this
+    sets the schedule by hand instead."""
+    eng = engine_mod.Engine(with_overrides(robust_scenario, duration=0.5))
+    eng.run()
+    ts = eng.duration_ns + eng.dt_ns
+    agents = eng.agents
+    k, (i, r) = next(
+        (k, pair)
+        for k, pair in enumerate(eng.directed_pairs)
+        if agents[pair[1]].view[pair[0]].mode is engine_mod._BALL
+    )
+    far = ts + 10**9
+    eng.contain_due = [(agents[b].view[a], far) for a, b in eng.directed_pairs]
+    eng.contain_next_ns = far
+    eng._advance(agents[i], ts)
+    if change == "accept":
+        eng._issue_promise(agents[i], r, ts, event=False)
+        wire = engine_mod.promise_to_wire(eng.latest_sent[(i, r)][0])
+        assert eng._accept_promise(agents[r], wire, ts)
+    else:
+        eng._warn(agents[i], r, agents[r].view[i], ts)
+    new_view = agents[r].view[i]
+    eng._record(ts)
+    assert eng.contain_due[k][0] is new_view
+
+
 @pytest.mark.parametrize("law", ["team", "robust-team"])
 @pytest.mark.parametrize(
     "n, edges", [(1, ()), (3, ((0, 1),))], ids=["one-agent", "isolated-agent"]
@@ -471,3 +548,68 @@ def test_potential_increase_error_names_edge_agents_and_messages(scenario, monke
     for ln in msgs:
         sender, receiver = re.search(r"(\d+)->(\d+)", ln).groups()
         assert {int(sender), int(receiver)} & {i, j}
+
+
+def test_nan_control_is_an_invariant_error(scenario, monkeypatch, capsys):
+    """A NaN from the goal law is reported as an EngineInvariantError that
+    names the agent, the instant and the values, and the CLI prints it as
+    an error line, not a traceback."""
+    goal_law = engine_mod.goal_law
+    calls = itertools.count()
+
+    def nan_from_call_400(*args):
+        speed, turn = goal_law(*args)
+        return (math.nan, turn) if next(calls) >= 400 else (speed, turn)
+
+    monkeypatch.setattr(engine_mod, "goal_law", nan_from_call_400)
+    with pytest.raises(engine_mod.EngineInvariantError) as err:
+        run(with_overrides(scenario, duration=0.5))
+    m = re.fullmatch(
+        r"agent (\d) at t=(\d+\.\d{9})s: nominal control out of bounds or not finite:"
+        r" speed nan, turn rate (\S+)",
+        str(err.value),
+    )
+    assert m, str(err.value)
+    assert 0.05 < float(m[2]) < 0.5
+    assert math.isfinite(float(m[3]))
+
+    calls = itertools.count()
+    from ttlab.cli import main
+
+    assert main(["run", "--config", "formation4", "--duration", "0.5"]) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: agent ") and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("scenario_name, law", [
+    ("formation4", "team"),
+    ("formation4", "self"),
+    ("formation4_robust", "robust-team"),
+])
+def test_control_input_only_at_bootstrap_and_promise_issue(scenario_name, law, monkeypatch):
+    """The tick holds the control as raw floats: a 1 s run builds a
+    ControlInput only for the bootstrap views' zero control, at promise
+    issue (the anchor, and in safe mode the planning control: at most two
+    per promise), and when a delivered promise is decoded from the wire."""
+    from collections import Counter
+
+    from ttlab.config import bundled_config
+    from ttlab.model import ControlInput
+
+    sites = Counter()
+    post_init = ControlInput.__post_init__
+
+    def counted(self):
+        frame = sys._getframe(2)  # past the dataclass __init__
+        while frame.f_code.co_name == "safe_mode":
+            frame = frame.f_back
+        sites[frame.f_code.co_name] += 1
+        post_init(self)
+
+    monkeypatch.setattr(ControlInput, "__post_init__", counted)
+    result = run(with_overrides(bundled_config(scenario_name), law=law, duration=1.0))
+    n_promises = result.metrics["n_comm"]
+    assert set(sites) <= {"_bootstrap", "_issue_promise", "promise_from_wire"}, sites
+    assert sites["_bootstrap"] == 1
+    assert n_promises <= sites["_issue_promise"] <= 2 * n_promises
+    assert sites["promise_from_wire"] <= n_promises
