@@ -1,6 +1,7 @@
 """The verdict rule of tools/bench_pairs.py, on synthetic run lists."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,48 @@ def test_wide_parent_spread_is_unresolved_unless_every_run_is_better():
 @pytest.mark.parametrize("bound", [0.1, 0.25])
 def test_identical_runs_are_no_change(bound):
     assert verdict(PARENT, list(PARENT), bound) == "no change"
+
+
+STUB_RUN = """\
+import json, sys
+print(json.dumps({{"correct": {correct}, "attempted": 1, "failed": {failed},
+                  "metrics": {{"sim_s": {{"value": 1.0, "unit": "s"}}}}}}))
+sys.exit({status})
+"""
+
+
+def _stub_checkout(path, correct=True, status=0):
+    """A checkout whose bench/run.py prints one fixed result line and exits."""
+    (path / "bench").mkdir(parents=True)
+    (path / "bench" / "run.py").write_text(
+        STUB_RUN.format(correct=correct, failed=int(not correct), status=status)
+    )
+    (path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "sim_s", "better": "lower", "bound": 0.25}]}'
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "correct, status", [(False, 1), (False, 0), (True, 1)], ids=["wrong-exit-1", "wrong-exit-0", "exit-1"]
+)
+def test_a_bad_run_stops_the_comparison(tmp_path, capsys, correct, status):
+    """A run that exits non-zero or reports wrong outputs does not feed the
+    medians: the comparison stops and names the checkout, workload and pair."""
+    good = _stub_checkout(tmp_path / "good")
+    bad = _stub_checkout(tmp_path / "bad", correct=correct, status=status)
+    out = tmp_path / "out.json"
+    argv = ["--before", str(good), "--after", str(bad), "--pairs", "2", "--workload", "team"]
+    assert bench_pairs.main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith(f"error: {bad}: workload team, pair 0: exit status {status}") for line in err)
+    assert not out.exists()
+
+
+def test_good_runs_are_summarised(tmp_path):
+    good = _stub_checkout(tmp_path / "good")
+    out = tmp_path / "out.json"
+    argv = ["--before", str(good), "--after", str(good), "--pairs", "2", "--workload", "team"]
+    assert bench_pairs.main(argv + ["--out", str(out)]) == 0
+    sim = json.loads(out.read_text())["workloads"]["team"]["metrics"]["sim_s"]
+    assert sim["verdict"] == "no change" and sim["after"]["values"] == [1.0, 1.0]

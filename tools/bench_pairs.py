@@ -13,6 +13,11 @@ metric gets the number of pairs the after side won and a verdict (see
 ``verdict``) against the bound the before checkout's ``BENCHMARK.json``
 fixes for it. With ``--trace`` the per-layer counters of one traced run per
 side are added.
+
+A run that exits with a non-zero status, or whose outputs ``bench/run.py``
+found wrong (``"correct": false``), stops the comparison with an error that
+names the checkout, the workload and the pair: its timings would measure
+something other than the program.
 """
 
 from __future__ import annotations
@@ -30,15 +35,30 @@ from typing import Dict, List
 WORKLOADS = ("team", "lambda0", "robust", "sweep")
 
 
-def bench(checkout: Path, workload: str, seconds: float, trace: bool) -> Dict:
-    """One bench/run.py run in `checkout`; its final result line."""
+class BadRun(RuntimeError):
+    """A bench/run.py run that failed or reported wrong outputs."""
+
+
+def bench(checkout: Path, workload: str, seconds: float, trace: bool, label: str) -> Dict:
+    """One bench/run.py run in `checkout`; its final result line. `label`
+    names the run (its pair) in the BadRun raised when it failed."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload]
     cmd += ["--trace", "1"] if trace else ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    where = f"{checkout}: workload {workload}, {label}"
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{checkout}: {workload} printed nothing:\n{proc.stderr}")
-    return json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    if result is None:
+        raise BadRun(f"{where}: no result line (exit status {proc.returncode})\n{proc.stderr}")
+    if proc.returncode != 0 or result.get("correct") is not True:
+        raise BadRun(
+            f"{where}: exit status {proc.returncode}, correct={result.get('correct')!r},"
+            f" {result.get('failed')} of {result.get('attempted')} iterations failed\n{proc.stderr}"
+        )
+    return result
 
 
 def summary(values: List[float]) -> Dict:
@@ -91,40 +111,51 @@ def main(argv=None) -> int:
     host = {"nproc": os.cpu_count(), "python": platform.python_version()}
     host["numpy"] = numpy.__version__
     report: Dict = {"host": host, "pairs": args.pairs, "seconds": args.seconds, "workloads": {}}
-    for w in args.workload or WORKLOADS:
-        runs: Dict[str, List[Dict]] = {"before": [], "after": []}
-        for k in range(args.pairs):
-            order = ("before", "after") if k % 2 == 0 else ("after", "before")
-            for side in order:
-                runs[side].append(bench(sides[side], w, args.seconds, trace=False))
-                print(f"{w} pair {k} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
-        entry: Dict = {
-            side: {k: sum(r[k] for r in rs) for k in ("failed", "attempted")}
-            for side, rs in runs.items()
-        }
-        entry["metrics"] = {}
-        for name in runs["before"][0]["metrics"]:
-            vals = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
-            entry["metrics"][name] = {
-                "unit": runs["before"][0]["metrics"][name]["unit"],
-                "before": summary(vals["before"]),
-                "after": summary(vals["after"]),
-                "after_wins": sum(a < b for a, b in zip(vals["after"], vals["before"])),
-            }
-            if name in rules:
-                rule = rules[name]
-                entry["metrics"][name]["bound"] = rule["bound"]
-                entry["metrics"][name]["verdict"] = verdict(
-                    vals["before"], vals["after"], rule["bound"]
-                )
-        if args.trace:
-            entry["per_layer"] = {
-                side: {n: m["value"] for n, m in bench(path, w, 0, trace=True)["metrics"].items()}
-                for side, path in sides.items()
-            }
-        report["workloads"][w] = entry
-        args.out.write_text(json.dumps(report, indent=2) + "\n")
+    try:
+        for w in args.workload or WORKLOADS:
+            report["workloads"][w] = compare(w, sides, args, rules)
+            args.out.write_text(json.dumps(report, indent=2) + "\n")
+    except BadRun as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     return 0
+
+
+def compare(w: str, sides: Dict[str, Path], args: argparse.Namespace, rules: Dict) -> Dict:
+    """The report entry of workload `w`: its alternating pairs, summarised."""
+    runs: Dict[str, List[Dict]] = {"before": [], "after": []}
+    for k in range(args.pairs):
+        order = ("before", "after") if k % 2 == 0 else ("after", "before")
+        for side in order:
+            runs[side].append(bench(sides[side], w, args.seconds, False, f"pair {k}"))
+            print(f"{w} pair {k} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
+    entry: Dict = {
+        side: {k: sum(r[k] for r in rs) for k in ("failed", "attempted")}
+        for side, rs in runs.items()
+    }
+    entry["metrics"] = {}
+    for name in runs["before"][0]["metrics"]:
+        vals = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
+        entry["metrics"][name] = {
+            "unit": runs["before"][0]["metrics"][name]["unit"],
+            "before": summary(vals["before"]),
+            "after": summary(vals["after"]),
+            "after_wins": sum(a < b for a, b in zip(vals["after"], vals["before"])),
+        }
+        if name in rules:
+            rule = rules[name]
+            entry["metrics"][name]["bound"] = rule["bound"]
+            entry["metrics"][name]["verdict"] = verdict(
+                vals["before"], vals["after"], rule["bound"]
+            )
+    if args.trace:
+        entry["per_layer"] = {
+            side: {
+                n: m["value"] for n, m in bench(path, w, 0, True, "traced run")["metrics"].items()
+            }
+            for side, path in sides.items()
+        }
+    return entry
 
 
 if __name__ == "__main__":
