@@ -9,10 +9,13 @@ handled inline instead of through the heap.
 
 Agent poses advance lazily under the held control (closed-form arcs); the
 held interval splits at the certificate horizon, past which the agent's
-speed drops to zero. Certificates are recomputed ("resolved") at start-up,
-at each instant with an accepted promise delivery, and on each warning that
-voids a view; never at plain ticks or request rounds, so the tick loop stays
-cheap.
+speed drops to zero. Each agent holds its nominal control as raw floats and
+safe mode as one flag; controllers.team_control derives the applied control
+from them, and a ControlInput is built only when a promise is issued.
+
+Certificates are recomputed ("resolved") at start-up, at each instant with
+an accepted promise delivery, and on each warning that voids a view; never
+at plain ticks or request rounds, so the tick loop stays cheap.
 
 A resolve scans only the first chunk of the predicted trajectory
 (triggers.Scan). While no crossing has turned up, the agent's `t_star_ns`
@@ -23,6 +26,10 @@ full scan would have queued it, under the sequence number reserved at the
 resolve. So the prediction is rolled out only as far as simulated time
 reaches, and a later resolve supersedes a pending continuation as it does a
 self request.
+
+The breach monitor and the containment check run on the ticks where a
+miss is possible (_next_check_ns), and each keeps the earliest such tick,
+so a tick with nothing due costs one comparison for each.
 
 The message counts in metrics.json are derived from the message log,
 `Engine.messages`, the one record of every message sent.

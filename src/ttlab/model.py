@@ -150,15 +150,11 @@ class FormationSpec:
         return self._dist[(min(i, j), max(i, j))]
 
     def squared(self, edges: Tuple[Tuple[int, int], ...]) -> List[float]:
-        """d_ij ** 2 for each edge in order, computed once for these edges.
-
-        The squares are taken on the first call, not at construction, so a
-        distance whose square overflows raises OverflowError where the
-        potential is evaluated, and validate_config can name it.
-        """
+        """d_ij ** 2 for each of `edges`, computed on the first call for them. Not at
+        construction: a square that overflows must raise where validate_config
+        evaluates the potential, so that it can name the distance."""
         if self._sq_edges is not edges:
-            self._sq = [self.distance(i, j) ** 2 for i, j in edges]
-            self._sq_edges = edges
+            self._sq_edges, self._sq = edges, [self.distance(i, j) ** 2 for i, j in edges]
         return self._sq
 
     def uncovered(self, graph: CommGraph) -> List[Tuple[int, int]]:

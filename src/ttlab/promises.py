@@ -222,12 +222,8 @@ def view_disk_at(p: Promise, t: float) -> DiskSet:
 
 
 def expected_position(p: Promise, t: float) -> Tuple[float, float]:
-    """Center of the promise disk at t, the recipient's point estimate: the centre half only.
-
-    The centre's age is _ages' tau, taken here without its tuple: a ball
-    promise's centre stops at its expiry, and a fallback disk's centre is
-    frozen (and, as in _ages, not defined before its fallback time).
-    """
+    """Center of the promise disk at t, the recipient's point estimate: the centre
+    half only, at the age _ages gives (checked the same way for a fallback disk)."""
     if p.mode is _FALLBACK:
         _ages(p, t)
         return p.fb_center  # type: ignore[return-value]

@@ -2,14 +2,16 @@ import itertools
 import math
 import re
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ttlab.engine as engine_mod
-from ttlab.config import validate_config, with_overrides
-from ttlab.model import UnicycleState
+from ttlab.cli import main
+from ttlab.config import bundled_config, validate_config, with_overrides
+from ttlab.model import ControlInput, UnicycleState
 from ttlab.promises import BREACH_TOL
 from ttlab.engine import run, run_compare, run_self_triggered, sweep_lambda, write_outputs
 from ttlab.triggers import rate_bound
@@ -277,44 +279,22 @@ def test_containment_schedule_keeps_every_miss(robust_scenario, tmp_path, monkey
     assert len(violations) > 100
 
 
-def _shifted_view(promise_from_wire):
-    """promise_from_wire with the anchor moved 5 cm east: every delivered
-    view starts out missing its issuer."""
+def test_containment_schedule_finds_misses_on_delivered_views(
+    robust_scenario, tmp_path, monkeypatch
+):
+    """Delivered views made unsound on purpose, their anchor moved 5 cm east,
+    are missed on the same ticks under the schedule as under an every-tick
+    scan, however far off the other pairs' checks are: a new view is
+    checked at the next tick, and a pair exempt after a breach at every
+    tick until its exemption ends."""
+    from_wire = engine_mod.promise_from_wire
 
     def shifted(wire, limits):
-        p = promise_from_wire(wire, limits)
+        p = from_wire(wire, limits)
         a = p.anchor_state
         return replace(p, anchor_state=UnicycleState(a.x + 0.05, a.y, a.heading))
 
-    return shifted
-
-
-def _shrunk_fallback(fallback_to_reachability):
-    """fallback_to_reachability with the frozen disk cut to radius 0: the
-    warned issuer lies outside its new view when the exemption ends."""
-
-    def shrunk(p, t_star):
-        return replace(fallback_to_reachability(p, t_star), fb_radius=0.0)
-
-    return shrunk
-
-
-@pytest.mark.parametrize("fault", ["shifted-view", "shrunk-fallback"])
-def test_containment_schedule_finds_misses_on_new_views(
-    fault, robust_scenario, tmp_path, monkeypatch
-):
-    """Views made unsound on purpose are missed on the same ticks under the
-    schedule as under an every-tick scan, however far off the other pairs'
-    checks are: a delivered view is checked at the next tick, and a warned
-    view as soon as its pair's exemption ends."""
-    if fault == "shifted-view":
-        monkeypatch.setattr(engine_mod, "promise_from_wire", _shifted_view(engine_mod.promise_from_wire))
-    else:
-        monkeypatch.setattr(
-            engine_mod,
-            "fallback_to_reachability",
-            _shrunk_fallback(engine_mod.fallback_to_reachability),
-        )
+    monkeypatch.setattr(engine_mod, "promise_from_wire", shifted)
     cfg = with_overrides(robust_scenario, duration=1.0)
     _, violations = _assert_schedule_matches_every_tick(cfg, tmp_path, monkeypatch)
     assert violations
@@ -574,28 +554,20 @@ def test_nan_control_is_an_invariant_error(scenario, monkeypatch, capsys):
     assert math.isfinite(float(m[3]))
 
     calls = itertools.count()
-    from ttlab.cli import main
-
     assert main(["run", "--config", "formation4", "--duration", "0.5"]) == 2
     stderr = capsys.readouterr().err
     assert stderr.startswith("error: agent ") and "Traceback" not in stderr
 
 
-@pytest.mark.parametrize("scenario_name, law", [
-    ("formation4", "team"),
-    ("formation4", "self"),
-    ("formation4_robust", "robust-team"),
-])
+@pytest.mark.parametrize(
+    "scenario_name, law",
+    [("formation4", "team"), ("formation4", "self"), ("formation4_robust", "robust-team")],
+)
 def test_control_input_only_at_bootstrap_and_promise_issue(scenario_name, law, monkeypatch):
     """The tick holds the control as raw floats: a 1 s run builds a
     ControlInput only for the bootstrap views' zero control, at promise
     issue (the anchor, and in safe mode the planning control: at most two
     per promise), and when a delivered promise is decoded from the wire."""
-    from collections import Counter
-
-    from ttlab.config import bundled_config
-    from ttlab.model import ControlInput
-
     sites = Counter()
     post_init = ControlInput.__post_init__
 
