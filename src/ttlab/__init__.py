@@ -10,7 +10,7 @@ from .config import (
     save_config,
     validate_config,
 )
-from .controllers import goal_point, team_control, u_double_star, u_star
+from .controllers import team_control, u_double_star
 from .engine import (
     Engine,
     EngineInvariantError,
@@ -31,7 +31,6 @@ from .model import (
     UnicycleState,
     lyapunov,
     lyapunov_gradient,
-    reachable_disk,
     safe_mode,
     step_unicycle,
     wrap_angle,
@@ -73,13 +72,11 @@ __all__ = [
     "bundled_config",
     "check_breach",
     "critical_time_ns",
-    "goal_point",
     "li_v_sup",
     "load_config",
     "lyapunov",
     "lyapunov_gradient",
     "make_promise",
-    "reachable_disk",
     "run",
     "run_compare",
     "run_self_triggered",
@@ -89,7 +86,6 @@ __all__ = [
     "sweep_lambda",
     "team_control",
     "u_double_star",
-    "u_star",
     "validate_config",
     "validate_noisy_promise",
     "view_disk_at",

@@ -5,25 +5,35 @@ neighbor distance errors, saturating speed and turn rate at the actuation
 limits. Team variants evaluate the same law on promised estimates of the
 neighbors instead of their true states.
 
-goal_law is the one implementation of that law; the engine and the trigger
-scan call it, and goal_point/u_star wrap its two halves.
+goal_law is the one implementation of that law, on raw floats; the engine
+and the trigger scan call it. u_double_star evaluates it on a promise view
+and returns a ControlInput.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Mapping, Tuple
 
 from .model import ControlInput, FormationSpec, Limits, UnicycleState, wrap_angle
 from .promises import Promise, expected_position
 
-log = logging.getLogger("ttlab.controllers")
 
-Point = Tuple[float, float]
+def goal_law(x, y, heading, points, dists, gain, max_speed, max_turn) -> Tuple[float, float]:
+    """(speed, turn rate) of the saturated law toward the goal point, on raw floats.
 
+    points[k] estimates the neighbor y_k whose target distance is dists[k];
+    each contributes its distance error along the line of sight, in order:
 
-def _goal_xy(x: float, y: float, points: Iterable[Point], dists: Sequence[float]) -> Point:
+        p* = x + sum_k (||y_k - x|| - d_k) * (y_k - x) / ||y_k - x||
+
+    A neighbor coinciding with the agent has no direction and adds nothing.
+    Speed is the gain times the goal offset along the heading, clamped to
+    [0, max_speed]; the turn rate is the gain times the wrapped bearing
+    error, clamped to +/- max_turn. A goal at the agent gives the zero
+    control; one directly behind gives bearing +pi, so the turn saturates
+    positive.
+    """
     gx, gy = x, y
     for (yx, yy), d in zip(points, dists):
         dx = yx - x
@@ -33,10 +43,6 @@ def _goal_xy(x: float, y: float, points: Iterable[Point], dists: Sequence[float]
             err = dist - d
             gx += err * dx / dist
             gy += err * dy / dist
-    return (gx, gy)
-
-
-def _steer(x, y, heading, gx, gy, gain, max_speed, max_turn) -> Tuple[float, float]:
     dx = gx - x
     dy = gy - y
     if dx == 0.0 and dy == 0.0:
@@ -48,64 +54,6 @@ def _steer(x, y, heading, gx, gy, gain, max_speed, max_turn) -> Tuple[float, flo
     return (speed, turn)
 
 
-def goal_law(x, y, heading, points, dists, gain, max_speed, max_turn) -> Tuple[float, float]:
-    """(speed, turn rate) of the saturated law toward the goal point, on raw floats.
-
-    points[k] estimates the neighbor whose target distance is dists[k]; the
-    goal sums their contributions in that order (see goal_point), and the
-    law is the one documented on u_star. A neighbor coinciding with the
-    agent contributes nothing.
-    """
-    gx, gy = _goal_xy(x, y, points, dists)
-    return _steer(x, y, heading, gx, gy, gain, max_speed, max_turn)
-
-
-def goal_point(
-    i: int, own_position: Point, neighbor_points: Mapping[int, Point], spec: FormationSpec
-) -> Point:
-    """Goal position for agent i given point estimates of its neighbors.
-
-    Each neighbor contributes its distance error along the line of sight:
-
-        p* = x_i + sum_j (||y_j - x_i|| - d_ij) * (y_j - x_i) / ||y_j - x_i||
-
-    A neighbor exactly coincident with the agent has no defined direction;
-    it contributes nothing and a warning is logged.
-    """
-    px, py = own_position
-    for j, (yx, yy) in neighbor_points.items():
-        if yx == px and yy == py:
-            log.warning("agent %d coincides with neighbor %d; skipping its goal term", i, j)
-    dists = [spec.distance(i, j) for j in neighbor_points]
-    return _goal_xy(px, py, neighbor_points.values(), dists)
-
-
-def u_star(
-    state: UnicycleState, goal: Point, gain: float, limits: Limits
-) -> ControlInput:
-    """Saturated unicycle law driving the agent toward a goal point.
-
-    Speed is the gain times the component of the goal offset along the
-    heading, clamped to [0, max_speed]; the turn rate is the gain times the
-    wrapped bearing error, clamped to +/- max_turn. A goal exactly at the
-    agent's position yields the zero control. A goal directly behind maps to
-    a bearing error of +pi, so the turn saturates positive.
-    """
-    speed, turn = _steer(
-        state.x, state.y, state.heading, goal[0], goal[1], gain, limits.max_speed, limits.max_turn
-    )
-    return ControlInput(speed, turn, limits)
-
-
-def e_map(view: Mapping[int, Promise], t: float) -> dict[int, Point]:
-    """Point estimates of the neighbors from their promises at time t.
-
-    Ball promises map to their hold prediction, fallback promises to the
-    frozen disk center.
-    """
-    return {j: expected_position(p, t) for j, p in view.items()}
-
-
 def u_double_star(
     i: int,
     state: UnicycleState,
@@ -114,9 +62,14 @@ def u_double_star(
     spec: FormationSpec,
     limits: Limits,
 ) -> ControlInput:
-    """Nominal team control: the goal law on promised neighbor estimates."""
-    goal = goal_point(i, (state.x, state.y), e_map(view, t), spec)
-    return u_star(state, goal, spec.gain, limits)
+    """Nominal team control: goal_law on the neighbors' expected positions at t,
+    taken in view order."""
+    points = [expected_position(p, t) for p in view.values()]
+    dists = [spec.distance(i, j) for j in view]
+    speed, turn = goal_law(
+        state.x, state.y, state.heading, points, dists, spec.gain, limits.max_speed, limits.max_turn
+    )
+    return ControlInput(speed, turn, limits)
 
 
 def team_control(

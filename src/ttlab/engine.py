@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .config import ScenarioConfig, time_problem
+from .config import ConfigError, ScenarioConfig, time_problem, validate_config
 from .controllers import goal_law, team_control
 from .model import ControlInput, UnicycleState, arc_step, lyapunov, safe_mode, wrap_angle
 from .network import Channel
@@ -771,22 +771,29 @@ def run_self_triggered(cfg: ScenarioConfig) -> RunResult:
     return run(replace(cfg, law="self"))
 
 
+def _derived(cfg: ScenarioConfig, runs: str) -> ScenarioConfig:
+    """cfg, once validate_config accepts it; a study derived it, and `runs`
+    names the study and its laws in the error."""
+    try:
+        validate_config(cfg)
+    except ConfigError as e:
+        raise ConfigError(f"{runs}: {e}") from None
+    return cfg
+
+
 def _sweep_one(args: Tuple[ScenarioConfig, float]) -> Dict:
     cfg, lam = args
-    res = run(replace(cfg, law="team", promise_rule=StaticBall(lam)))
+    res = run(cfg)
     return {"lambda": lam, "v_final": res.v_final, "n_comm": res.n_comm}
 
 
-def sweep_lambda(
-    cfg: ScenarioConfig,
-    grid: List[float],
-    duration: Optional[float] = None,
-    parallel: bool = False,
-) -> List[Dict]:
+def sweep_lambda(cfg: ScenarioConfig, grid: List[float], parallel: bool = False) -> List[Dict]:
     """Run the team law across promise tightness values; returns one row per
-    value with the final potential and total promise payload count."""
-    base = cfg if duration is None else replace(cfg, duration=duration)
-    jobs = [(base, lam) for lam in grid]
+    value with the final potential and total promise payload count. Every
+    point's config is validated before any point runs."""
+    runs = "sweep runs the team law"
+    cfgs = [_derived(replace(cfg, law="team", promise_rule=StaticBall(lam)), runs) for lam in grid]
+    jobs = list(zip(cfgs, grid))
     if parallel and len(jobs) > 1:
         with ProcessPoolExecutor() as pool:
             return list(pool.map(_sweep_one, jobs))
@@ -812,11 +819,14 @@ def run_compare(cfg: ScenarioConfig, sample_dt: float = 0.1) -> List[Dict]:
 
     Columns per variant: cumulative promise payloads and the potential,
     sampled every `sample_dt` seconds. Variants: worst-case baseline (self),
-    fixed/adaptive promises crossed with fixed/adaptive dwell.
+    fixed/adaptive promises crossed with fixed/adaptive dwell. Every
+    variant's config is validated before any variant runs.
     """
     if not sample_dt > 0.0 or time_problem(sample_dt):
         raise ValueError(f"sample_dt must be positive and at least 1 ns, got {sample_dt!r}")
-    results = {v: run(_compare_cfg(cfg, v)) for v in COMPARE_VARIANTS}
+    runs = "compare runs the team and self laws"
+    cfgs = {v: _derived(_compare_cfg(cfg, v), runs) for v in COMPARE_VARIANTS}
+    results = {v: run(c) for v, c in cfgs.items()}
     sample_ns = to_ns(sample_dt)
     rows = []
     send_times = {

@@ -110,7 +110,7 @@ class CommGraph:
 
 @dataclass(frozen=True)
 class DiskSet:
-    """A closed disk, used for reachable sets and promise sets."""
+    """A closed disk, used for promise sets."""
 
     center: Tuple[float, float]
     radius: float
@@ -209,13 +209,6 @@ def step_unicycle(state: UnicycleState, control: ControlInput, dt: float) -> Uni
         raise ValueError("dt must be nonnegative")
     nx, ny, nth = arc_step(state.x, state.y, state.heading, control.speed, control.turn_rate, dt)
     return UnicycleState(nx, ny, nth)
-
-
-def reachable_disk(state: UnicycleState, limits: Limits, horizon: float) -> DiskSet:
-    """Disk guaranteed to contain the agent after `horizon` seconds."""
-    if horizon < 0.0:
-        raise ValueError("horizon must be nonnegative")
-    return DiskSet((state.x, state.y), limits.max_speed * horizon)
 
 
 def lyapunov(states: Sequence, spec: FormationSpec, graph: CommGraph) -> float:

@@ -13,10 +13,12 @@ caps the radius with the anchor reachability bound:
 which contains every admissible deviation the commitment allows, is monotone
 in delta (tighter promises give nested disks) and nondecreasing in tau, and
 never exceeds the anchor reachability disk by more than twice the chord
-length dist(zoh, anchor). disk_kernel is its one implementation. Its centre
-half alone gives expected_position, the estimate of the control tick, e_map
-and u_double_star; on floats it gives disk_at, for the breach, containment
-and refinement checks and the fallback; on arrays, triggers.disk_params_batch.
+length dist(zoh, anchor). disk_kernel is its one implementation, and _ages
+the one rule for a disk's age and its growth past expiry. Its centre half
+alone gives expected_position, the estimate of the control tick and
+u_double_star; on floats it gives disk_at, for the breach and containment
+checks and the fallback; on arrays, triggers.disk_params_batch, for the
+trigger scan's rollout and refinement.
 
 The breach margin m(t) = radius(t) + BREACH_TOL - |issuer(t) - center(t)|
 falls by at most 2 * max_speed per second. The radius never shrinks (ball,
@@ -223,14 +225,8 @@ def view_disk_at(p: Promise, t: float) -> DiskSet:
 
 def expected_position(p: Promise, t: float) -> Tuple[float, float]:
     """Center of the promise disk at t, the recipient's point estimate: the centre
-    half only, at the age _ages gives (checked the same way for a fallback disk)."""
-    if p.mode is _FALLBACK:
-        _ages(p, t)
-        return p.fb_center  # type: ignore[return-value]
-    e = p.expires_at
-    if e is not None and t > e:
-        t = e
-    return _disk_center(p, t - p.issued_at, math.sin, math.cos)
+    half only, at the age _ages gives."""
+    return _disk_center(p, _ages(p, t)[0], math.sin, math.cos)
 
 
 def breach_margin(p: Promise, t: float, x: float, y: float) -> float:

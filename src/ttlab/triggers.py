@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import DiskSet, FormationSpec, Limits, UnicycleState, arc_step, wrap_angle
 from .controllers import goal_law
-from .promises import _FALLBACK, Promise, disk_at, disk_kernel
+from .promises import _FALLBACK, Promise, disk_kernel
 
 NS = 1_000_000_000
 BISECT_TOL_NS = 1_000  # refine the crossing to one microsecond
@@ -352,6 +352,15 @@ def critical_time_ns(
     def grid(k: int) -> int:
         return first_grid + (k - 1) * dt_ns if k else t_last_ns
 
+    def disks_at(tns: list[int]) -> list:
+        """Each neighbor's disk columns (cx, cy, r + guard) at the times tns."""
+        t_sec = np.array([tn * 1e-9 for tn in tns])
+        disks = []
+        for p in proms:
+            cx, cy, r = disk_params_batch(p, t_sec)
+            disks.append((cx, cy, r + guard))
+        return disks
+
     def refine(before: Tuple[int, float, float, float, float, float], hi: int) -> int:
         """Crossing inside (lo, hi], lo the grid point `before` records;
         return certified t*.
@@ -370,14 +379,7 @@ def critical_time_ns(
                 sx, sy, sth = arc_step(x0, y0, th0, sp0, tu0, (tn - lo) * 1e-9)
                 sth = wrap_angle(sth)
                 rows.append((sx, sy, sp0 * math.cos(sth), sp0 * math.sin(sth)))
-            disks = []
-            for p in proms:
-                cols = []
-                for tn in tns:
-                    cx, cy, r = disk_at(p, tn * 1e-9)
-                    cols.append((cx, cy, r + guard))
-                disks.append(tuple(zip(*cols)))
-            rate = rate_bound(*(np.array(v) for v in zip(*rows)), disks, dists)
+            rate = rate_bound(*(np.array(v) for v in zip(*rows)), disks_at(tns), dists)
             rates.update(zip(tns, rate.tolist()))
 
         depth = _bisect_depth(hi - lo)
@@ -408,11 +410,7 @@ def critical_time_ns(
     while True:
         stop = min(start + chunk, n)
         ts = [grid(k) for k in range(start, stop)]
-        t_sec = np.array([tn * 1e-9 for tn in ts])
-        disks = []
-        for p in proms:
-            cxj, cyj, rj = disk_params_batch(p, t_sec)
-            disks.append((cxj, cyj, rj + guard))
+        disks = disks_at(ts)
         centers = [list(zip(cxj.tolist(), cyj.tolist())) for cxj, cyj, _ in disks]
         rows = []
         recs = []

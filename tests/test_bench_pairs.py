@@ -97,3 +97,63 @@ def test_good_runs_are_summarised(tmp_path):
     assert bench_pairs.main(argv + ["--out", str(out)]) == 0
     sim = json.loads(out.read_text())["workloads"]["team"]["metrics"]["sim_s"]
     assert sim["verdict"] == "no change" and sim["after"]["values"] == [1.0, 1.0]
+
+
+STUB_TRACED_RUN = """\
+import json, sys
+from pathlib import Path
+# The k-th run of this checkout, counted in a file beside it.
+seen = Path("runs.txt")
+k = int(seen.read_text()) if seen.exists() else 0
+seen.write_text(str(k + 1))
+metrics = {{"sim_s": {{"value": 1.0, "unit": "s"}}}}
+if "--trace" in sys.argv:
+    metrics = {{"x.calls": {{"value": {calls}, "unit": "count"}},
+               "x.self_s": {{"value": [1.0, 3.0, 2.0][k % 3], "unit": "s"}}}}
+print(json.dumps({{"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}}))
+"""
+
+
+def _traced_checkout(path, calls):
+    """A checkout whose traced runs read `calls` (a Python expression in
+    the run's index k) calls and a self time that differs from run to run."""
+    _stub_checkout(path)
+    (path / "bench" / "run.py").write_text(STUB_TRACED_RUN.format(calls=calls))
+    (path / "BENCHMARK.json").write_text(
+        json.dumps(
+            {
+                "end_to_end": [{"name": "sim_s", "better": "lower", "bound": 0.25}],
+                "per_layer": [
+                    {"name": "x.calls", "unit": "count", "better": "lower"},
+                    {"name": "x.self_s", "unit": "s", "better": "lower"},
+                ],
+            }
+        )
+    )
+    return path
+
+
+def _traced_argv(before, after, out):
+    return ["--before", str(before), "--after", str(after), "--pairs", "2", "--workload", "team",
+            "--trace", "--out", str(out)]
+
+
+def test_traced_runs_report_the_median_timing_and_the_one_count(tmp_path):
+    before = _traced_checkout(tmp_path / "before", "7")
+    after = _traced_checkout(tmp_path / "after", "7")
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(_traced_argv(before, after, out)) == 0
+    per_layer = json.loads(out.read_text())["workloads"]["team"]["per_layer"]
+    assert per_layer == {side: {"x.calls": 7, "x.self_s": 2.0} for side in ("before", "after")}
+    # Two untraced runs and TRACE_RUNS traced runs per side.
+    assert (after / "runs.txt").read_text() == str(2 + bench_pairs.TRACE_RUNS)
+
+
+def test_a_count_that_differs_between_traced_runs_stops_the_comparison(tmp_path, capsys):
+    before = _traced_checkout(tmp_path / "before", "7")
+    after = _traced_checkout(tmp_path / "after", "k")
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(_traced_argv(before, after, out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert f"error: {after}: workload team: x.calls differs between traced runs: [2, 3, 4]" in err
+    assert not out.exists()

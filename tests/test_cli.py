@@ -277,6 +277,31 @@ def test_bad_out_fails_before_simulating(monkeypatch, capsys, command):
 
 
 @pytest.mark.parametrize(
+    "argv, runs",
+    [
+        (["sweep", "--lambda-grid", "0.1,0.2"], "sweep runs the team law"),
+        (["sweep", "--lambda-grid", "0.1,0.2", "--parallel"], "sweep runs the team law"),
+        (["compare"], "compare runs the team and self laws"),
+    ],
+    ids=["sweep", "sweep-parallel", "compare"],
+)
+def test_study_on_a_lossy_channel_exits_2_without_traceback(monkeypatch, capsys, argv, runs):
+    """sweep and compare run the team (and self) law, which `run --law team`
+    refuses on formation4_robust's lossy channel; they refuse it too, before
+    any run or worker pool starts."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulated a config that validate_config refuses")
+
+    for name in ("run", "ProcessPoolExecutor"):
+        monkeypatch.setattr(f"ttlab.engine.{name}", never)
+    assert main([argv[0], "--config", "formation4_robust", "--duration", "0.01", *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {runs}: drop/delay/noise parameters require law = robust-team")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "dwell",
     [
         {"self_dwell": 1e9},

@@ -1,76 +1,79 @@
-import logging
-import math
-
 import pytest
 
 from ttlab.config import with_overrides
-from ttlab.controllers import e_map, goal_law, goal_point, team_control, u_double_star, u_star
+from ttlab.controllers import goal_law, team_control, u_double_star
 from ttlab.engine import Engine
 from ttlab.model import ControlInput, FormationSpec, Limits, UnicycleState
-from ttlab.promises import StaticBall, fallback_to_reachability, make_promise
+from ttlab.promises import StaticBall, expected_position, fallback_to_reachability, make_promise
 
 LIM = Limits(5.0, 3.0)
+LIM_ARGS = (LIM.max_speed, LIM.max_turn)
 SPEC2 = FormationSpec({(0, 1): 1.0, (0, 2): 1.0}, 150.0)
+
+
+# The tests are named in the paper's notation: the goal point p*, the
+# saturated law u* toward it, the map E of promises to expected positions,
+# and the team control u** = u*(p*(E(view))). goal_law computes p* and u*,
+# expected_position E, and u_double_star u**.
+
+# A gain of 1 under limits the tests never reach makes the law read out its
+# goal point: heading 0 gives speed = goal x offset, turn = goal bearing.
+OPEN = (1.0, 100.0, 100.0)
 
 
 def test_goal_point_single_neighbor():
     """One neighbor 2 away with target 1 pulls the goal one unit toward it."""
-    g = goal_point(0, (0.0, 0.0), {1: (2.0, 0.0)}, SPEC2)
-    assert g == (1.0, 0.0)
+    assert goal_law(0.0, 0.0, 0.0, [(2.0, 0.0)], [1.0], *OPEN) == (1.0, 0.0)
 
 
 def test_goal_point_at_target_is_stationary():
-    g = goal_point(0, (0.0, 0.0), {1: (1.0, 0.0)}, SPEC2)
-    assert g == (0.0, 0.0)
+    assert goal_law(0.0, 0.0, 0.0, [(1.0, 0.0)], [1.0], *OPEN) == (0.0, 0.0)
 
 
 def test_goal_point_two_neighbors_cancel():
     """Opposite, equally-stretched neighbors leave the goal at the agent."""
-    g = goal_point(0, (0.0, 0.0), {1: (2.0, 0.0), 2: (-2.0, 0.0)}, SPEC2)
-    assert g == (0.0, 0.0)
+    assert goal_law(0.0, 0.0, 0.0, [(2.0, 0.0), (-2.0, 0.0)], [1.0, 1.0], *OPEN) == (0.0, 0.0)
 
 
-def test_goal_point_coincident_neighbor_warns_and_skips(caplog):
-    with caplog.at_level(logging.WARNING, logger="ttlab.controllers"):
-        g = goal_point(0, (1.0, 1.0), {1: (1.0, 1.0), 2: (3.0, 1.0)}, SPEC2)
-    assert g == (2.0, 1.0)
-    assert any("coincides" in r.message for r in caplog.records)
+def test_goal_point_coincident_neighbor_skips():
+    """A neighbor on top of the agent has no direction and adds nothing."""
+    got = goal_law(1.0, 1.0, 0.0, [(1.0, 1.0), (3.0, 1.0)], [1.0, 1.0], *OPEN)
+    assert got == (1.0, 0.0)
+    assert got == goal_law(1.0, 1.0, 0.0, [(3.0, 1.0)], [1.0], *OPEN)
+
+
+# A neighbor at target distance 0 puts the goal on itself, so the tests
+# below steer toward a chosen goal point under the actuation limits.
+def _steer(state, goal):
+    return goal_law(state.x, state.y, state.heading, [goal], [0.0], 150.0, *LIM_ARGS)
 
 
 def test_u_star_goal_ahead():
-    s = UnicycleState(0.0, 0.0, 0.0)
-    c = u_star(s, (0.01, 0.0), 150.0, LIM)
-    assert c.speed == pytest.approx(1.5)
-    assert c.turn_rate == 0.0
+    speed, turn = _steer(UnicycleState(0.0, 0.0, 0.0), (0.01, 0.0))
+    assert speed == pytest.approx(1.5)
+    assert turn == 0.0
 
 
 def test_u_star_saturates():
-    s = UnicycleState(0.0, 0.0, 0.0)
-    c = u_star(s, (10.0, 10.0), 150.0, LIM)
-    assert c.speed == LIM.max_speed
-    assert c.turn_rate == LIM.max_turn
+    assert _steer(UnicycleState(0.0, 0.0, 0.0), (10.0, 10.0)) == (LIM.max_speed, LIM.max_turn)
 
 
 def test_u_star_goal_behind_turns_positive():
     """A goal straight behind maps to bearing +pi, so the turn saturates up."""
-    s = UnicycleState(0.0, 0.0, 0.0)
-    c = u_star(s, (-1.0, 0.0), 150.0, LIM)
-    assert c.speed == 0.0  # never reverses
-    assert c.turn_rate == LIM.max_turn
+    speed, turn = _steer(UnicycleState(0.0, 0.0, 0.0), (-1.0, 0.0))
+    assert speed == 0.0  # never reverses
+    assert turn == LIM.max_turn
 
 
 def test_u_star_goal_at_agent_is_zero():
-    s = UnicycleState(2.0, 3.0, 1.0)
-    c = u_star(s, (2.0, 3.0), 150.0, LIM)
-    assert (c.speed, c.turn_rate) == (0.0, 0.0)
+    assert goal_law(2.0, 3.0, 1.0, [], [], 150.0, *LIM_ARGS) == (0.0, 0.0)
 
 
 def test_u_star_speed_nonnegative():
     """Lateral goals give zero speed rather than reverse."""
-    s = UnicycleState(0.0, 0.0, 0.0)
-    c = u_star(s, (0.0, 1.0), 150.0, LIM)
-    assert c.speed == 0.0
-    assert c.turn_rate > 0.0
+    speed, turn = _steer(UnicycleState(0.0, 0.0, 0.0), (0.0, 1.0))
+    assert speed == 0.0
+    assert turn > 0.0
 
 
 def _ball_promise(issuer, pos, control=None, issued_at=0.0):
@@ -80,33 +83,38 @@ def _ball_promise(issuer, pos, control=None, issued_at=0.0):
 
 def test_e_map_hold_prediction():
     p = _ball_promise(1, (1.0, 0.0), ControlInput(2.0, 0.0, LIM))
-    pts = e_map({1: p}, 0.5)
-    assert pts[1] == (2.0, 0.0)
+    assert expected_position(p, 0.5) == (2.0, 0.0)
 
 
 def test_e_map_fallback_center():
     p = _ball_promise(1, (1.0, 0.0), ControlInput(2.0, 0.0, LIM))
     fb = fallback_to_reachability(p, 0.5)
-    pts = e_map({1: fb}, 2.0)
-    assert pts[1] == fb.fb_center
+    assert expected_position(fb, 2.0) == fb.fb_center
 
 
 def test_u_double_star_matches_components():
-    s = UnicycleState(0.0, 0.0, 0.0)
+    """u** worked out by hand: E gives a parked neighbor's anchor, 2 away
+    with target 1, so p* lies 1 ahead and u* saturates the speed at gain
+    150; the result carries the limits."""
     view = {1: _ball_promise(1, (2.0, 0.0))}
-    c = u_double_star(0, s, view, 0.0, SPEC2, LIM)
-    ref = u_star(s, goal_point(0, (0.0, 0.0), e_map(view, 0.0), SPEC2), SPEC2.gain, LIM)
-    assert (c.speed, c.turn_rate) == (ref.speed, ref.turn_rate)
+    c = u_double_star(0, UnicycleState(0.0, 0.0, 0.0), view, 0.0, SPEC2, LIM)
+    assert (c.speed, c.turn_rate, c.limits) == (LIM.max_speed, 0.0, LIM)
 
 
 def test_goal_law_matches_wrappers():
-    """The raw kernel the engine and the scan call agrees with the wrappers."""
+    """u_double_star is goal_law on the expected positions, bit for bit and
+    in view order: the neighbors' target distances differ and their
+    promises move, so order and time both enter."""
+    spec = FormationSpec({(0, 1): 1.5, (0, 2): 0.5}, 2.0)
     s = UnicycleState(0.5, -0.25, 2.0)
-    view = {1: _ball_promise(1, (2.0, 0.0)), 2: _ball_promise(2, (0.0, 3.0))}
-    pts = e_map(view, 0.0)
-    got = goal_law(s.x, s.y, s.heading, pts.values(), [1.0, 1.0], SPEC2.gain, 5.0, 3.0)
-    ref = u_double_star(0, s, view, 0.0, SPEC2, LIM)
-    assert got == (ref.speed, ref.turn_rate)
+    view = {
+        2: _ball_promise(2, (0.0, 3.0), ControlInput(1.0, 0.5, LIM)),
+        1: _ball_promise(1, (2.0, 0.0), ControlInput(2.0, -1.0, LIM)),
+    }
+    pts = [expected_position(view[2], 0.3), expected_position(view[1], 0.3)]
+    got = u_double_star(0, s, view, 0.3, spec, LIM)
+    want = goal_law(s.x, s.y, s.heading, pts, [0.5, 1.5], spec.gain, *LIM_ARGS)
+    assert (got.speed, got.turn_rate) == want
 
 
 def test_team_control_safe_after_t_star():

@@ -11,13 +11,16 @@ so that a drift in host speed falls on both sides alike. Each side's
 end-to-end metrics are summarised by their median and quartiles, and each
 metric gets the number of pairs the after side won and a verdict (see
 ``verdict``) against the bound the before checkout's ``BENCHMARK.json``
-fixes for it. With ``--trace`` the per-layer counters of one traced run per
-side are added.
+fixes for it. With ``--trace`` the per-layer metrics of ``TRACE_RUNS`` traced
+runs per side are added: each timing as the median of those runs, and each
+count, ratio or byte count (by its unit in ``BENCHMARK.json``) as its one
+value, since those must repeat exactly.
 
 A run that exits with a non-zero status, or whose outputs ``bench/run.py``
 found wrong (``"correct": false``), stops the comparison with an error that
 names the checkout, the workload and the pair: its timings would measure
-something other than the program.
+something other than the program. So do traced runs of one side whose
+counts, ratios or byte counts differ.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ from pathlib import Path
 from typing import Dict, List
 
 WORKLOADS = ("team", "lambda0", "robust", "sweep")
+# Traced runs per side with --trace, and the per-layer units that must
+# repeat exactly across them.
+TRACE_RUNS = 3
+EXACT_UNITS = ("count", "ratio", "B")
 
 
 class BadRun(RuntimeError):
@@ -59,6 +66,27 @@ def bench(checkout: Path, workload: str, seconds: float, trace: bool, label: str
             f" {result.get('failed')} of {result.get('attempted')} iterations failed\n{proc.stderr}"
         )
     return result
+
+
+def traced(checkout: Path, workload: str, units: Dict[str, str]) -> Dict[str, float]:
+    """The per-layer metrics of TRACE_RUNS traced runs in `checkout`: a
+    metric whose unit `units` lists in EXACT_UNITS must read the same in
+    every run and is reported as that value, any other as the median."""
+    runs = [
+        bench(checkout, workload, 0, True, f"traced run {k}")["metrics"] for k in range(TRACE_RUNS)
+    ]
+    out = {}
+    for name in runs[0]:
+        values = [r[name]["value"] for r in runs]
+        if units.get(name) in EXACT_UNITS:
+            if len(set(values)) > 1:
+                raise BadRun(
+                    f"{checkout}: workload {workload}: {name} differs between traced runs: {values}"
+                )
+            out[name] = values[0]
+        else:
+            out[name] = statistics.median(values)
+    return out
 
 
 def summary(values: List[float]) -> Dict:
@@ -99,12 +127,13 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0, help="bench/run.py --seconds")
     ap.add_argument("--workload", action="append", choices=WORKLOADS, help="default: all four")
-    ap.add_argument("--trace", action="store_true", help="add one traced run per side")
+    ap.add_argument("--trace", action="store_true", help=f"add {TRACE_RUNS} traced runs per side")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     sides = {"before": args.before, "after": args.after}
     spec = json.loads((args.before / "BENCHMARK.json").read_text())
     rules = {m["name"]: m for m in spec["end_to_end"]}
+    units = {m["name"]: m["unit"] for m in spec.get("per_layer", [])}
     assert all(m["better"] == "lower" for m in rules.values()), "verdict reads lower as better"
     import numpy
 
@@ -113,7 +142,7 @@ def main(argv=None) -> int:
     report: Dict = {"host": host, "pairs": args.pairs, "seconds": args.seconds, "workloads": {}}
     try:
         for w in args.workload or WORKLOADS:
-            report["workloads"][w] = compare(w, sides, args, rules)
+            report["workloads"][w] = compare(w, sides, args, rules, units)
             args.out.write_text(json.dumps(report, indent=2) + "\n")
     except BadRun as e:
         print(f"error: {e}", file=sys.stderr)
@@ -121,8 +150,11 @@ def main(argv=None) -> int:
     return 0
 
 
-def compare(w: str, sides: Dict[str, Path], args: argparse.Namespace, rules: Dict) -> Dict:
-    """The report entry of workload `w`: its alternating pairs, summarised."""
+def compare(
+    w: str, sides: Dict[str, Path], args: argparse.Namespace, rules: Dict, units: Dict[str, str]
+) -> Dict:
+    """The report entry of workload `w`: its alternating pairs, summarised,
+    and with args.trace each side's traced metrics (see `traced`)."""
     runs: Dict[str, List[Dict]] = {"before": [], "after": []}
     for k in range(args.pairs):
         order = ("before", "after") if k % 2 == 0 else ("after", "before")
@@ -149,12 +181,7 @@ def compare(w: str, sides: Dict[str, Path], args: argparse.Namespace, rules: Dic
                 vals["before"], vals["after"], rule["bound"]
             )
     if args.trace:
-        entry["per_layer"] = {
-            side: {
-                n: m["value"] for n, m in bench(path, w, 0, True, "traced run")["metrics"].items()
-            }
-            for side, path in sides.items()
-        }
+        entry["per_layer"] = {side: traced(path, w, units) for side, path in sides.items()}
     return entry
 
 
