@@ -9,7 +9,7 @@ The four GOLDEN runs are the reference workloads. The PATHS runs reach code
 those four never execute: the applied control with `safe_turn` off, the
 dynamic promise rule with the adaptive dwell (whose radius and dwell are
 computed from the planning control), a ball promise's disk past its expiry,
-and the `run_compare` table.
+the `run_compare` table and the `sweep_lambda` table.
 """
 
 import hashlib
@@ -18,7 +18,15 @@ from dataclasses import replace
 import pytest
 
 from ttlab.config import bundled_config, with_overrides
-from ttlab.engine import _compare_cfg, run, run_compare, write_compare_csv, write_outputs
+from ttlab.engine import (
+    _compare_cfg,
+    run,
+    run_compare,
+    sweep_lambda,
+    write_compare_csv,
+    write_outputs,
+    write_sweep_csv,
+)
 
 FILES = ("metrics.json", "lyapunov.csv", "messages.csv", "trace.csv")
 
@@ -104,6 +112,7 @@ PATHS = {
 }
 
 COMPARE_DIGEST = "47a8a8fd158cf3294a5e024c7413615f035d279cbbcb49aeacda28bca58dc4b2"
+SWEEP_DIGEST = "4ba48341fc245bb088cada87be7e520946c66851f00ec1f2d2fc95da01235630"
 
 
 def _sha(path):
@@ -135,3 +144,9 @@ def test_compare_table_digest(tmp_path):
     rows = run_compare(with_overrides(bundled_config("formation4"), duration=1.0), sample_dt=0.1)
     write_compare_csv(rows, tmp_path / "compare.csv")
     assert _sha(tmp_path / "compare.csv") == COMPARE_DIGEST
+
+
+def test_sweep_table_digest(tmp_path):
+    rows = sweep_lambda(with_overrides(bundled_config("formation4"), duration=1.0), [0.1, 0.5, 1.0])
+    write_sweep_csv(rows, tmp_path / "sweep.csv")
+    assert _sha(tmp_path / "sweep.csv") == SWEEP_DIGEST
