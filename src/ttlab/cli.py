@@ -14,8 +14,10 @@ from .config import LAWS, ConfigError, ScenarioConfig, bundled_config, load_conf
 from .engine import (
     COMPARE_VARIANTS,
     EngineInvariantError,
+    compare_configs,
     run,
     run_compare,
+    sweep_configs,
     sweep_lambda,
     write_compare_csv,
     write_outputs,
@@ -93,8 +95,8 @@ def _write(write, *args, **kwargs) -> None:
 
 
 def _make_out(out: Optional[Path]) -> None:
-    """Make the --out directory before anything is simulated, so that a bad
-    one fails at once."""
+    """Make the --out directory once the configs are valid and before anything
+    is simulated: a bad one fails at once, and a refused run leaves none."""
     if out is not None:
         _write(out.mkdir, parents=True, exist_ok=True)
 
@@ -125,6 +127,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grid = [StaticBall(float(tok)).tightness for tok in tokens]
     except ValueError as e:
         raise ConfigError(f"--lambda-grid: {e}") from None
+    sweep_configs(cfg, grid)
     _make_out(args.out)
     t0 = time.perf_counter()
     rows = sweep_lambda(cfg, grid, parallel=args.parallel)
@@ -140,6 +143,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load(args.config), args)
+    compare_configs(cfg)
     _make_out(args.out)
     t0 = time.perf_counter()
     rows = run_compare(cfg)

@@ -44,6 +44,7 @@ import math
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -100,6 +101,10 @@ def _next_check_ns(now_ns: int, margin: float, max_speed: float) -> int:
     disk and the positions, which is orders of magnitude smaller.
     """
     return now_ns + int((margin - 2.0 * BREACH_TOL) * NS / (2.0 * max_speed))
+
+
+def _fmt_t(ns: int) -> str:
+    return f"{ns // NS}.{ns % NS:09d}"
 
 
 @dataclass(frozen=True)
@@ -781,23 +786,26 @@ def _derived(cfg: ScenarioConfig, runs: str) -> ScenarioConfig:
     return cfg
 
 
-def _sweep_one(args: Tuple[ScenarioConfig, float]) -> Dict:
-    cfg, lam = args
+def _sweep_one(cfg: ScenarioConfig) -> Dict:
     res = run(cfg)
-    return {"lambda": lam, "v_final": res.v_final, "n_comm": res.n_comm}
+    return {"lambda": cfg.promise_rule.tightness, "v_final": res.v_final, "n_comm": res.n_comm}
+
+
+def sweep_configs(cfg: ScenarioConfig, grid: List[float]) -> List[ScenarioConfig]:
+    """The config of each point of sweep_lambda(cfg, grid), each validated."""
+    runs = "sweep runs the team law"
+    return [_derived(replace(cfg, law="team", promise_rule=StaticBall(lam)), runs) for lam in grid]
 
 
 def sweep_lambda(cfg: ScenarioConfig, grid: List[float], parallel: bool = False) -> List[Dict]:
     """Run the team law across promise tightness values; returns one row per
     value with the final potential and total promise payload count. Every
     point's config is validated before any point runs."""
-    runs = "sweep runs the team law"
-    cfgs = [_derived(replace(cfg, law="team", promise_rule=StaticBall(lam)), runs) for lam in grid]
-    jobs = list(zip(cfgs, grid))
-    if parallel and len(jobs) > 1:
+    cfgs = sweep_configs(cfg, grid)
+    if parallel and len(cfgs) > 1:
         with ProcessPoolExecutor() as pool:
-            return list(pool.map(_sweep_one, jobs))
-    return [_sweep_one(j) for j in jobs]
+            return list(pool.map(_sweep_one, cfgs))
+    return [_sweep_one(c) for c in cfgs]
 
 
 COMPARE_VARIANTS = ("self", "fpfd", "fpad", "apfd", "apad")
@@ -814,6 +822,12 @@ def _compare_cfg(cfg: ScenarioConfig, variant: str) -> ScenarioConfig:
     return replace(base, promise_rule=rule, dwell=replace(base.dwell, adaptive=adaptive))
 
 
+def compare_configs(cfg: ScenarioConfig) -> Dict[str, ScenarioConfig]:
+    """The config of each variant of run_compare(cfg), each validated."""
+    runs = "compare runs the team and self laws"
+    return {v: _derived(_compare_cfg(cfg, v), runs) for v in COMPARE_VARIANTS}
+
+
 def run_compare(cfg: ScenarioConfig, sample_dt: float = 0.1) -> List[Dict]:
     """Communication/performance trade-off table across controller variants.
 
@@ -824,25 +838,19 @@ def run_compare(cfg: ScenarioConfig, sample_dt: float = 0.1) -> List[Dict]:
     """
     if not sample_dt > 0.0 or time_problem(sample_dt):
         raise ValueError(f"sample_dt must be positive and at least 1 ns, got {sample_dt!r}")
-    runs = "compare runs the team and self laws"
-    cfgs = {v: _derived(_compare_cfg(cfg, v), runs) for v in COMPARE_VARIANTS}
-    results = {v: run(c) for v, c in cfgs.items()}
-    sample_ns = to_ns(sample_dt)
+    results = {v: run(c) for v, c in compare_configs(cfg).items()}
     rows = []
     send_times = {
         v: sorted(m.sent_at_ns for m in r.messages if m.kind == "PROMISE")
         for v, r in results.items()
     }
-    t = 0
-    end_ns = to_ns(cfg.duration)
-    while t <= end_ns:
+    for t in range(0, to_ns(cfg.duration) + 1, to_ns(sample_dt)):
         row: Dict = {"t_ns": t}
         for v, r in results.items():
-            idx = min(bisect.bisect_right(r.times_ns, t), len(r.times_ns)) - 1
+            idx = bisect.bisect_right(r.times_ns, t) - 1
             row[f"ncomm_{v}"] = bisect.bisect_right(send_times[v], t)
             row[f"v_{v}"] = r.v_series[max(idx, 0)]
         rows.append(row)
-        t += sample_ns
     return rows
 
 
@@ -850,66 +858,54 @@ def run_compare(cfg: ScenarioConfig, sample_dt: float = 0.1) -> List[Dict]:
 # output files
 
 
-def _fmt_t(ns: int) -> str:
-    return f"{ns // NS}.{ns % NS:09d}"
-
-
-def _g17(v: float) -> str:
-    return format(v, ".17g")
+def _write_csv(path: Path, head: str, lines: Iterable[str]) -> None:
+    """Write `head`, then each of `lines` as it is formatted; each ends in CRLF."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(head)
+        f.writelines(lines)
 
 
 def write_outputs(result: RunResult, outdir: Path) -> None:
     """Write lyapunov.csv, trace.csv, messages.csv, and metrics.json.
 
-    CSV files use CRLF line endings; times are exact decimal seconds and
-    floating-point columns carry 17 significant digits so reruns are
-    byte-identical.
+    Each CSV file has one line format and CRLF line endings. Times are exact
+    decimal seconds ("%d.%09d" of seconds and nanoseconds) and floats carry
+    17 significant digits ("%.17g"), so reruns are byte-identical.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     n = len(result.config.initial_states)
 
-    lines = ["t,V"]
-    for ts, v in zip(result.times_ns, result.v_series):
-        lines.append(f"{_fmt_t(ts)},{_g17(v)}")
-    (outdir / "lyapunov.csv").write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    fmt = "%d.%09d,%.17g\r\n"
+    lines = (fmt % (ts // NS, ts % NS, v) for ts, v in zip(result.times_ns, result.v_series))
+    _write_csv(outdir / "lyapunov.csv", "t,V\r\n", lines)
 
-    head = ["t"]
-    for i in range(n):
-        head += [f"x_{i}", f"y_{i}", f"heading_{i}", f"mode_{i}"]
-    lines = [",".join(head)]
-    for ts, row in result.trace:
-        cells = [_fmt_t(ts)]
-        for x, y, th, mode in row:
-            cells += [_g17(x), _g17(y), _g17(th), mode]
-        lines.append(",".join(cells))
-    (outdir / "trace.csv").write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    head = "t" + "".join(f",x_{i},y_{i},heading_{i},mode_{i}" for i in range(n)) + "\r\n"
+    fmt = "%d.%09d" + ",%.17g,%.17g,%.17g,%s" * n + "\r\n"
+    lines = (fmt % (ts // NS, ts % NS, *chain.from_iterable(row)) for ts, row in result.trace)
+    _write_csv(outdir / "trace.csv", head, lines)
 
-    lines = ["sent_at,deliver_at,kind,sender,receiver,size_class"]
-    for m in result.messages:
-        deliver = "DROPPED" if m.deliver_at_ns is None else _fmt_t(m.deliver_at_ns)
-        lines.append(f"{_fmt_t(m.sent_at_ns)},{deliver},{m.kind},{m.sender},{m.receiver},{m.size_class}")
-    (outdir / "messages.csv").write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    sent, dropped = "%d.%09d,%d.%09d,%s,%d,%d,%s\r\n", "%d.%09d,DROPPED,%s,%d,%d,%s\r\n"
+    lines = (
+        dropped % (m.sent_at_ns // NS, m.sent_at_ns % NS, m.kind, m.sender, m.receiver, m.size_class)
+        if m.deliver_at_ns is None
+        else sent % (m.sent_at_ns // NS, m.sent_at_ns % NS, m.deliver_at_ns // NS,
+                     m.deliver_at_ns % NS, m.kind, m.sender, m.receiver, m.size_class)
+        for m in result.messages
+    )
+    _write_csv(outdir / "messages.csv", "sent_at,deliver_at,kind,sender,receiver,size_class\r\n", lines)
 
     payload = json.dumps(result.metrics, sort_keys=True, indent=2) + "\n"
     (outdir / "metrics.json").write_bytes(payload.encode())
 
 
 def write_sweep_csv(rows: List[Dict], path: Path) -> None:
-    lines = ["lambda,V_final,N_comm"]
-    for r in rows:
-        lines.append(f"{format(r['lambda'], '.6g')},{format(r['v_final'], '.6g')},{r['n_comm']}")
-    Path(path).write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    lines = ("%.6g,%.6g,%d\r\n" % (r["lambda"], r["v_final"], r["n_comm"]) for r in rows)
+    _write_csv(path, "lambda,V_final,N_comm\r\n", lines)
 
 
 def write_compare_csv(rows: List[Dict], path: Path) -> None:
-    head = ["t"]
-    for v in COMPARE_VARIANTS:
-        head += [f"ncomm_{v}", f"v_{v}"]
-    lines = [",".join(head)]
-    for r in rows:
-        cells = [_fmt_t(r["t_ns"])]
-        for v in COMPARE_VARIANTS:
-            cells += [str(r[f"ncomm_{v}"]), format(r[f"v_{v}"], ".6g")]
-        lines.append(",".join(cells))
-    Path(path).write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    keys = [k for v in COMPARE_VARIANTS for k in (f"ncomm_{v}", f"v_{v}")]
+    fmt = "%d.%09d" + ",%d,%.6g" * len(COMPARE_VARIANTS) + "\r\n"
+    lines = (fmt % (r["t_ns"] // NS, r["t_ns"] % NS, *[r[k] for k in keys]) for r in rows)
+    _write_csv(path, ",".join(["t", *keys]) + "\r\n", lines)

@@ -285,20 +285,23 @@ def test_bad_out_fails_before_simulating(monkeypatch, capsys, command):
     ],
     ids=["sweep", "sweep-parallel", "compare"],
 )
-def test_study_on_a_lossy_channel_exits_2_without_traceback(monkeypatch, capsys, argv, runs):
+def test_study_on_a_lossy_channel_exits_2_without_traceback(tmp_path, monkeypatch, capsys, argv, runs):
     """sweep and compare run the team (and self) law, which `run --law team`
     refuses on formation4_robust's lossy channel; they refuse it too, before
-    any run or worker pool starts."""
+    any run or worker pool starts and before the --out directory is made."""
 
     def never(*args, **kwargs):
         raise AssertionError("simulated a config that validate_config refuses")
 
     for name in ("run", "ProcessPoolExecutor"):
         monkeypatch.setattr(f"ttlab.engine.{name}", never)
-    assert main([argv[0], "--config", "formation4_robust", "--duration", "0.01", *argv[1:]]) == 2
+    out = tmp_path / "X" / "sub"
+    argv = [argv[0], "--config", "formation4_robust", "--duration", "0.01", "--out", str(out), *argv[1:]]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {runs}: drop/delay/noise parameters require law = robust-team")
     assert "Traceback" not in err
+    assert not (tmp_path / "X").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 import sys
@@ -13,7 +14,18 @@ from ttlab.cli import main
 from ttlab.config import bundled_config, validate_config, with_overrides
 from ttlab.model import ControlInput, UnicycleState
 from ttlab.promises import BREACH_TOL
-from ttlab.engine import run, run_compare, run_self_triggered, sweep_lambda, write_outputs
+from ttlab.engine import (
+    COMPARE_VARIANTS,
+    MessageRecord,
+    RunResult,
+    run,
+    run_compare,
+    run_self_triggered,
+    sweep_lambda,
+    write_compare_csv,
+    write_outputs,
+    write_sweep_csv,
+)
 from ttlab.triggers import rate_bound
 
 OUTPUT_FILES = ("metrics.json", "lyapunov.csv", "messages.csv", "trace.csv")
@@ -177,6 +189,96 @@ def test_write_outputs_byte_identical(tmp_path, scenario):
     write_outputs(run(cfg), tmp_path / "b")
     for name in files:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# Edge values for the writer oracle: signed zero, the least subnormal, tiny
+# and huge magnitudes, a value with no short decimal form, integral values
+# and the non-finite ones; times on and next to whole seconds.
+EDGE_FLOATS = (-0.0, 5e-324, 1e-300, 1e300, 0.1, 3.0, -2.0, 2.0**60, math.inf, -math.inf, math.nan)
+EDGE_NS = (0, 1, 999_999_999, 10**9, 30 * 10**9)
+
+
+def _t_cell(ns):
+    return f"{ns // 10**9}.{ns % 10**9:09d}"
+
+
+def _g(v, digits):
+    return format(v, f".{digits}g")
+
+
+def _csv(rows):
+    """The reference CSV bytes: cells joined by commas, lines ended by CRLF."""
+    return "".join(",".join(cells) + "\r\n" for cells in rows).encode()
+
+
+def test_write_outputs_matches_a_per_cell_oracle(tmp_path, scenario):
+    """Every run file equals a per-cell reference: times as exact decimal
+    seconds, floats as format(v, ".17g"), CRLF line endings, and DROPPED for
+    a message that never arrived."""
+    n = len(scenario.initial_states)
+    floats = itertools.cycle(EDGE_FLOATS)
+    trace = [
+        (ts, tuple((next(floats), next(floats), next(floats), ("safe", "nominal")[k % 2]) for k in range(n)))
+        for ts in EDGE_NS
+    ]
+    v_series = list(EDGE_FLOATS[: len(EDGE_NS)])
+    messages = [
+        MessageRecord(0, 1, "REQ", 0, 1, "bit", False),
+        MessageRecord(999_999_999, None, "PROMISE", 2, 3, "payload", True),
+        MessageRecord(10**9, 30 * 10**9, "WARN", 3, 0, "bit", False),
+    ]
+    metrics = {"n_comm": 1, "v_final": -0.0, "v_initial": 1e300}
+    write_outputs(RunResult(scenario, list(EDGE_NS), v_series, trace, messages, metrics, 0.0), tmp_path)
+
+    trace_rows = [[_t_cell(t)] + [c for x, y, h, m in row for c in (_g(x, 17), _g(y, 17), _g(h, 17), m)] for t, row in trace]
+    message_rows = [
+        [_t_cell(m.sent_at_ns), "DROPPED" if m.deliver_at_ns is None else _t_cell(m.deliver_at_ns)]
+        + [m.kind, str(m.sender), str(m.receiver), m.size_class]
+        for m in messages
+    ]
+    want = {
+        "lyapunov.csv": _csv([["t", "V"]] + [[_t_cell(t), _g(v, 17)] for t, v in zip(EDGE_NS, v_series)]),
+        "trace.csv": _csv([["t"] + [f"{c}_{i}" for i in range(n) for c in ("x", "y", "heading", "mode")]] + trace_rows),
+        "messages.csv": _csv([["sent_at", "deliver_at", "kind", "sender", "receiver", "size_class"]] + message_rows),
+        "metrics.json": (json.dumps(metrics, sort_keys=True, indent=2) + "\n").encode(),
+    }
+    for name, data in want.items():
+        assert (tmp_path / name).read_bytes() == data, name
+    # The oracle itself, spelled out for the first trace row and the times.
+    lines = want["trace.csv"].split(b"\r\n")
+    assert lines[1] == (
+        b"0.000000000,-0,4.9406564584124654e-324,1e-300,safe,1.0000000000000001e+300,"
+        b"0.10000000000000001,3,nominal,-2,1.152921504606847e+18,inf,safe,-inf,nan,-0,nominal"
+    )
+    assert [ln.split(b",")[0] for ln in lines[2:-1]] == [
+        b"0.000000001", b"0.999999999", b"1.000000000", b"30.000000000"
+    ]
+
+
+def test_study_tables_match_a_per_cell_oracle(tmp_path):
+    """sweep.csv and compare.csv equal a per-cell reference with floats as
+    format(v, ".6g") and counts as integers."""
+    sweep = [
+        {"lambda": lam, "v_final": v, "n_comm": k}
+        for k, (lam, v) in enumerate(zip(EDGE_FLOATS, EDGE_FLOATS[3:]))
+    ]
+    write_sweep_csv(sweep, tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == _csv(
+        [["lambda", "V_final", "N_comm"]]
+        + [[_g(r["lambda"], 6), _g(r["v_final"], 6), str(r["n_comm"])] for r in sweep]
+    )
+
+    floats = itertools.cycle(EDGE_FLOATS)
+    cols = [(f"ncomm_{v}", f"v_{v}") for v in COMPARE_VARIANTS]
+    compare = [
+        {"t_ns": t, **{k: val for nc, vc in cols for k, val in ((nc, 7 * i), (vc, next(floats)))}}
+        for i, t in enumerate(EDGE_NS)
+    ]
+    write_compare_csv(compare, tmp_path / "compare.csv")
+    assert (tmp_path / "compare.csv").read_bytes() == _csv(
+        [["t"] + [c for pair in cols for c in pair]]
+        + [[_t_cell(r["t_ns"])] + [c for nc, vc in cols for c in (str(r[nc]), _g(r[vc], 6))] for r in compare]
+    )
 
 
 def test_sweep_lambda_rows(scenario):
