@@ -859,7 +859,7 @@ def run_compare(cfg: ScenarioConfig, sample_dt: float = 0.1) -> List[Dict]:
 
 
 def _write_csv(path: Path, head: str, lines: Iterable[str]) -> None:
-    """Write `head`, then each of `lines` as it is formatted; each ends in CRLF."""
+    """Write `head`, then `lines` as they are formatted; every line ends in CRLF."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(head)
         f.writelines(lines)
@@ -868,9 +868,9 @@ def _write_csv(path: Path, head: str, lines: Iterable[str]) -> None:
 def write_outputs(result: RunResult, outdir: Path) -> None:
     """Write lyapunov.csv, trace.csv, messages.csv, and metrics.json.
 
-    Each CSV file has one line format and CRLF line endings. Times are exact
-    decimal seconds ("%d.%09d" of seconds and nanoseconds) and floats carry
-    17 significant digits ("%.17g"), so reruns are byte-identical.
+    One format string per CSV file (two in messages.csv: sent, dropped)
+    gives each CRLF-ended line: times as exact decimal seconds "%d.%09d",
+    floats to 17 significant digits "%.17g". Reruns are byte-identical.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

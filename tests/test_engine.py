@@ -217,8 +217,9 @@ def test_write_outputs_matches_a_per_cell_oracle(tmp_path, scenario):
     a message that never arrived."""
     n = len(scenario.initial_states)
     floats = itertools.cycle(EDGE_FLOATS)
+    modes = itertools.cycle(("safe", "nominal"))
     trace = [
-        (ts, tuple((next(floats), next(floats), next(floats), ("safe", "nominal")[k % 2]) for k in range(n)))
+        (ts, tuple((next(floats), next(floats), next(floats), next(modes)) for _ in range(n)))
         for ts in EDGE_NS
     ]
     v_series = list(EDGE_FLOATS[: len(EDGE_NS)])
@@ -228,18 +229,25 @@ def test_write_outputs_matches_a_per_cell_oracle(tmp_path, scenario):
         MessageRecord(10**9, 30 * 10**9, "WARN", 3, 0, "bit", False),
     ]
     metrics = {"n_comm": 1, "v_final": -0.0, "v_initial": 1e300}
-    write_outputs(RunResult(scenario, list(EDGE_NS), v_series, trace, messages, metrics, 0.0), tmp_path)
+    result = RunResult(scenario, list(EDGE_NS), v_series, trace, messages, metrics, wall_time=0.0)
+    write_outputs(result, tmp_path)
 
-    trace_rows = [[_t_cell(t)] + [c for x, y, h, m in row for c in (_g(x, 17), _g(y, 17), _g(h, 17), m)] for t, row in trace]
+    lyapunov_rows = [[_t_cell(t), _g(v, 17)] for t, v in zip(EDGE_NS, v_series)]
+    trace_head = ["t"] + [f"{c}_{i}" for i in range(n) for c in ("x", "y", "heading", "mode")]
+    trace_rows = [
+        [_t_cell(t)] + [c for x, y, h, m in row for c in (_g(x, 17), _g(y, 17), _g(h, 17), m)]
+        for t, row in trace
+    ]
+    message_head = ["sent_at", "deliver_at", "kind", "sender", "receiver", "size_class"]
     message_rows = [
         [_t_cell(m.sent_at_ns), "DROPPED" if m.deliver_at_ns is None else _t_cell(m.deliver_at_ns)]
         + [m.kind, str(m.sender), str(m.receiver), m.size_class]
         for m in messages
     ]
     want = {
-        "lyapunov.csv": _csv([["t", "V"]] + [[_t_cell(t), _g(v, 17)] for t, v in zip(EDGE_NS, v_series)]),
-        "trace.csv": _csv([["t"] + [f"{c}_{i}" for i in range(n) for c in ("x", "y", "heading", "mode")]] + trace_rows),
-        "messages.csv": _csv([["sent_at", "deliver_at", "kind", "sender", "receiver", "size_class"]] + message_rows),
+        "lyapunov.csv": _csv([["t", "V"]] + lyapunov_rows),
+        "trace.csv": _csv([trace_head] + trace_rows),
+        "messages.csv": _csv([message_head] + message_rows),
         "metrics.json": (json.dumps(metrics, sort_keys=True, indent=2) + "\n").encode(),
     }
     for name, data in want.items():
@@ -275,9 +283,12 @@ def test_study_tables_match_a_per_cell_oracle(tmp_path):
         for i, t in enumerate(EDGE_NS)
     ]
     write_compare_csv(compare, tmp_path / "compare.csv")
+    compare_rows = [
+        [_t_cell(r["t_ns"])] + [c for nc, vc in cols for c in (str(r[nc]), _g(r[vc], 6))]
+        for r in compare
+    ]
     assert (tmp_path / "compare.csv").read_bytes() == _csv(
-        [["t"] + [c for pair in cols for c in pair]]
-        + [[_t_cell(r["t_ns"])] + [c for nc, vc in cols for c in (str(r[nc]), _g(r[vc], 6))] for r in compare]
+        [["t"] + [c for pair in cols for c in pair]] + compare_rows
     )
 
 
