@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import ttlab.triggers as triggers
 from ttlab.controllers import goal_law, u_double_star
 from ttlab.model import (
+    ARC_EPS,
     ControlInput,
     DiskSet,
     FormationSpec,
@@ -17,7 +18,13 @@ from ttlab.model import (
     arc_step,
     wrap_angle,
 )
-from ttlab.promises import StaticBall, fallback_to_reachability, make_promise, view_disk_at
+from ttlab.promises import (
+    StaticBall,
+    expected_position,
+    fallback_to_reachability,
+    make_promise,
+    view_disk_at,
+)
 from ttlab.triggers import (
     _COS_PHIS,
     _SIN_PHIS,
@@ -153,6 +160,44 @@ def test_numpy_sin_cos_match_libm():
     x = np.random.default_rng(2024).uniform(-50.0, 50.0, 4096)
     assert np.sin(x).tolist() == [math.sin(v) for v in x.tolist()]
     assert np.cos(x).tolist() == [math.cos(v) for v in x.tolist()]
+
+
+def _hex(values):
+    return [float.hex(v) for v in values]
+
+
+@pytest.mark.parametrize("kind", ["turning", "straight", "expired", "fallback"])
+def test_scan_centers_equal_expected_position_on_the_tick_grid(kind):
+    """disk_params_batch gives the scan's rollout the very centre bits that
+    expected_position gives the control tick, at the resolve instant and on
+    the tick grid after it, for a turning ball, a straight one (|turn| at
+    most ARC_EPS), one past its expiry and a fallback."""
+    rng = np.random.default_rng(["turning", "straight", "expired", "fallback"].index(kind))
+    for _ in range(20):
+        issued_ns = int(rng.integers(0, 2 * NS))
+        if kind == "straight":
+            turn = float(rng.choice([0.0, -0.0, ARC_EPS, -ARC_EPS, rng.uniform(-ARC_EPS, ARC_EPS)]))
+        else:
+            turn = rng.uniform(-3.0, 3.0)
+        # An expiry on the tick grid, within the 200 grid points below.
+        expires_ns = (issued_ns // DT + int(rng.integers(1, 100))) * DT if kind == "expired" else None
+        p = make_promise(
+            int(rng.integers(0, 4)), 0, issued_ns * 1e-9,
+            UnicycleState(rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(-3.2, 3.2)),
+            ControlInput(rng.uniform(0.0, 5.0), turn, LIM), StaticBall(rng.uniform(0.0, 1.0)),
+            expires_at=None if expires_ns is None else expires_ns * 1e-9,
+        )
+        start_ns = issued_ns
+        if kind == "fallback":
+            start_ns = issued_ns + int(rng.integers(0, 100 * DT))
+            p = fallback_to_reachability(p, max((start_ns - DT) * 1e-9, p.issued_at))
+        # The scan's grid: the resolve instant, off the grid, then 200 ticks.
+        first = (start_ns // DT + 1) * DT
+        tns = [start_ns] + [first + k * DT for k in range(200)]
+        cx, cy, _ = disk_params_batch(p, np.array([tn * 1e-9 for tn in tns]))
+        ticks = [expected_position(p, tn * 1e-9) for tn in tns]
+        assert _hex(cx.tolist()) == _hex(x for x, _ in ticks)
+        assert _hex(cy.tolist()) == _hex(y for _, y in ticks)
 
 
 def _single_neighbor_view(pos, d_target, tightness=0.05):
