@@ -25,7 +25,10 @@ act on it. Once the crossing is found, the self request is queued where the
 full scan would have queued it, under the sequence number reserved at the
 resolve. So the prediction is rolled out only as far as simulated time
 reaches, and a later resolve supersedes a pending continuation as it does a
-self request.
+self request. Up to t*, the control tick takes the nominal control
+goal_law gave the scan's rollout at the tick, where the agent sits exactly
+at its pose (Scan.control_at); elsewhere it runs goal_law on
+expected_position.
 
 The breach monitor and the containment check run on the ticks where a
 miss is possible (_next_check_ns), and each keeps the earliest such tick,
@@ -284,12 +287,15 @@ class Engine:
         self._step(ag, ts_ns)
 
     def _apply_mode_control(self, ag: _Agent, now_ns: int) -> None:
-        now_s = now_ns * 1e-9
-        points = [expected_position(p, now_s) for p in ag.view.values()]
         lim = self.limits
-        speed, turn = goal_law(
-            ag.x, ag.y, ag.heading, points, ag.dists, self.spec.gain, lim.max_speed, lim.max_turn
-        )
+        pose = (ag.x, ag.y, ag.heading)
+        held = ag.scan.control_at(now_ns, pose) if now_ns <= ag.t_star_ns and ag.scan else None
+        if held is not None:
+            speed, turn = held
+        else:
+            now_s = now_ns * 1e-9
+            points = [expected_position(p, now_s) for p in ag.view.values()]
+            speed, turn = goal_law(*pose, points, ag.dists, self.spec.gain, lim.max_speed, lim.max_turn)
         if not (0.0 <= speed <= lim.max_speed and abs(turn) <= lim.max_turn):
             raise EngineInvariantError(
                 f"agent {ag.id} at t={_fmt_t(now_ns)}s: nominal control out of bounds"

@@ -177,7 +177,8 @@ def disk_kernel(p: Promise, tau, late, ops):
     the type of tau and late: (math.sin, math.cos, math.hypot, min) on
     floats for disk_at, the numpy ufuncs on arrays of ages for
     triggers.disk_params_batch. numpy's array sin and cos agree with libm
-    bit for bit, so the two callers get the same centers; np.hypot and
+    bit for bit, so the two callers get the same centers, and the control
+    tick can take its control from the scan's rollout; np.hypot and
     math.hypot can differ in the last bit, so a radius can too, and each
     caller keeps the bits it always had. A fallback promise's frozen disk
     stands for every age: only `late`, counted from its fallback time,

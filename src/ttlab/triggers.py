@@ -16,7 +16,7 @@ until fresh information arrives.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -285,18 +285,33 @@ class Scan:
 
     and the same i, view, spec, limits, dt_ns and guard throughout, and
     the chunks and results are those of one full scan.
+
+    `rollout` holds the points of the last chunk rolled out and `last`, at
+    most SCAN_MAX_CHUNK + 1, by t_ns; the control tick reads goal_law's
+    control there (control_at). That is its own goal_law result only while
+    views list their neighbours sorted, the order in which both sum them.
     """
 
-    __slots__ = ("pose", "next_ns", "end_ns", "last", "chunk", "initial_rate", "pending")
+    __slots__ = ("pose", "next_ns", "end_ns", "last", "rollout", "chunk", "initial_rate", "pending")
 
     def __init__(self, x: float, y: float, heading: float, t_ns: int, horizon_ns: int) -> None:
         self.pose = (x, y, heading)
         self.next_ns = t_ns
         self.end_ns = t_ns + horizon_ns
         self.last: Optional[Tuple[int, float, float, float, float, float]] = None
+        self.rollout: Dict[int, Tuple[int, float, float, float, float, float]] = {}
         self.chunk = SCAN_FIRST_CHUNK
         self.initial_rate = 0.0
         self.pending = False
+
+    def control_at(self, t_ns: int, pose: tuple) -> Optional[Tuple[float, float]]:
+        """goal_law's (speed, turn) at the rollout point at t_ns if its pose is
+        `pose` bit for bit, else None. Equal floats have equal bits except
+        zeros, whose sign goal_law can see, so a pose with a zero never matches."""
+        rec = self.rollout.get(t_ns)
+        if rec is None or rec[1:4] != pose or 0.0 in pose:
+            return None
+        return rec[4:]
 
 
 def critical_time_ns(
@@ -413,17 +428,17 @@ def critical_time_ns(
         disks = disks_at(ts)
         centers = [list(zip(cxj.tolist(), cyj.tolist())) for cxj, cyj, _ in disks]
         rows = []
-        recs = []
+        rollout = scan.rollout = {} if before is None else {before[0]: before}
         stationary = False
         for local, tn in enumerate(ts):
             sx, sy, th = state
             sp, tu = goal_law(sx, sy, th, [c[local] for c in centers], dists, gain, u_max, v_max)
+            rollout[tn] = (tn, sx, sy, th, sp, tu)
             fx, fy = sp * math.cos(th), sp * math.sin(th)
             if fx == 0.0 and fy == 0.0:
                 stationary = True
                 break
             rows.append((sx, sy, fx, fy))
-            recs.append((tn, sx, sy, th, sp, tu))
             if start + local + 1 < n:
                 nx, ny, nth = arc_step(sx, sy, th, sp, tu, (grid(start + local + 1) - tn) * 1e-9)
                 state = (nx, ny, wrap_angle(nth))
@@ -441,10 +456,10 @@ def critical_time_ns(
         if hits.size:
             k = int(hits[0])
             if k:
-                before = recs[k - 1]
+                before = rollout[ts[k - 1]]
             t_star_ns = ts[0] if before is None else refine(before, ts[k])
             break
-        before = recs[-1]
+        before = rollout[ts[-1]]
         start, chunk = stop, min(2 * chunk, SCAN_MAX_CHUNK)
         if start == n:
             t_star_ns = ts[-1]  # the horizon: no crossing before it

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -157,3 +158,26 @@ def test_a_count_that_differs_between_traced_runs_stops_the_comparison(tmp_path,
     err = capsys.readouterr().err.splitlines()
     assert f"error: {after}: workload team: x.calls differs between traced runs: [2, 3, 4]" in err
     assert not out.exists()
+
+
+def test_the_report_names_each_checkout(tmp_path):
+    """The report records each side's commit and whether its tree is clean,
+    and null for a directory that is not the top of a git checkout."""
+    repo = _stub_checkout(tmp_path / "repo")
+    git = ["git", "-c", "user.name=stub", "-c", "user.email=stub@example.com", "-C", str(repo)]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+        subprocess.run(git + args, check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True, check=True)
+    plain = _stub_checkout(tmp_path / "plain")
+    out = tmp_path / "out.json"
+
+    def checkouts(before, after):
+        argv = ["--before", str(before), "--after", str(after), "--pairs", "2", "--workload", "team"]
+        assert bench_pairs.main(argv + ["--out", str(out)]) == 0
+        return json.loads(out.read_text())["checkouts"]
+
+    clean = {"head": head.stdout.strip(), "clean": True}
+    assert checkouts(plain, repo) == {"before": None, "after": clean}
+    # A stub inside the checkout: untracked there, and not a checkout itself.
+    nested = _stub_checkout(repo / "nested")
+    assert checkouts(repo, nested) == {"before": {**clean, "clean": False}, "after": None}

@@ -582,6 +582,118 @@ def test_scan_continuation_runs_first_at_its_instant(case, scenario, robust_scen
     assert shared > 0
 
 
+@pytest.mark.parametrize("case", ["cycle5-lambda0", "robust"])
+def test_views_stay_in_sorted_order(case, scenario, robust_scenario, monkeypatch):
+    """The scan adds its neighbours up in sorted(view) order and the control
+    tick in view order, with ag.dists; the tick can take the scan's control
+    only while every view lists its neighbours sorted. _cycle5's edge (0, 4)
+    gives agent 4 a neighbour listed before its other one."""
+    tick = engine_mod.Engine._tick
+    ticks = [0]
+
+    def checked(self, ts_ns):
+        for ag in self.agents:
+            order = sorted(ag.view)
+            assert list(ag.view) == order, f"agent {ag.id} at {ts_ns} ns"
+            assert ag.dists == [self.spec.distance(ag.id, j) for j in order]
+        ticks[0] += 1
+        return tick(self, ts_ns)
+
+    monkeypatch.setattr(engine_mod.Engine, "_tick", checked)
+    res = run(_cycle5(scenario, 0.1) if case == "cycle5-lambda0" else with_overrides(robust_scenario, duration=1.0))
+    assert ticks[0] == len(res.trace)
+
+
+def _apply_mode_control_reference(self, ag, now_ns):
+    """Engine._apply_mode_control as it was before the tick read the
+    certificate scan's rollout: goal_law on every call."""
+    now_s = now_ns * 1e-9
+    points = [engine_mod.expected_position(p, now_s) for p in ag.view.values()]
+    lim = self.limits
+    speed, turn = engine_mod.goal_law(
+        ag.x, ag.y, ag.heading, points, ag.dists, self.spec.gain, lim.max_speed, lim.max_turn
+    )
+    if not (0.0 <= speed <= lim.max_speed and abs(turn) <= lim.max_turn):
+        raise engine_mod.EngineInvariantError(
+            f"agent {ag.id} at t={engine_mod._fmt_t(now_ns)}s: nominal control out of bounds"
+            f" or not finite: speed {speed!r}, turn rate {turn!r}"
+        )
+    ag.speed = speed
+    ag.turn = turn
+    ag.safe = now_ns >= ag.t_star_ns
+
+
+def _run_counting_laws(cfg, outdir, reference=False):
+    """Run cfg and write its outputs, with the reference control tick if
+    asked; return them with the number of goal_law calls the engine made."""
+    calls = [0]
+    law = engine_mod.goal_law
+
+    def counted(*args):
+        calls[0] += 1
+        return law(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine_mod, "goal_law", counted)
+        if reference:
+            m.setattr(engine_mod.Engine, "_apply_mode_control", _apply_mode_control_reference)
+        write_outputs(run(cfg), outdir)
+    return {f: (outdir / f).read_bytes() for f in OUTPUT_FILES}, calls[0]
+
+
+@pytest.mark.parametrize(
+    "case", ["team", "self", "lambda0", "robust-7", "cycle5-lambda0", "apad", "no-safe-turn"]
+)
+def test_rollout_control_matches_goal_law_on_every_tick(case, scenario, robust_scenario, tmp_path):
+    """Reading the control from the scan's rollout changes no output byte
+    against calling goal_law on every tick, and saves goal_law calls."""
+    if case in ("team", "self"):
+        cfg = with_overrides(scenario, law=case, duration=2.0)
+    elif case == "lambda0":
+        cfg = with_overrides(scenario, tightness=0.0, duration=0.16)
+    elif case == "robust-7":
+        cfg = with_overrides(robust_scenario, seed=7, duration=2.0)
+    elif case == "cycle5-lambda0":
+        cfg = _cycle5(scenario, 0.1)
+    elif case == "apad":
+        cfg = engine_mod._compare_cfg(with_overrides(scenario, duration=2.0), "apad")
+    else:
+        cfg = replace(with_overrides(scenario, duration=2.0), safe_turn=False)
+    read, n_read = _run_counting_laws(cfg, tmp_path / "read")
+    every, n_every = _run_counting_laws(cfg, tmp_path / "every", reference=True)
+    for f in OUTPUT_FILES:
+        assert read[f] == every[f], f"{f} differs from the goal_law-every-tick run"
+    assert n_read < n_every
+
+
+@pytest.mark.parametrize("case", ["team", "robust"])
+def test_resolve_takes_its_control_from_scan_point_0(case, scenario, robust_scenario, monkeypatch):
+    """A resolve whose t* lies after it applies the control the scan's
+    rollout computed at its own instant, point 0, and calls goal_law from
+    _apply_mode_control not once."""
+    calls = [0]
+    law = engine_mod.goal_law
+
+    def counted(*args):
+        calls[0] += 1
+        return law(*args)
+
+    resolve = engine_mod.Engine._resolve
+    evals = []
+
+    def checked(self, ag, now_ns):
+        before = calls[0]
+        resolve(self, ag, now_ns)
+        if ag.t_star_ns > now_ns:
+            evals.append(calls[0] - before)
+            assert (ag.speed, ag.turn) == ag.scan.rollout[now_ns][4:]
+
+    monkeypatch.setattr(engine_mod, "goal_law", counted)
+    monkeypatch.setattr(engine_mod.Engine, "_resolve", checked)
+    run(with_overrides(scenario if case == "team" else robust_scenario, duration=1.0))
+    assert evals and set(evals) == {0}
+
+
 def test_adaptive_dwell_cap_keeps_outputs(scenario, tmp_path):
     """Cutting the adaptive dwell at twice the run length changes no output
     byte: every dwell the cut shortens put its self request past the end

@@ -156,7 +156,9 @@ def test_disk_params_batch_matches_scalar(variant):
 def test_numpy_sin_cos_match_libm():
     """promises.disk_kernel serves the engine with math.sin/cos and the scan
     with np.sin/cos; the two see the same disk centers only while numpy's
-    array sin and cos equal libm's bit for bit."""
+    array sin and cos equal libm's bit for bit. The control tick relies on
+    it too: it reads its control from the scan's rollout, which goal_law
+    computed on those numpy centers."""
     x = np.random.default_rng(2024).uniform(-50.0, 50.0, 4096)
     assert np.sin(x).tolist() == [math.sin(v) for v in x.tolist()]
     assert np.cos(x).tolist() == [math.cos(v) for v in x.tolist()]

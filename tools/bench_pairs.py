@@ -21,6 +21,10 @@ found wrong (``"correct": false``), stops the comparison with an error that
 names the checkout, the workload and the pair: its timings would measure
 something other than the program. So do traced runs of one side whose
 counts, ratios or byte counts differ.
+
+The report's ``"checkouts"`` names the trees compared: each side's commit
+and whether its working tree was clean, or null for a directory that is
+not a git checkout.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 WORKLOADS = ("team", "lambda0", "robust", "sweep")
 # Traced runs per side with --trace, and the per-layer units that must
@@ -89,6 +93,22 @@ def traced(checkout: Path, workload: str, units: Dict[str, str]) -> Dict[str, fl
     return out
 
 
+def checkout_state(path: Path) -> Optional[Dict]:
+    """`path`'s commit (`git rev-parse HEAD`) and whether its tree is clean
+    (`git status --porcelain` prints nothing), or None when `path` is not
+    the top of a git checkout."""
+
+    def git(*args: str) -> Optional[str]:
+        proc = subprocess.run(["git", *args], cwd=path, capture_output=True, text=True)
+        return proc.stdout if proc.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or Path(top.strip()).resolve() != path.resolve():
+        return None
+    head = git("rev-parse", "HEAD")
+    return {"head": head and head.strip(), "clean": git("status", "--porcelain") == ""}
+
+
 def summary(values: List[float]) -> Dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "values": values}
@@ -139,7 +159,9 @@ def main(argv=None) -> int:
 
     host = {"nproc": os.cpu_count(), "python": platform.python_version()}
     host["numpy"] = numpy.__version__
-    report: Dict = {"host": host, "pairs": args.pairs, "seconds": args.seconds, "workloads": {}}
+    report: Dict = {"host": host, "pairs": args.pairs, "seconds": args.seconds}
+    report["checkouts"] = {side: checkout_state(path) for side, path in sides.items()}
+    report["workloads"] = {}
     try:
         for w in args.workload or WORKLOADS:
             report["workloads"][w] = compare(w, sides, args, rules, units)
