@@ -600,7 +600,10 @@ def test_views_stay_in_sorted_order(case, scenario, robust_scenario, monkeypatch
         return tick(self, ts_ns)
 
     monkeypatch.setattr(engine_mod.Engine, "_tick", checked)
-    res = run(_cycle5(scenario, 0.1) if case == "cycle5-lambda0" else with_overrides(robust_scenario, duration=1.0))
+    if case == "cycle5-lambda0":
+        res = run(_cycle5(scenario, 0.1))
+    else:
+        res = run(with_overrides(robust_scenario, duration=1.0))
     assert ticks[0] == len(res.trace)
 
 
@@ -623,9 +626,9 @@ def _apply_mode_control_reference(self, ag, now_ns):
     ag.safe = now_ns >= ag.t_star_ns
 
 
-def _run_counting_laws(cfg, outdir, reference=False):
-    """Run cfg and write its outputs, with the reference control tick if
-    asked; return them with the number of goal_law calls the engine made."""
+def _count_goal_law(m):
+    """Count the engine's goal_law calls under the monkeypatch m, in the
+    one item of the list returned."""
     calls = [0]
     law = engine_mod.goal_law
 
@@ -633,8 +636,15 @@ def _run_counting_laws(cfg, outdir, reference=False):
         calls[0] += 1
         return law(*args)
 
+    m.setattr(engine_mod, "goal_law", counted)
+    return calls
+
+
+def _run_counting_laws(cfg, outdir, reference=False):
+    """Run cfg and write its outputs, with the reference control tick if
+    asked; return them with the number of goal_law calls the engine made."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(engine_mod, "goal_law", counted)
+        calls = _count_goal_law(m)
         if reference:
             m.setattr(engine_mod.Engine, "_apply_mode_control", _apply_mode_control_reference)
         write_outputs(run(cfg), outdir)
@@ -671,13 +681,7 @@ def test_resolve_takes_its_control_from_scan_point_0(case, scenario, robust_scen
     """A resolve whose t* lies after it applies the control the scan's
     rollout computed at its own instant, point 0, and calls goal_law from
     _apply_mode_control not once."""
-    calls = [0]
-    law = engine_mod.goal_law
-
-    def counted(*args):
-        calls[0] += 1
-        return law(*args)
-
+    calls = _count_goal_law(monkeypatch)
     resolve = engine_mod.Engine._resolve
     evals = []
 
@@ -688,7 +692,6 @@ def test_resolve_takes_its_control_from_scan_point_0(case, scenario, robust_scen
             evals.append(calls[0] - before)
             assert (ag.speed, ag.turn) == ag.scan.rollout[now_ns][4:]
 
-    monkeypatch.setattr(engine_mod, "goal_law", counted)
     monkeypatch.setattr(engine_mod.Engine, "_resolve", checked)
     run(with_overrides(scenario if case == "team" else robust_scenario, duration=1.0))
     assert evals and set(evals) == {0}
