@@ -1,0 +1,84 @@
+"""Each agent's descent certificate, checked against the true positions.
+
+The engine's own in-run check is that the total potential V never rises
+(Engine._record). V is a sum over agents, so one agent whose certificate is
+unsound could hide behind the others' descent. Up to t*, agent i's
+certified rate L_i, li_v_sup over its view disks inflated by the guard
+under its nominal control, is negative; and as long as every neighbour's
+true position y_j lies in its inflated disk, the true term
+
+    sum_j 4 (||y_j - p||^2 - d_ij^2) ((p - y_j) . f)
+
+cannot exceed L_i (triggers module docstring). These tests check all three
+at every recorded tick for every agent not in safe mode.
+"""
+
+import math
+
+import pytest
+
+import ttlab.engine as engine_mod
+from ttlab.config import bundled_config, with_overrides
+from ttlab.model import ControlInput, DiskSet, UnicycleState
+from ttlab.promises import view_disk_at
+from ttlab.triggers import li_v_sup
+
+# The GOLDEN runs of tests/test_golden.py: (scenario, overrides).
+RUNS = {
+    "team": ("formation4", dict(law="team", duration=2.0)),
+    "self": ("formation4", dict(law="self", duration=2.0)),
+    "lambda0": ("formation4", dict(law="team", tightness=0.0, duration=0.16)),
+    "robust": ("formation4_robust", dict(seed=7, duration=3.0)),
+}
+
+
+def check_certificates(eng, ts_ns):
+    """Assert the certificate of every agent not in safe mode at ts_ns;
+    return the slacks, bound minus true term, one per agent checked."""
+    t = ts_ns * 1e-9
+    where = f"t={engine_mod._fmt_t(ts_ns)}s"
+    slacks = []
+    for ag in eng.agents:
+        if ag.safe:
+            continue
+        px, py = ag.x, ag.y
+        fx, fy = ag.speed * math.cos(ag.heading), ag.speed * math.sin(ag.heading)
+        inflated = {}
+        true_rate = 0.0
+        for j, p in ag.view.items():
+            disk = view_disk_at(p, t)
+            y = eng.agents[j]
+            assert disk.contains((y.x, y.y), eng.guard), (
+                f"agent {ag.id} at {where}: neighbour {j} at ({y.x!r}, {y.y!r}) lies outside"
+                f" its view disk {disk.center!r}, radius {disk.radius!r}, plus guard {eng.guard!r}"
+            )
+            inflated[j] = DiskSet(disk.center, disk.radius + eng.guard)
+            dx, dy = px - y.x, py - y.y
+            d = eng.spec.distance(ag.id, j)
+            true_rate += 4.0 * (dx * dx + dy * dy - d * d) * (dx * fx + dy * fy)
+        state = UnicycleState(px, py, ag.heading)
+        control = ControlInput(ag.speed, ag.turn, eng.limits)
+        bound = li_v_sup(ag.id, state, inflated, control, eng.spec)
+        assert bound < 0.0, f"agent {ag.id} at {where}: certified rate {bound!r} is not negative"
+        assert true_rate <= bound, (
+            f"agent {ag.id} at {where}: true rate {true_rate!r} exceeds certified rate {bound!r}"
+        )
+        slacks.append(bound - true_rate)
+    return slacks
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_every_certificate_holds_at_every_tick(name, monkeypatch):
+    """Every agent's view disks hold its neighbours and its certified rate
+    is negative and bounds its true rate, at every tick up to its t*."""
+    scenario, overrides = RUNS[name]
+    record = engine_mod.Engine._record
+    slacks = []
+
+    def checked(self, ts_ns):
+        slacks.extend(check_certificates(self, ts_ns))
+        return record(self, ts_ns)
+
+    monkeypatch.setattr(engine_mod.Engine, "_record", checked)
+    engine_mod.run(with_overrides(bundled_config(scenario), **overrides))
+    assert len(slacks) > 100

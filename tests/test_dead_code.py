@@ -90,7 +90,7 @@ KEPT = {
     "u_double_star": "controllers.py: hooked by bench/run.py",
     "check_breach": "promises.py: hooked by bench/run.py",
     "view_disk_at": "promises.py: imported by the c8 oracle suite and hooked by bench/run.py",
-    "li_v_sup": "triggers.py: imported by the c8 oracle suite",
+    "li_v_sup": "triggers.py: imported by the c8 oracle suite and tests/test_certificate.py",
     "lyapunov_gradient": "model.py: imported by the c8 oracle suite",
     "step_unicycle": "model.py: imported by the c8 oracle suite",
 }
