@@ -761,15 +761,24 @@ def test_potential_increase_error_names_edge_agents_and_messages(scenario, monke
 def test_nan_control_is_an_invariant_error(scenario, monkeypatch, capsys):
     """A NaN from the goal law is reported as an EngineInvariantError that
     names the agent, the instant and the values, and the CLI prints it as
-    an error line, not a traceback."""
+    an error line, not a traceback. The NaN comes from the first tick
+    control computed at or after 0.1 s, however many ticks before it read
+    their control from the scan's rollout."""
     goal_law = engine_mod.goal_law
-    calls = itertools.count()
+    apply_control = engine_mod.Engine._apply_mode_control
+    nan_from_ns = 100_000_000
+    now = [0]
 
-    def nan_from_call_400(*args):
+    def noting_the_instant(self, ag, now_ns):
+        now[0] = now_ns
+        return apply_control(self, ag, now_ns)
+
+    def nan_from_0_1s(*args):
         speed, turn = goal_law(*args)
-        return (math.nan, turn) if next(calls) >= 400 else (speed, turn)
+        return (math.nan, turn) if now[0] >= nan_from_ns else (speed, turn)
 
-    monkeypatch.setattr(engine_mod, "goal_law", nan_from_call_400)
+    monkeypatch.setattr(engine_mod.Engine, "_apply_mode_control", noting_the_instant)
+    monkeypatch.setattr(engine_mod, "goal_law", nan_from_0_1s)
     with pytest.raises(engine_mod.EngineInvariantError) as err:
         run(with_overrides(scenario, duration=0.5))
     m = re.fullmatch(
@@ -778,10 +787,9 @@ def test_nan_control_is_an_invariant_error(scenario, monkeypatch, capsys):
         str(err.value),
     )
     assert m, str(err.value)
-    assert 0.05 < float(m[2]) < 0.5
+    assert 0.1 <= float(m[2]) < 0.5
     assert math.isfinite(float(m[3]))
 
-    calls = itertools.count()
     assert main(["run", "--config", "formation4", "--duration", "0.5"]) == 2
     stderr = capsys.readouterr().err
     assert stderr.startswith("error: agent ") and "Traceback" not in stderr
