@@ -45,7 +45,7 @@ from .promises import (
     validate_noisy_promise,
     view_disk_at,
 )
-from .triggers import adaptive_dwell, critical_time_ns, li_v_sup
+from .triggers import adaptive_dwell, li_v_sup
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "adaptive_dwell",
     "bundled_config",
     "check_breach",
-    "critical_time_ns",
     "li_v_sup",
     "load_config",
     "lyapunov",

@@ -17,18 +17,20 @@ Certificates are recomputed ("resolved") at start-up, at each instant with
 an accepted promise delivery, and on each warning that voids a view; never
 at plain ticks or request rounds, so the tick loop stays cheap.
 
-A resolve scans only the first chunk of the predicted trajectory
-(triggers.Scan). While no crossing has turned up, the agent's `t_star_ns`
-is only a lower bound, the last grid point scanned, and a continuation
-event at that instant scans the next chunk before any other event there can
-act on it. Once the crossing is found, the self request is queued where the
-full scan would have queued it, under the sequence number reserved at the
+A resolve builds the agent's triggers.Scan from its pose and view and scans
+only the first chunk of the predicted trajectory. While no crossing has
+turned up, the agent's `t_star_ns` is only a lower bound, the last grid
+point scanned, and a continuation event at that instant scans the next
+chunk before any other event there can act on it. Once the crossing is
+found, the self request is queued where a scan run to its crossing at the
+resolve would have queued it, under the sequence number reserved at the
 resolve. So the prediction is rolled out only as far as simulated time
 reaches, and a later resolve supersedes a pending continuation as it does a
-self request. Up to t*, the control tick takes the nominal control
-goal_law gave the scan's rollout at the tick, where the agent sits exactly
-at its pose (Scan.control_at); elsewhere it runs goal_law on
-expected_position.
+self request. The Scan keeps the view it was built from; a view never
+changes without a resolve that replaces it. Up to t*, the control tick
+takes the nominal control goal_law gave the scan's rollout at the tick,
+where the agent sits exactly at its pose (Scan.control_at); elsewhere it
+runs goal_law on expected_position.
 
 The breach monitor and the containment check run on the ticks where a
 miss is possible (_next_check_ns), and each keeps the earliest such tick,
@@ -317,8 +319,11 @@ class Engine:
         chunk runs here; continuation events take it on.
         """
         self._advance(ag, now_ns)
-        ag.scan = Scan(ag.x, ag.y, ag.heading, now_ns, self.horizon_ns)
-        self._scan_on(ag)
+        ag.scan = Scan(
+            ag.id, ag.x, ag.y, ag.heading, ag.view, now_ns,
+            self.spec, self.limits, self.dt_ns, self.horizon_ns, self.guard,
+        )
+        ag.t_star_ns = critical_time_ns(ag.scan)
         self._apply_mode_control(ag, now_ns)
         if self.cfg.dwell.adaptive:
             gaps = [p.gap for p in ag.view.values() if p.gap is not None]
@@ -334,23 +339,6 @@ class Engine:
         ag.req_seq = self._seq
         ag.self_req_token += 1
         self._queue_scan_step(ag)
-
-    def _scan_on(self, ag: _Agent) -> None:
-        """Scan the agent's certificate one chunk further. Its t_star_ns is
-        then the crossing, or while the scan is pending a lower bound."""
-        scan = ag.scan
-        ag.t_star_ns, _ = critical_time_ns(
-            ag.id,
-            *scan.pose,
-            ag.view,
-            scan.next_ns,
-            self.spec,
-            self.limits,
-            self.dt_ns,
-            scan.end_ns - scan.next_ns,
-            self.guard,
-            scan,
-        )
 
     def _queue_scan_step(self, ag: _Agent) -> None:
         """Queue what follows the scan's last chunk: its continuation at
@@ -524,7 +512,7 @@ class Engine:
     def _scan_continuation(self, i: int, token: int) -> None:
         ag = self.agents[i]
         if token == ag.self_req_token:
-            self._scan_on(ag)
+            ag.t_star_ns = critical_time_ns(ag.scan)
             self._queue_scan_step(ag)
 
     def _self_request(self, ts_ns: int, i: int, token: int) -> None:

@@ -11,6 +11,10 @@ with p the agent's own position and f its velocity vector. The critical time
 is the first time L_i crosses zero along the agent's own predicted
 trajectory; past it the agent must fall back to the safe (frozen) control
 until fresh information arrives.
+
+A Scan holds one such search: it is built from everything the search
+depends on, and critical_time_ns(scan) rolls the prediction out one chunk
+further per call.
 """
 
 from __future__ import annotations
@@ -267,24 +271,24 @@ def _bisect_tree(a: int, b: int, levels: int) -> list[int]:
 
 
 class Scan:
-    """How far a certificate scan has got, so that it can go on chunk by chunk.
+    """One agent's certificate scan, rolled out chunk by chunk.
 
-    critical_time_ns handed a Scan rolls out one chunk and records here
-    where it stopped. When that chunk holds no crossing and the horizon
-    reaches past it, `pending` is set and the call returns the chunk's last
-    grid point, a lower bound of t*. `next_ns` is the first grid point not
-    yet scanned (the scan's start before its first call) and `pose` the
-    predicted pose there; `last` is the last scanned point as (t_ns, x, y,
-    heading, speed, turn), which refine needs when the crossing comes
-    right after it; `chunk` is the next chunk's size, `end_ns` the end of
-    the horizon and `initial_rate` the rate at the scan's start. Each call
-    goes on with
+    A Scan is built from everything the scan depends on: agent i's pose
+    (x, y, heading) at t_ns, its view, the formation spec, the limits, the
+    tick step dt_ns, the horizon and the guard that inflates every neighbor
+    disk. It works out once the neighbor order (sorted), their promises and
+    target distances, and the grid: point 0 is t_ns, point k >= 1 the k-th
+    tick after it, up to t_ns + horizon_ns, `n` points in all. A view that
+    changes later does not reach the scan; a new resolve builds a new one.
 
-        critical_time_ns(i, *scan.pose, view, scan.next_ns, spec, limits,
-                         dt_ns, scan.end_ns - scan.next_ns, guard, scan)
-
-    and the same i, view, spec, limits, dt_ns and guard throughout, and
-    the chunks and results are those of one full scan.
+    critical_time_ns(scan) rolls out the next chunk and records here where
+    it stopped. When that chunk holds no crossing and the horizon reaches
+    past it, `pending` is set and the call returned the chunk's last grid
+    point, a lower bound of t*. `start` is the first grid point not yet
+    scanned and `pose` the predicted pose there; `last` is the last scanned
+    point as (t_ns, x, y, heading, speed, turn), which the refinement needs
+    when the crossing comes right after it; `chunk` is the next chunk's
+    size.
 
     `rollout` holds the points of the last chunk rolled out and `last`, at
     most SCAN_MAX_CHUNK + 1, by t_ns; the control tick reads goal_law's
@@ -292,17 +296,55 @@ class Scan:
     views list their neighbours sorted, the order in which both sum them.
     """
 
-    __slots__ = ("pose", "next_ns", "end_ns", "last", "rollout", "chunk", "initial_rate", "pending")
+    __slots__ = (
+        "promises", "dists", "gain", "limits", "guard", "t_ns", "first_grid", "dt_ns", "n",
+        "pose", "start", "last", "rollout", "chunk", "pending",
+    )
 
-    def __init__(self, x: float, y: float, heading: float, t_ns: int, horizon_ns: int) -> None:
+    def __init__(
+        self,
+        i: int,
+        x: float,
+        y: float,
+        heading: float,
+        view: Mapping[int, Promise],
+        t_ns: int,
+        spec: FormationSpec,
+        limits: Limits,
+        dt_ns: int,
+        horizon_ns: int,
+        guard: float = 0.0,
+    ) -> None:
+        order = sorted(view)
+        self.promises = [view[j] for j in order]
+        self.dists = [spec.distance(i, j) for j in order]
+        self.gain = spec.gain
+        self.limits = limits
+        self.guard = guard
+        rem = t_ns % dt_ns
+        self.t_ns = t_ns
+        self.first_grid = t_ns + (dt_ns - rem if rem else dt_ns)
+        self.dt_ns = dt_ns
+        self.n = 1 + max(0, (t_ns + horizon_ns - self.first_grid) // dt_ns + 1)
         self.pose = (x, y, heading)
-        self.next_ns = t_ns
-        self.end_ns = t_ns + horizon_ns
+        self.start = 0
         self.last: Optional[Tuple[int, float, float, float, float, float]] = None
         self.rollout: Dict[int, Tuple[int, float, float, float, float, float]] = {}
         self.chunk = SCAN_FIRST_CHUNK
-        self.initial_rate = 0.0
         self.pending = False
+
+    def grid(self, k: int) -> int:
+        """The instant of grid point k."""
+        return self.first_grid + (k - 1) * self.dt_ns if k else self.t_ns
+
+    def disks_at(self, tns: list[int]) -> list:
+        """Each neighbor's disk columns (cx, cy, r + guard) at the times tns."""
+        t_sec = np.array([tn * 1e-9 for tn in tns])
+        disks = []
+        for p in self.promises:
+            cx, cy, r = disk_params_batch(p, t_sec)
+            disks.append((cx, cy, r + self.guard))
+        return disks
 
     def control_at(self, t_ns: int, pose: tuple) -> Optional[Tuple[float, float]]:
         """goal_law's (speed, turn) at the rollout point at t_ns if its pose is
@@ -314,35 +356,56 @@ class Scan:
         return rec[4:]
 
 
-def critical_time_ns(
-    i: int,
-    x: float,
-    y: float,
-    heading: float,
-    view: Mapping[int, Promise],
-    t_last_ns: int,
-    spec: FormationSpec,
-    limits: Limits,
-    dt_ns: int,
-    horizon_ns: int,
-    guard: float = 0.0,
-    scan: Optional[Scan] = None,
-) -> Tuple[int, float]:
-    """Scan the predicted trajectory for the descent-certificate expiry.
+def _refine(scan: Scan, before: Tuple[int, float, float, float, float, float], hi: int) -> int:
+    """Crossing inside (lo, hi], lo the grid point `before` records; return
+    certified t*.
 
-    Times are integer nanoseconds aligned with the simulation tick grid of
-    step dt_ns, so the prediction replays the exact control-update cadence
-    the simulator executes, at most horizon_ns ahead of t_last_ns. Returns
-    (t_star_ns, initial_rate): the first crossing, refined to BISECT_TOL_NS
-    by bisection under the control held in the bracketing interval (the
-    last grid point when the horizon holds none), and the certificate rate
-    at the scan's start. Neighbor disk radii are inflated by `guard`.
+    Bisects under the control held from lo. The rates come in batches: hi
+    with the top half of the bisection tree's levels, then the rest of the
+    subtree the walk reaches; the walk itself takes the same decisions as
+    one evaluation per step.
+    """
+    lo, x0, y0, th0, sp0, tu0 = before
+    rates: dict[int, float] = {}
 
-    Without `scan` the call scans up to the crossing. With one it scans a
-    single chunk, starting from the state `scan` records, and updates it;
-    while `scan.pending` the t_star_ns returned is only a lower bound (see
-    Scan). The grid points are computed chunk by chunk, so a scan costs
-    what it rolls out, however long the horizon.
+    def fetch(tns: list[int]) -> None:
+        rows = []
+        for tn in tns:
+            sx, sy, sth = arc_step(x0, y0, th0, sp0, tu0, (tn - lo) * 1e-9)
+            sth = wrap_angle(sth)
+            rows.append((sx, sy, sp0 * math.cos(sth), sp0 * math.sin(sth)))
+        rate = rate_bound(*(np.array(v) for v in zip(*rows)), scan.disks_at(tns), scan.dists)
+        rates.update(zip(tns, rate.tolist()))
+
+    depth = _bisect_depth(hi - lo)
+    fetch([hi, *_bisect_tree(lo, hi, (depth + 1) // 2)])
+    if rates[hi] < 0.0:
+        # The held-control certificate still holds through the grid
+        # point; the recomputed control there is what failed.
+        return hi
+    a, b = lo, hi
+    while b - a > BISECT_TOL_NS:
+        mid = (a + b) // 2
+        if mid not in rates:
+            fetch(_bisect_tree(a, b, _bisect_depth(b - a)))
+        if rates[mid] < 0.0:
+            a = mid
+        else:
+            b = mid
+    return a
+
+
+def critical_time_ns(scan: Scan) -> int:
+    """Roll out the scan's next chunk and look there for the certificate's
+    expiry t*.
+
+    The grid replays the exact control-update cadence the simulator
+    executes (see Scan). Returns the first crossing, refined to
+    BISECT_TOL_NS by bisection under the control held in the bracketing
+    interval, or the last grid point when the horizon holds none. While
+    `scan.pending` is set, the value returned is only a lower bound, the
+    chunk's last grid point, and the next call goes on from there. So a
+    scan costs what it rolls out, however long the horizon.
 
     The rollout stops at the first grid point where the agent is
     stationary (fx == fy == 0.0 under its own law): the rate there is
@@ -350,127 +413,50 @@ def critical_time_ns(
     an earlier one is. Only the points before it go to the kernel, and none
     when it is the chunk's first; the crossing is refined as any other.
     """
-    order = sorted(view)
-    proms = [view[j] for j in order]
-    dists = [spec.distance(i, j) for j in order]
-    gain = spec.gain
-    u_max = limits.max_speed
-    v_max = limits.max_turn
-
-    # Grid point 0 is t_last_ns, point k >= 1 the k-th tick after it, up to
-    # the horizon's end: n points in all.
-    end_ns = t_last_ns + horizon_ns
-    rem = t_last_ns % dt_ns
-    first_grid = t_last_ns + (dt_ns - rem if rem else dt_ns)
-    n = 1 + max(0, (end_ns - first_grid) // dt_ns + 1)
-
-    def grid(k: int) -> int:
-        return first_grid + (k - 1) * dt_ns if k else t_last_ns
-
-    def disks_at(tns: list[int]) -> list:
-        """Each neighbor's disk columns (cx, cy, r + guard) at the times tns."""
-        t_sec = np.array([tn * 1e-9 for tn in tns])
-        disks = []
-        for p in proms:
-            cx, cy, r = disk_params_batch(p, t_sec)
-            disks.append((cx, cy, r + guard))
-        return disks
-
-    def refine(before: Tuple[int, float, float, float, float, float], hi: int) -> int:
-        """Crossing inside (lo, hi], lo the grid point `before` records;
-        return certified t*.
-
-        Bisects under the control held from lo. The rates come in batches:
-        hi with the top half of the bisection tree's levels, then the rest
-        of the subtree the walk reaches; the walk itself takes the same
-        decisions as one evaluation per step.
-        """
-        lo, x0, y0, th0, sp0, tu0 = before
-        rates: dict[int, float] = {}
-
-        def fetch(tns: list[int]) -> None:
-            rows = []
-            for tn in tns:
-                sx, sy, sth = arc_step(x0, y0, th0, sp0, tu0, (tn - lo) * 1e-9)
-                sth = wrap_angle(sth)
-                rows.append((sx, sy, sp0 * math.cos(sth), sp0 * math.sin(sth)))
-            rate = rate_bound(*(np.array(v) for v in zip(*rows)), disks_at(tns), dists)
-            rates.update(zip(tns, rate.tolist()))
-
-        depth = _bisect_depth(hi - lo)
-        fetch([hi, *_bisect_tree(lo, hi, (depth + 1) // 2)])
-        if rates[hi] < 0.0:
-            # The held-control certificate still holds through the grid
-            # point; the recomputed control there is what failed.
-            return hi
-        a, b = lo, hi
-        while b - a > BISECT_TOL_NS:
-            mid = (a + b) // 2
-            if mid not in rates:
-                fetch(_bisect_tree(a, b, _bisect_depth(b - a)))
-            if rates[mid] < 0.0:
-                a = mid
-            else:
-                b = mid
-        return a
-
-    lazy = scan is not None
-    if scan is None:
-        scan = Scan(x, y, heading, t_last_ns, horizon_ns)
+    dists, gain, n = scan.dists, scan.gain, scan.n
+    u_max, v_max = scan.limits.max_speed, scan.limits.max_turn
     # `before` is the last scanned point, (t_ns, x, y, heading, speed, turn),
     # or None at the scan's start.
-    before, chunk, initial_rate = scan.last, scan.chunk, scan.initial_rate
-    state = (x, y, heading)
-    start = 0
-    while True:
-        stop = min(start + chunk, n)
-        ts = [grid(k) for k in range(start, stop)]
-        disks = disks_at(ts)
-        centers = [list(zip(cxj.tolist(), cyj.tolist())) for cxj, cyj, _ in disks]
-        rows = []
-        rollout = scan.rollout = {} if before is None else {before[0]: before}
-        stationary = False
-        for local, tn in enumerate(ts):
-            sx, sy, th = state
-            sp, tu = goal_law(sx, sy, th, [c[local] for c in centers], dists, gain, u_max, v_max)
-            rollout[tn] = (tn, sx, sy, th, sp, tu)
-            fx, fy = sp * math.cos(th), sp * math.sin(th)
-            if fx == 0.0 and fy == 0.0:
-                stationary = True
-                break
-            rows.append((sx, sy, fx, fy))
-            if start + local + 1 < n:
-                nx, ny, nth = arc_step(sx, sy, th, sp, tu, (grid(start + local + 1) - tn) * 1e-9)
-                state = (nx, ny, wrap_angle(nth))
-        # A stationary point's rate is exactly +0.0 (see disk_sup_batch), a
-        # crossing: the rollout stops there and bounds only the points
-        # before it.
-        m = len(rows)
-        rate = np.zeros(m + stationary)
-        if m:
-            cut = [(cxj[:m], cyj[:m], rj[:m]) for cxj, cyj, rj in disks]
-            rate[:m] = rate_bound(*(np.array(v) for v in zip(*rows)), cut, dists)
-        if before is None:
-            initial_rate = float(rate[0])
-        hits = np.nonzero(rate >= 0.0)[0]
-        if hits.size:
-            k = int(hits[0])
-            if k:
-                before = rollout[ts[k - 1]]
-            t_star_ns = ts[0] if before is None else refine(before, ts[k])
+    before, chunk, state, start = scan.last, scan.chunk, scan.pose, scan.start
+    stop = min(start + chunk, n)
+    ts = [scan.grid(k) for k in range(start, stop)]
+    disks = scan.disks_at(ts)
+    centers = [list(zip(cxj.tolist(), cyj.tolist())) for cxj, cyj, _ in disks]
+    rows = []
+    rollout = scan.rollout = {} if before is None else {before[0]: before}
+    stationary = False
+    for local, tn in enumerate(ts):
+        sx, sy, th = state
+        sp, tu = goal_law(sx, sy, th, [c[local] for c in centers], dists, gain, u_max, v_max)
+        rollout[tn] = (tn, sx, sy, th, sp, tu)
+        fx, fy = sp * math.cos(th), sp * math.sin(th)
+        if fx == 0.0 and fy == 0.0:
+            stationary = True
             break
-        before = rollout[ts[-1]]
-        start, chunk = stop, min(2 * chunk, SCAN_MAX_CHUNK)
-        if start == n:
-            t_star_ns = ts[-1]  # the horizon: no crossing before it
-            break
-        if lazy:
-            scan.pose, scan.next_ns = state, grid(start)
-            scan.last, scan.chunk, scan.initial_rate = before, chunk, initial_rate
-            scan.pending = True
-            return ts[-1], initial_rate
+        rows.append((sx, sy, fx, fy))
+        if start + local + 1 < n:
+            nx, ny, nth = arc_step(sx, sy, th, sp, tu, (scan.grid(start + local + 1) - tn) * 1e-9)
+            state = (nx, ny, wrap_angle(nth))
+    # A stationary point's rate is exactly +0.0 (see disk_sup_batch), a
+    # crossing: the rollout stops there and bounds only the points before it.
+    m = len(rows)
+    rate = np.zeros(m + stationary)
+    if m:
+        cut = [(cxj[:m], cyj[:m], rj[:m]) for cxj, cyj, rj in disks]
+        rate[:m] = rate_bound(*(np.array(v) for v in zip(*rows)), cut, dists)
+    hits = np.nonzero(rate >= 0.0)[0]
     scan.pending = False
-    return t_star_ns, initial_rate
+    if hits.size:
+        k = int(hits[0])
+        if k:
+            before = rollout[ts[k - 1]]
+        return ts[0] if before is None else _refine(scan, before, ts[k])
+    if stop == n:
+        return ts[-1]  # the horizon: no crossing before it
+    scan.pose, scan.start, scan.last = state, stop, rollout[ts[-1]]
+    scan.chunk = min(2 * chunk, SCAN_MAX_CHUNK)
+    scan.pending = True
+    return ts[-1]
 
 
 def adaptive_dwell(

@@ -28,6 +28,9 @@ from ttlab.engine import (
 )
 from ttlab.triggers import rate_bound
 
+from test_golden import GOLDEN, PATHS
+from test_triggers import _scan_to_end
+
 OUTPUT_FILES = ("metrics.json", "lyapunov.csv", "messages.csv", "trace.csv")
 
 
@@ -528,20 +531,44 @@ def test_lazy_scan_matches_full_scan(case, scenario, robust_scenario, tmp_path, 
         cfg = with_overrides(robust_scenario, seed=7, duration=2.0)
     else:
         cfg = _cycle5(scenario, 0.1)
-    lazy, continued = _run_counting_continuations(cfg, tmp_path / "lazy")
-    scan_on = engine_mod.Engine._scan_on
-
-    def eager(self, ag):
-        scan_on(self, ag)
-        while ag.scan.pending:
-            scan_on(self, ag)
-
-    monkeypatch.setattr(engine_mod.Engine, "_scan_on", eager)
-    full, none = _run_counting_continuations(cfg, tmp_path / "full")
+    chunked, continued = _run_counting_continuations(cfg, tmp_path / "chunked")
+    monkeypatch.setattr(engine_mod, "critical_time_ns", _scan_to_end)
+    eager, none = _run_counting_continuations(cfg, tmp_path / "eager")
     for f in OUTPUT_FILES:
-        assert lazy[f] == full[f], f"{f} differs from the full-scan run"
+        assert chunked[f] == eager[f], f"{f} differs from the run that scans to the crossing"
     assert continued > 0
     assert none == 0
+
+
+@pytest.mark.parametrize("name", [*GOLDEN, *PATHS])
+def test_every_chunk_scans_the_view_its_scan_was_built_from(name, monkeypatch):
+    """A Scan keeps the promises of the view it was built from, so a view
+    must not change while its scan is pending. It does not: every change
+    to a view is followed by a resolve, which replaces the scan before any
+    continuation runs. So each continuation finds in the agent's view
+    exactly the promise objects its scan holds."""
+    if name in GOLDEN:
+        scenario, overrides, _ = GOLDEN[name]
+        cfg = with_overrides(bundled_config(scenario), **overrides)
+    else:
+        cfg = PATHS[name][0]()
+    continuation = engine_mod.Engine._scan_continuation
+    resumed = []
+
+    def checked(self, i, token):
+        ag = self.agents[i]
+        if token == ag.self_req_token:
+            held = ag.scan.promises
+            assert len(held) == len(ag.view)
+            assert all(a is b for a, b in zip(held, (ag.view[j] for j in sorted(ag.view)))), (
+                f"agent {i}: its view changed while its scan was pending"
+            )
+            resumed.append(i)
+        return continuation(self, i, token)
+
+    monkeypatch.setattr(engine_mod.Engine, "_scan_continuation", checked)
+    run(cfg)
+    assert resumed
 
 
 @pytest.mark.parametrize("case", ["lambda0", "robust-7"])

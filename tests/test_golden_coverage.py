@@ -115,13 +115,7 @@ UNREACHED = {
     ("triggers", "li_v_sup", "fy = control.speed * math.sin(own_state.heading)"): _ORACLE,
     ("triggers", "li_v_sup", "rate = rate_bound(own_state.x, own_state.y, fx, fy, disks, dists)"): _ORACLE,
     ("triggers", "li_v_sup", "return float(rate[0])"): _ORACLE,
-    ("triggers", "critical_time_ns", "scan = Scan(x, y, heading, t_last_ns, horizon_ns)"): (
-        "the full-scan mode; only tests/test_triggers.py scans without a Scan"
-    ),
-    ("triggers", "critical_time_ns", "t_star_ns = ts[-1]  # the horizon: no crossing before it"): (
-        "a scan that reaches its horizon of ten self dwells; every golden scan crosses first"
-    ),
-    ("triggers", "critical_time_ns", "break"): (
+    ("triggers", "critical_time_ns", "return ts[-1]  # the horizon: no crossing before it"): (
         "a scan that reaches its horizon of ten self dwells; every golden scan crosses first"
     ),
 }

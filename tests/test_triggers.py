@@ -212,38 +212,62 @@ def _single_neighbor_view(pos, d_target, tightness=0.05):
     return spec, {1: p}
 
 
-def test_critical_time_zero_rate_expires_now():
-    """At an equilibrium the worst-case rate is exactly zero, so the
-    certificate expires immediately."""
+def _scan_to_end(scan):
+    """critical_time_ns(scan) until the scan is no longer pending: its t*."""
+    t_star = critical_time_ns(scan)
+    return _scan_to_end(scan) if scan.pending else t_star
+
+
+def _captured_rates(monkeypatch):
+    """Patch the scan's rate_bound to keep each result; return the list
+    they go to."""
+    rates = []
+
+    def captured(*args):
+        rates.append(rate_bound(*args))
+        return rates[-1]
+
+    monkeypatch.setattr(triggers, "rate_bound", captured)
+    return rates
+
+
+def test_critical_time_zero_rate_expires_now(monkeypatch):
+    """At an equilibrium the agent is stationary, so its worst-case rate is
+    exactly zero without a kernel call, and the certificate expires
+    immediately."""
     spec, view = _single_neighbor_view((1.0, 0.0), 1.0)
-    t_star, rate = critical_time_ns(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, HORIZON)
-    assert t_star == 0
-    assert rate == 0.0
+    rates = _captured_rates(monkeypatch)
+    scan = Scan(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, HORIZON)
+    assert _scan_to_end(scan) == 0
+    assert scan.rollout[0][4:] == (0.0, 0.0)
+    assert rates == []
 
 
-def test_critical_time_descending_start():
+def test_critical_time_descending_start(monkeypatch):
     """A stretched edge gives a strictly negative rate and a positive t*."""
     spec, view = _single_neighbor_view((2.0, 0.0), 1.0)
-    t_star, rate = critical_time_ns(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, HORIZON)
-    assert rate < 0.0
+    rates = _captured_rates(monkeypatch)
+    t_star = _scan_to_end(Scan(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, HORIZON))
+    assert rates[0][0] < 0.0
     assert t_star > 0
 
 
 def test_critical_time_guard_monotone():
     """Inflating the disks can only bring the expiry earlier."""
     spec, view = _single_neighbor_view((2.0, 0.0), 1.0)
-    t_a, _ = critical_time_ns(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, HORIZON, guard=0.0)
-    t_b, _ = critical_time_ns(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, HORIZON, guard=0.02)
+    t_a = _scan_to_end(Scan(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, HORIZON, guard=0.0))
+    t_b = _scan_to_end(Scan(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, HORIZON, guard=0.02))
     assert t_b <= t_a
 
 
-def test_critical_time_horizon_cap():
+def test_critical_time_horizon_cap(monkeypatch):
     """With no crossing inside the horizon the scan returns its last grid
     point rather than pretending to certify further."""
     spec, view = _single_neighbor_view((2.0, 0.0), 1.0)
     horizon = int(0.01 * NS)
-    t_star, rate = critical_time_ns(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, horizon)
-    assert rate < 0.0
+    rates = _captured_rates(monkeypatch)
+    t_star = _scan_to_end(Scan(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, horizon))
+    assert all((r < 0.0).all() for r in rates)
     assert t_star == horizon
 
 
@@ -251,21 +275,24 @@ def test_critical_time_off_grid_start():
     """Resolves triggered by delayed deliveries start between ticks."""
     spec, view = _single_neighbor_view((2.0, 0.0), 1.0)
     t_last = 1_531_377  # not a multiple of the 1 ms tick
-    t_star, _ = critical_time_ns(0, 0.0, 0.0, 0.0, view, t_last, spec, LIM, DT, HORIZON)
+    t_star = _scan_to_end(Scan(0, 0.0, 0.0, 0.0, view, t_last, spec, LIM, DT, HORIZON))
     assert t_star >= t_last
 
 
-def test_critical_time_ns_initial_rate_matches_li_v_sup():
-    """The scan's rate at t_last is li_v_sup on the guard-inflated disks
-    under the nominal control: both run the same rate bound and goal law."""
+def test_critical_time_ns_start_rate_matches_li_v_sup(monkeypatch):
+    """The scan's rate at its start, rate_bound's row for grid point 0, is
+    li_v_sup on the guard-inflated disks under the nominal control: both
+    run the same rate bound and goal law."""
     spec, view = _single_neighbor_view((2.0, 0.0), 1.0)
     guard = 0.005
-    _, rate = critical_time_ns(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, HORIZON, guard=guard)
     state = UnicycleState(0.0, 0.0, 0.0)
     disk = view_disk_at(view[1], 0.0)
     inflated = {1: DiskSet(disk.center, disk.radius + guard)}
     control = u_double_star(0, state, view, 0.0, spec, LIM)
-    assert rate == li_v_sup(0, state, inflated, control, spec)
+    want = li_v_sup(0, state, inflated, control, spec)
+    rates = _captured_rates(monkeypatch)
+    critical_time_ns(Scan(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, HORIZON, guard))
+    assert rates[0][0] == want
 
 
 def _rate_bound_loop(px, py, fx, fy, disks, dists):
@@ -570,14 +597,14 @@ def test_batched_refinement_matches_sequential_bisection(monkeypatch):
         calls.clear()
         with monkeypatch.context() as m:
             m.setattr(triggers, "disk_sup_batch", counted)
-            got, _ = critical_time_ns(0, *own, view, t_last, spec, LIM, dt, HORIZON_SCAN, guard)
+            got = _scan_to_end(Scan(0, *own, view, t_last, spec, LIM, dt, HORIZON_SCAN, guard))
         assert got == want
         assert 1 <= len(calls) - _chunks_through(k) <= 2
         checked += 1
 
 
 def test_first_scan_chunk_holds_two_points():
-    """A lazy scan's first chunk must reach past the resolve instant. A
+    """A scan's first chunk must reach past the resolve instant. A
     one-point first chunk's lower bound of t* is the resolve instant itself,
     so the control update right after the scan sees t >= t* and puts the
     agent in safe mode: a first chunk of one point changed a λ=0 run's
@@ -598,8 +625,8 @@ def test_scan_stops_at_first_stationary_point(goal_ahead, still_at, rollout_rows
     """An agent whose goal lies behind it gets speed 0 from goal_law, and
     its rate there is +0.0, a crossing. The scan finds the every-row
     reference's t* without evaluating that point or any after it: on a
-    stationary start it calls no kernel and its rate is +0.0; when the
-    stationary point opens the second chunk, that chunk calls no kernel;
+    stationary start it calls no kernel; when the stationary point opens
+    the second chunk, that chunk calls no kernel;
     mid-chunk, the kernel gets only the points before it. With a 10 ms
     tick and gain 150 the agent, heading straight for its parked
     neighbor's goal point, overshoots it and stops."""
@@ -618,60 +645,56 @@ def test_scan_stops_at_first_stationary_point(goal_ahead, still_at, rollout_rows
         return disk_sup_batch(*args)
 
     monkeypatch.setattr(triggers, "disk_sup_batch", counted)
-    t_star, rate = critical_time_ns(0, *own, view, 0, spec, LIM, dt, HORIZON_SCAN)
+    t_star = _scan_to_end(Scan(0, *own, view, 0, spec, LIM, dt, HORIZON_SCAN))
     assert t_star == want
     assert calls[: len(rollout_rows)] == rollout_rows
     refinement = calls[len(rollout_rows) :]
     if still_at:
-        assert rate < 0.0 and 1 <= len(refinement) <= 2
+        assert 1 <= len(refinement) <= 2
     else:
-        assert _bits(rate) == _bits(0.0) and refinement == []
-    (resumed, _), _ = _resumed_scan(own, view, 0, spec, dt, HORIZON_SCAN, 0.0)
+        assert refinement == []
+    resumed, _ = _resumed_scan(own, view, 0, spec, dt, HORIZON_SCAN, 0.0)
     assert resumed == t_star
 
 
 def _resumed_scan(own, view, t_last, spec, dt, horizon, guard, cuts=()):
-    """critical_time_ns one chunk per call, each resumed from the Scan the
-    last one left; chunk k is cuts[k] points long where given. Returns the
-    final result and the lower bounds the pending calls returned."""
-    scan = Scan(*own, t_last, horizon)
+    """critical_time_ns one chunk per call on one Scan; chunk k is cuts[k]
+    points long where given. Returns t* and the lower bounds the pending
+    calls returned."""
+    scan = Scan(0, *own, view, t_last, spec, LIM, dt, horizon, guard)
     bounds = []
     for k in itertools.count():
         if k < len(cuts):
             scan.chunk = cuts[k]
-        left = scan.end_ns - scan.next_ns
-        result = critical_time_ns(0, *scan.pose, view, scan.next_ns, spec, LIM, dt, left, guard, scan)
+        t_star = critical_time_ns(scan)
         if not scan.pending:
-            return result, bounds
-        bounds.append(result[0])
+            return t_star, bounds
+        bounds.append(t_star)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     cuts=st.lists(st.integers(1, 2 * SCAN_MAX_CHUNK), max_size=10),
-    one_by_one=st.booleans(),
     horizon_ticks=st.integers(0, 500),
     coarse=st.booleans(),
 )
-def test_resumed_scan_matches_full_scan(seed, cuts, one_by_one, horizon_ticks, coarse):
-    """Cutting the scan at arbitrary chunk bounds and resuming it from its
-    Scan state gives the (t_star_ns, initial_rate) of one full call, bit
-    for bit: on random views, with starts on and off the tick grid, with
-    crossings at the start, at a cut and past the horizon, and with chunks
-    of one point throughout, which make every grid point a cut. Each
-    pending call returns a grid point that bounds t* from below."""
+def test_resumed_scan_matches_full_scan(seed, cuts, horizon_ticks, coarse):
+    """Cutting the scan at arbitrary chunk bounds gives the t* of the
+    sequential reference, which scans the whole horizon at once: on random
+    views, with starts on and off the tick grid, with crossings at the
+    start, at a cut and past the horizon, for the drawn chunk sizes, for
+    chunks of one point throughout, which make every grid point a cut, and
+    for the engine's own chunks. Each pending call returns a grid point
+    that bounds t* from below."""
     rng = np.random.default_rng(seed)
     dt = 10 * DT if coarse else DT
     own, view, t_last, spec, guard = _random_view(rng, dt)
     horizon = horizon_ticks * dt
-    if one_by_one:
-        cuts = [1] * (horizon_ticks + 2)
-    want = critical_time_ns(0, *own, view, t_last, spec, LIM, dt, horizon, guard)
-    for chunks in (cuts, ()):  # drawn chunk sizes, then the engine's own
-        (t_star, rate), bounds = _resumed_scan(own, view, t_last, spec, dt, horizon, guard, chunks)
-        assert t_star == want[0]
-        assert _bits(rate) == _bits(want[1])
+    _, want = _sequential_scan(*own, view, t_last, spec, dt, horizon, guard)
+    for chunks in (cuts, [1] * (horizon_ticks + 2), ()):
+        t_star, bounds = _resumed_scan(own, view, t_last, spec, dt, horizon, guard, chunks)
+        assert t_star == want
         assert bounds == sorted(set(bounds))
         assert all(b in (t_last, b - b % dt) and t_last <= b <= t_star for b in bounds)
 
@@ -688,12 +711,12 @@ def _radius_rate(threshold):
 
 @pytest.mark.parametrize("where", ["start", "cut", "later-chunk", "none"])
 def test_resumed_scan_at_pinned_crossings(where, monkeypatch):
-    """With a rate that crosses zero at a chosen time, the resumed scan
-    matches the full scan: a crossing at the start returns the start; a
-    crossing just past the last point of the first chunk is found at the
-    first point of the resumed chunk, whose refinement returns its lo, the
-    pending call's lower bound; a crossing deep inside a later chunk; and
-    none before the horizon, which returns the last grid point."""
+    """With a rate that crosses zero at a chosen time, the scan resumed
+    chunk by chunk matches _scan_to_end: a crossing at the start returns
+    the start; a crossing just past the last point of the first chunk is
+    found at the first point of the resumed chunk, whose refinement returns
+    its lo, the pending call's lower bound; a crossing deep inside a later
+    chunk; and none before the horizon, which returns the last grid point."""
     spec = FormationSpec({(0, 1): 1.0}, 150.0)
     p = make_promise(
         1, 0, 0.0, UnicycleState(2.0, 0.0, 0.0), ControlInput(0.0, 0.0, LIM), StaticBall(0.0)
@@ -710,7 +733,7 @@ def test_resumed_scan_at_pinned_crossings(where, monkeypatch):
     threshold = view_disk_at(view[1], cross_ns * 1e-9).radius
     monkeypatch.setattr(triggers, "rate_bound", _radius_rate(threshold))
     own = (0.0, 0.0, 0.0)
-    want = critical_time_ns(0, *own, view, t_last, spec, LIM, DT, HORIZON_SCAN)
+    want = _scan_to_end(Scan(0, *own, view, t_last, spec, LIM, DT, HORIZON_SCAN))
     got, bounds = _resumed_scan(own, view, t_last, spec, DT, HORIZON_SCAN, 0.0)
     assert got == want
     last_grid = t_last + HORIZON_SCAN - (t_last + HORIZON_SCAN) % DT
@@ -721,9 +744,9 @@ def test_resumed_scan_at_pinned_crossings(where, monkeypatch):
         "none": last_grid,
     }[where]
     if expected is not None:
-        assert want[0] == expected
+        assert want == expected
     else:
-        assert cross_ns - BISECT_TOL_NS <= want[0] < cross_ns
+        assert cross_ns - BISECT_TOL_NS <= want < cross_ns
     if where == "cut":
         assert bounds == [cross_ns - 1]  # the first chunk's last point
     if where == "start":
