@@ -283,12 +283,12 @@ class Scan:
 
     critical_time_ns(scan) rolls out the next chunk and records here where
     it stopped. When that chunk holds no crossing and the horizon reaches
-    past it, `pending` is set and the call returned the chunk's last grid
-    point, a lower bound of t*. `start` is the first grid point not yet
-    scanned and `pose` the predicted pose there; `last` is the last scanned
-    point as (t_ns, x, y, heading, speed, turn), which the refinement needs
-    when the crossing comes right after it; `chunk` is the next chunk's
-    size.
+    past it, `pending` is set and the call returns the chunk's last grid
+    point, a lower bound of t*. `start` is the index of the first grid
+    point not yet scanned and `pose` the predicted pose there; `last` is
+    the last scanned point as (t_ns, x, y, heading, speed, turn), which the
+    refinement needs when the crossing comes right after it; `chunk` is the
+    next chunk's size.
 
     `rollout` holds the points of the last chunk rolled out and `last`, at
     most SCAN_MAX_CHUNK + 1, by t_ns; the control tick reads goal_law's

@@ -28,7 +28,7 @@ from ttlab.engine import (
 )
 from ttlab.triggers import rate_bound
 
-from test_golden import GOLDEN, PATHS
+from test_golden import GOLDEN, PATHS, golden_config
 from test_triggers import _scan_to_end
 
 OUTPUT_FILES = ("metrics.json", "lyapunov.csv", "messages.csv", "trace.csv")
@@ -547,11 +547,6 @@ def test_every_chunk_scans_the_view_its_scan_was_built_from(name, monkeypatch):
     to a view is followed by a resolve, which replaces the scan before any
     continuation runs. So each continuation finds in the agent's view
     exactly the promise objects its scan holds."""
-    if name in GOLDEN:
-        scenario, overrides, _ = GOLDEN[name]
-        cfg = with_overrides(bundled_config(scenario), **overrides)
-    else:
-        cfg = PATHS[name][0]()
     continuation = engine_mod.Engine._scan_continuation
     resumed = []
 
@@ -567,7 +562,7 @@ def test_every_chunk_scans_the_view_its_scan_was_built_from(name, monkeypatch):
         return continuation(self, i, token)
 
     monkeypatch.setattr(engine_mod.Engine, "_scan_continuation", checked)
-    run(cfg)
+    run(golden_config(name))
     assert resumed
 
 

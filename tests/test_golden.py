@@ -111,6 +111,14 @@ PATHS = {
     ),
 }
 
+def golden_config(name):
+    """The config of the GOLDEN or PATHS run `name`."""
+    if name in GOLDEN:
+        scenario, overrides, _ = GOLDEN[name]
+        return with_overrides(bundled_config(scenario), **overrides)
+    return PATHS[name][0]()
+
+
 COMPARE_DIGEST = "47a8a8fd158cf3294a5e024c7413615f035d279cbbcb49aeacda28bca58dc4b2"
 SWEEP_DIGEST = "4ba48341fc245bb088cada87be7e520946c66851f00ec1f2d2fc95da01235630"
 

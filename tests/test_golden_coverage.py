@@ -33,7 +33,7 @@ from ttlab.engine import (
     write_sweep_csv,
 )
 
-from test_golden import GOLDEN, PATHS
+from test_golden import GOLDEN, PATHS, golden_config
 
 MODULES = (ttlab.engine, ttlab.promises, ttlab.triggers, ttlab.controllers)
 
@@ -146,10 +146,8 @@ def _function_lines(module):
 
 
 def _golden_runs(out):
-    for scenario, overrides, _ in GOLDEN.values():
-        write_outputs(run(with_overrides(bundled_config(scenario), **overrides)), out)
-    for build, _ in PATHS.values():
-        write_outputs(run(build()), out)
+    for name in [*GOLDEN, *PATHS]:
+        write_outputs(run(golden_config(name)), out)
     cfg = with_overrides(bundled_config("formation4"), duration=1.0)
     write_compare_csv(run_compare(cfg, sample_dt=0.1), out / "compare.csv")
     write_sweep_csv(sweep_lambda(cfg, [0.1, 0.5, 1.0]), out / "sweep.csv")
