@@ -9,7 +9,8 @@ The four GOLDEN runs are the reference workloads. The PATHS runs reach code
 those four never execute: the applied control with `safe_turn` off, the
 dynamic promise rule with the adaptive dwell (whose radius and dwell are
 computed from the planning control), a ball promise's disk past its expiry,
-the `run_compare` table and the `sweep_lambda` table.
+a warning about a view issued at its own instant, an agent with no
+neighbour, the `run_compare` table and the `sweep_lambda` table.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ from dataclasses import replace
 
 import pytest
 
-from ttlab.config import bundled_config, with_overrides
+from ttlab.config import bundled_config, validate_config, with_overrides
 from ttlab.engine import (
     _compare_cfg,
     run,
@@ -75,6 +76,29 @@ GOLDEN = {
 }
 
 
+def _zero_delay_robust():
+    """formation4_robust, seed 3, on a lossy noisy channel without delay."""
+    cfg = with_overrides(bundled_config("formation4_robust"), seed=3, duration=2.0)
+    cfg = replace(cfg, network=replace(cfg.network, max_delay=0.0))
+    validate_config(cfg)
+    return cfg
+
+
+def _isolated_agent():
+    """formation4's first three agents under the team law, with only the
+    edge 0-1: agent 2 has no neighbour, so its goal point is its position."""
+    cfg = with_overrides(bundled_config("formation4"), law="team", duration=0.5)
+    cfg = replace(
+        cfg,
+        n_agents=3,
+        edges=((0, 1),),
+        distances=((0, 1, 2.0),),
+        initial_states=cfg.initial_states[:3],
+    )
+    validate_config(cfg)
+    return cfg
+
+
 # name -> (config builder, digests in FILES order)
 PATHS = {
     "safe-turn-off": (
@@ -107,6 +131,25 @@ PATHS = {
             "dfea88975964d3f28191b26891f650bc197feb61a2a6dcda4983c2280a86bf77",
             "8f1d853ea968272c4a0c57e7a13c2aecce33b870ea20a0787e1fba62423ff3b0",
             "a8a41b6afe2a007d8aa9855c80f44a3d640818bdd6a8269cd999d100352b3713",
+        ),
+    ),
+    # Its warning at 1.705 s finds a view issued at that same instant.
+    "robust-zero-delay": (
+        _zero_delay_robust,
+        (
+            "2fdc7b69b3c65b9230a181c13744e9d9e22baa6ed913359a2c99f168b6cd2da5",
+            "84f63f791d140075d68385d5c6c82bfecd7c410b7ca55c795e66958089430536",
+            "5a4e322ea64430f1ab54e674c8734c74a868b2353f92abc41dd4cb7bac40b877",
+            "27911cdd8a8986f0829d1603277c1785fafe27a30c7e1dfb2c66c63da0931b87",
+        ),
+    ),
+    "isolated-agent": (
+        _isolated_agent,
+        (
+            "64f033917a6afb1d434ca6446ad0e0ee719c8a3ad5aabc51569260c7518f0ab0",
+            "66213fff1c7a744ced878a13e0ab58ea512724deaf2744654db99963b65ddb5f",
+            "cc8c6077beb0342e6de93df4bc400ed7e4c8db97332e52cfd8ce812865a2c4d4",
+            "bf7e204dc3f003993306534c8548d0689d3aeab3101d844e256129002e7a3c63",
         ),
     ),
 }

@@ -54,9 +54,6 @@ UNREACHED = {
     ("engine", "Engine._apply_mode_control", 'f" or not finite: speed {speed!r}, turn rate {turn!r}"'): (
         "the nominal-control error's message"
     ),
-    ("engine", "Engine._warn", "return  # already anchored at the warning instant or later"): (
-        "a warning about a view issued at or after its instant; no golden run sends one"
-    ),
     ("engine", "Engine._monitor", "continue"): "a recipient with no promise in flight; no golden run leaves one",
     ("engine", "Engine._record", "raise EngineInvariantError(self._rise_report(ts_ns, row, last, v))"): (
         "the potential-rise error; test_potential_increase_error_names_edge_agents_and_messages raises it"
@@ -107,7 +104,6 @@ UNREACHED = {
     ("controllers", "u_double_star", "speed, turn = goal_law("): f"{_HOOKED} goal_law",
     ("controllers", "u_double_star", "state.x, state.y, state.heading, points, dists, spec.gain, limits.max_speed, limits.max_turn"): f"{_HOOKED} goal_law",
     ("controllers", "u_double_star", "return ControlInput(speed, turn, limits)"): f"{_HOOKED} goal_law",
-    ("controllers", "goal_law", "return (0.0, 0.0)"): "a goal point exactly at the agent, which no golden run reaches",
     ("triggers", "li_v_sup", "order = sorted(neighbor_disks)"): _ORACLE,
     ("triggers", "li_v_sup", "disks = [(*neighbor_disks[j].center, neighbor_disks[j].radius) for j in order]"): _ORACLE,
     ("triggers", "li_v_sup", "dists = [spec.distance(i, j) for j in order]"): _ORACLE,
