@@ -5,9 +5,10 @@ neighbor distance errors, saturating speed and turn rate at the actuation
 limits. Team variants evaluate the same law on promised estimates of the
 neighbors instead of their true states.
 
-goal_law is the one implementation of that law, on raw floats; the engine
-and the trigger scan call it. u_double_star evaluates it on a promise view
-and returns a ControlInput.
+goal_law is the one implementation of that law, on raw floats; the trigger
+scan calls it, for its rollout and for the engine's control tick
+(triggers.Scan.control). u_double_star evaluates it on a promise view and
+returns a ControlInput.
 """
 
 from __future__ import annotations

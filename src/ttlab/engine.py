@@ -27,10 +27,10 @@ resolve would have queued it, under the sequence number reserved at the
 resolve. So the prediction is rolled out only as far as simulated time
 reaches, and a later resolve supersedes a pending continuation as it does a
 self request. The Scan keeps the view it was built from; a view never
-changes without a resolve that replaces it. Up to t*, the control tick
-takes the nominal control goal_law gave the scan's rollout at the tick,
-where the agent sits exactly at its pose (Scan.control_at); elsewhere it
-runs goal_law on expected_position.
+changes without a resolve that replaces it. So the control tick asks the
+agent's Scan for the nominal control (Scan.control): the rollout holds it
+where the agent sits exactly at a rollout pose, and the Scan computes it
+from its promises elsewhere.
 
 The breach monitor and the containment check run on the ticks where a
 miss is possible (_next_check_ns), and each keeps the earliest such tick,
@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .config import ConfigError, ScenarioConfig, time_problem, validate_config
-from .controllers import goal_law, team_control
+from .controllers import team_control
 from .model import ControlInput, UnicycleState, arc_step, lyapunov, safe_mode, wrap_angle
 from .network import Channel
 from .promises import (
@@ -65,7 +65,6 @@ from .promises import (
     Promise,
     StaticBall,
     breach_margin,
-    expected_position,
     fallback_to_reachability,
     is_expired,
     make_promise,
@@ -161,7 +160,6 @@ class _Agent:
         "req_floor_ns",
         "req_seq",
         "view",
-        "dists",
         "sent",
         "due_ns",
         "void_before",
@@ -191,8 +189,6 @@ class _Agent:
         self.req_floor_ns = 0
         self.req_seq = 0
         self.view: Dict[int, Promise] = {}
-        # Target distances to the neighbors, in the order of `view`.
-        self.dists: List[float] = []
         # Promises in flight per recipient, each with the first tick at
         # which it can be breached, and a bound on the earliest of those:
         # the breach monitor has nothing to do before it.
@@ -290,14 +286,7 @@ class Engine:
 
     def _apply_mode_control(self, ag: _Agent, now_ns: int) -> None:
         lim = self.limits
-        pose = (ag.x, ag.y, ag.heading)
-        held = ag.scan.control_at(now_ns, pose) if now_ns <= ag.t_star_ns and ag.scan else None
-        if held is not None:
-            speed, turn = held
-        else:
-            now_s = now_ns * 1e-9
-            points = [expected_position(p, now_s) for p in ag.view.values()]
-            speed, turn = goal_law(*pose, points, ag.dists, self.spec.gain, lim.max_speed, lim.max_turn)
+        speed, turn = ag.scan.control(now_ns, (ag.x, ag.y, ag.heading))
         if not (0.0 <= speed <= lim.max_speed and abs(turn) <= lim.max_turn):
             raise EngineInvariantError(
                 f"agent {ag.id} at t={_fmt_t(now_ns)}s: nominal control out of bounds"
@@ -356,12 +345,11 @@ class Engine:
     def _issue_promise(self, ag: _Agent, r: int, now_ns: int, event: bool) -> None:
         """Send r a promise anchored at the applied control, and schedule its
         first breach check at once. This is the one place the held control
-        becomes a ControlInput: the anchor, and in safe mode the planning
-        control the dynamic rule sizes the ball from."""
+        becomes a ControlInput, the anchor; the planning gap, the nominal
+        control's size, travels beside it."""
         now_s = now_ns * 1e-9
         expires_ns = None if self.exp_ns is None else now_ns + self.exp_ns
-        lim = self.limits
-        anchor = ControlInput(*team_control(ag.speed, ag.turn, ag.safe, self.safe_turn), lim)
+        anchor = ControlInput(*team_control(ag.speed, ag.turn, ag.safe, self.safe_turn), self.limits)
         p = make_promise(
             ag.id,
             r,
@@ -369,7 +357,6 @@ class Engine:
             UnicycleState(ag.x, ag.y, ag.heading),
             anchor,
             self.rule,
-            planning_control=ControlInput(ag.speed, ag.turn, lim) if ag.safe else anchor,
             expires_at=None if expires_ns is None else expires_ns * 1e-9,
             gap=math.hypot(ag.speed, ag.turn),
         )
@@ -464,12 +451,9 @@ class Engine:
         x, y = ag.x, ag.y
         max_speed = self.limits.max_speed
         for r in sorted(ag.sent):
-            entries = ag.sent[r]
-            if not entries:
-                continue
             keep = []
             breached = []
-            for entry in entries:
+            for entry in ag.sent[r]:
                 p, due_ns = entry
                 if now_ns < due_ns:
                     keep.append(entry)
@@ -658,7 +642,6 @@ class Engine:
                     fb_radius=0.0,
                     fb_time=0.0,
                 )
-            ag.dists = [self.spec.distance(ag.id, j) for j in ag.view]
         # Every agent resolves before any round starts, so all self-requests
         # are queued ahead of the first promise deliveries.
         for ag in self.agents:

@@ -94,7 +94,8 @@ class Promise:
     # Validation slack for promises received over a noisy channel; zero on
     # the issuer side. See validate_noisy_promise.
     noise_slack: float = 0.0
-    # Planning-control gap piggybacked for adaptive dwell selection.
+    # Planning-control gap: the dynamic rule's ball size, piggybacked for
+    # adaptive dwell selection.
     gap: Optional[float] = None
     # Frozen disk for REACHABILITY_FALLBACK mode.
     fb_center: Optional[Tuple[float, float]] = None
@@ -125,23 +126,23 @@ def make_promise(
     anchor_state: UnicycleState,
     anchor_control: ControlInput,
     rule: PromiseRuleConfig,
-    planning_control: Optional[ControlInput] = None,
     expires_at: Optional[float] = None,
     gap: Optional[float] = None,
 ) -> Promise:
     """Issue a promise anchored at the control actually applied at `now`.
 
-    The dynamic rule sizes the ball from the planning control (the nominal
-    team input, which may differ from the applied one while the issuer sits
-    in safe mode); it falls back to the anchor control when no planning
-    control is given.
+    `gap` is the size hypot(speed, turn) of the planning control, the
+    nominal team input, which may differ from the applied one while the
+    issuer sits in safe mode. The dynamic rule sizes the ball from it, and
+    needs it.
     """
     u_max = anchor_control.limits.max_speed
     if isinstance(rule, StaticBall):
         radius = 2.0 * u_max * rule.tightness
+    elif gap is None:
+        raise ValueError("the dynamic rule sizes the ball from the planning gap; none was given")
     else:
-        ref = planning_control if planning_control is not None else anchor_control
-        radius = rule.scale * math.hypot(ref.speed, ref.turn_rate) + rule.floor
+        radius = rule.scale * gap + rule.floor
     return Promise(
         issuer=issuer,
         recipient=recipient,

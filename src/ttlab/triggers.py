@@ -14,19 +14,20 @@ until fresh information arrives.
 
 A Scan holds one such search: it is built from everything the search
 depends on, and critical_time_ns(scan) rolls the prediction out one chunk
-further per call.
+further per call. The nominal control it rolls out is also the one the
+engine's control tick applies: Scan.control gives it at any pose.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .model import DiskSet, FormationSpec, Limits, UnicycleState, arc_step, wrap_angle
 from .controllers import goal_law
-from .promises import _FALLBACK, Promise, disk_kernel
+from .promises import _FALLBACK, Promise, disk_kernel, expected_position
 
 NS = 1_000_000_000
 BISECT_TOL_NS = 1_000  # refine the crossing to one microsecond
@@ -285,20 +286,19 @@ class Scan:
     it stopped. When that chunk holds no crossing and the horizon reaches
     past it, `pending` is set and the call returns the chunk's last grid
     point, a lower bound of t*. `start` is the index of the first grid
-    point not yet scanned and `pose` the predicted pose there; `last` is
-    the last scanned point as (t_ns, x, y, heading, speed, turn), which the
-    refinement needs when the crossing comes right after it; `chunk` is the
-    next chunk's size.
+    point not yet scanned and `pose` the predicted pose there; `chunk` is
+    the next chunk's size.
 
-    `rollout` holds the points of the last chunk rolled out and `last`, at
-    most SCAN_MAX_CHUNK + 1, by t_ns; the control tick reads goal_law's
-    control there (control_at). That is its own goal_law result only while
-    views list their neighbours sorted, the order in which both sum them.
+    `rollout` holds, by t_ns, the points of the last chunk rolled out and
+    the point before it, at most SCAN_MAX_CHUNK + 1, each as (t_ns, x, y,
+    heading, speed, turn). The refinement starts from the point before a
+    crossing, and the control tick asks control() for the nominal control,
+    which a rollout point at its pose already holds.
     """
 
     __slots__ = (
         "promises", "dists", "gain", "limits", "guard", "t_ns", "first_grid", "dt_ns", "n",
-        "pose", "start", "last", "rollout", "chunk", "pending",
+        "pose", "start", "rollout", "chunk", "pending",
     )
 
     def __init__(
@@ -328,7 +328,6 @@ class Scan:
         self.n = 1 + max(0, (t_ns + horizon_ns - self.first_grid) // dt_ns + 1)
         self.pose = (x, y, heading)
         self.start = 0
-        self.last: Optional[Tuple[int, float, float, float, float, float]] = None
         self.rollout: Dict[int, Tuple[int, float, float, float, float, float]] = {}
         self.chunk = SCAN_FIRST_CHUNK
         self.pending = False
@@ -346,14 +345,22 @@ class Scan:
             disks.append((cx, cy, r + self.guard))
         return disks
 
-    def control_at(self, t_ns: int, pose: tuple) -> Optional[Tuple[float, float]]:
-        """goal_law's (speed, turn) at the rollout point at t_ns if its pose is
-        `pose` bit for bit, else None. Equal floats have equal bits except
-        zeros, whose sign goal_law can see, so a pose with a zero never matches."""
+    def control(self, t_ns: int, pose: tuple) -> Tuple[float, float]:
+        """goal_law's (speed, turn) at `pose` (x, y, heading) and t_ns, on
+        the scan's promises in its neighbor order.
+
+        The rollout point at t_ns holds it when its pose is `pose` bit for
+        bit; the rollout's centers are expected_position's on the tick
+        grid. Equal floats have equal bits except zeros, whose sign
+        goal_law can see, so a pose with a zero is computed afresh.
+        """
         rec = self.rollout.get(t_ns)
-        if rec is None or rec[1:4] != pose or 0.0 in pose:
-            return None
-        return rec[4:]
+        if rec is not None and rec[1:4] == pose and 0.0 not in pose:
+            return rec[4:]
+        t = t_ns * 1e-9
+        points = [expected_position(p, t) for p in self.promises]
+        lim = self.limits
+        return goal_law(*pose, points, self.dists, self.gain, lim.max_speed, lim.max_turn)
 
 
 def _refine(scan: Scan, before: Tuple[int, float, float, float, float, float], hi: int) -> int:
@@ -417,7 +424,8 @@ def critical_time_ns(scan: Scan) -> int:
     u_max, v_max = scan.limits.max_speed, scan.limits.max_turn
     # `before` is the last scanned point, (t_ns, x, y, heading, speed, turn),
     # or None at the scan's start.
-    before, chunk, state, start = scan.last, scan.chunk, scan.pose, scan.start
+    chunk, state, start = scan.chunk, scan.pose, scan.start
+    before = scan.rollout[scan.grid(start - 1)] if start else None
     stop = min(start + chunk, n)
     ts = [scan.grid(k) for k in range(start, stop)]
     disks = scan.disks_at(ts)
@@ -453,7 +461,7 @@ def critical_time_ns(scan: Scan) -> int:
         return ts[0] if before is None else _refine(scan, before, ts[k])
     if stop == n:
         return ts[-1]  # the horizon: no crossing before it
-    scan.pose, scan.start, scan.last = state, stop, rollout[ts[-1]]
+    scan.pose, scan.start = state, stop
     scan.chunk = min(2 * chunk, SCAN_MAX_CHUNK)
     scan.pending = True
     return ts[-1]

@@ -133,6 +133,7 @@ def test_team_control_boundary_inclusive(scenario):
     already holds position, as the engine does on its tick grid."""
     eng = Engine(with_overrides(scenario, duration=0.01))
     ag = eng.agents[0]
+    eng._resolve(ag, 0)
     ag.t_star_ns = 200
     eng._apply_mode_control(ag, 199)
     assert not ag.safe

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import ttlab.engine as engine_mod
+import ttlab.triggers as triggers_mod
 from ttlab.cli import main
 from ttlab.config import bundled_config, validate_config, with_overrides
 from ttlab.model import ControlInput, UnicycleState
-from ttlab.promises import BREACH_TOL
+from ttlab.promises import BREACH_TOL, expected_position
 from ttlab.engine import (
     COMPARE_VARIANTS,
     MessageRecord,
@@ -604,39 +605,18 @@ def test_scan_continuation_runs_first_at_its_instant(case, scenario, robust_scen
     assert shared > 0
 
 
-@pytest.mark.parametrize("case", ["cycle5-lambda0", "robust"])
-def test_views_stay_in_sorted_order(case, scenario, robust_scenario, monkeypatch):
-    """The scan adds its neighbours up in sorted(view) order and the control
-    tick in view order, with ag.dists; the tick can take the scan's control
-    only while every view lists its neighbours sorted. _cycle5's edge (0, 4)
-    gives agent 4 a neighbour listed before its other one."""
-    tick = engine_mod.Engine._tick
-    ticks = [0]
-
-    def checked(self, ts_ns):
-        for ag in self.agents:
-            order = sorted(ag.view)
-            assert list(ag.view) == order, f"agent {ag.id} at {ts_ns} ns"
-            assert ag.dists == [self.spec.distance(ag.id, j) for j in order]
-        ticks[0] += 1
-        return tick(self, ts_ns)
-
-    monkeypatch.setattr(engine_mod.Engine, "_tick", checked)
-    if case == "cycle5-lambda0":
-        res = run(_cycle5(scenario, 0.1))
-    else:
-        res = run(with_overrides(robust_scenario, duration=1.0))
-    assert ticks[0] == len(res.trace)
-
-
 def _apply_mode_control_reference(self, ag, now_ns):
     """Engine._apply_mode_control as it was before the tick read the
-    certificate scan's rollout: goal_law on every call."""
+    certificate scan's rollout: goal_law on every call, on the neighbours
+    in view order. The scan takes them sorted, so matching this checks
+    that the two orders agree (_cycle5's edge (0, 4) gives agent 4 a
+    neighbour listed before its other one)."""
     now_s = now_ns * 1e-9
-    points = [engine_mod.expected_position(p, now_s) for p in ag.view.values()]
+    points = [expected_position(p, now_s) for p in ag.view.values()]
+    dists = [self.spec.distance(ag.id, j) for j in ag.view]
     lim = self.limits
-    speed, turn = engine_mod.goal_law(
-        ag.x, ag.y, ag.heading, points, ag.dists, self.spec.gain, lim.max_speed, lim.max_turn
+    speed, turn = triggers_mod.goal_law(
+        ag.x, ag.y, ag.heading, points, dists, self.spec.gain, lim.max_speed, lim.max_turn
     )
     if not (0.0 <= speed <= lim.max_speed and abs(turn) <= lim.max_turn):
         raise engine_mod.EngineInvariantError(
@@ -648,25 +628,25 @@ def _apply_mode_control_reference(self, ag, now_ns):
     ag.safe = now_ns >= ag.t_star_ns
 
 
-def _count_goal_law(m):
-    """Count the engine's goal_law calls under the monkeypatch m, in the
-    one item of the list returned."""
+def _count_calls(m, module, name):
+    """Count the calls of module.name under the monkeypatch m, in the one
+    item of the list returned."""
     calls = [0]
-    law = engine_mod.goal_law
+    fn = getattr(module, name)
 
     def counted(*args):
         calls[0] += 1
-        return law(*args)
+        return fn(*args)
 
-    m.setattr(engine_mod, "goal_law", counted)
+    m.setattr(module, name, counted)
     return calls
 
 
 def _run_counting_laws(cfg, outdir, reference=False):
     """Run cfg and write its outputs, with the reference control tick if
-    asked; return them with the number of goal_law calls the engine made."""
+    asked; return them with the number of goal_law calls the run made."""
     with pytest.MonkeyPatch.context() as m:
-        calls = _count_goal_law(m)
+        calls = _count_calls(m, triggers_mod, "goal_law")  # the rollouts' and the ticks'
         if reference:
             m.setattr(engine_mod.Engine, "_apply_mode_control", _apply_mode_control_reference)
         write_outputs(run(cfg), outdir)
@@ -677,8 +657,9 @@ def _run_counting_laws(cfg, outdir, reference=False):
     "case", ["team", "self", "lambda0", "robust-7", "cycle5-lambda0", "apad", "no-safe-turn"]
 )
 def test_rollout_control_matches_goal_law_on_every_tick(case, scenario, robust_scenario, tmp_path):
-    """Reading the control from the scan's rollout changes no output byte
-    against calling goal_law on every tick, and saves goal_law calls."""
+    """Asking the scan for the control, which it reads from its rollout
+    where it can, changes no output byte against calling goal_law on every
+    tick in view order, and saves goal_law calls."""
     if case in ("team", "self"):
         cfg = with_overrides(scenario, law=case, duration=2.0)
     elif case == "lambda0":
@@ -701,9 +682,9 @@ def test_rollout_control_matches_goal_law_on_every_tick(case, scenario, robust_s
 @pytest.mark.parametrize("case", ["team", "robust"])
 def test_resolve_takes_its_control_from_scan_point_0(case, scenario, robust_scenario, monkeypatch):
     """A resolve whose t* lies after it applies the control the scan's
-    rollout computed at its own instant, point 0, and calls goal_law from
-    _apply_mode_control not once."""
-    calls = _count_goal_law(monkeypatch)
+    rollout computed at its own instant, point 0, and computes no control
+    of its own: Scan.control calls expected_position not once."""
+    calls = _count_calls(monkeypatch, triggers_mod, "expected_position")
     resolve = engine_mod.Engine._resolve
     evals = []
 
@@ -717,6 +698,7 @@ def test_resolve_takes_its_control_from_scan_point_0(case, scenario, robust_scen
     monkeypatch.setattr(engine_mod.Engine, "_resolve", checked)
     run(with_overrides(scenario if case == "team" else robust_scenario, duration=1.0))
     assert evals and set(evals) == {0}
+    assert calls[0] > 0  # the ticks that compute their control call it
 
 
 def test_adaptive_dwell_cap_keeps_outputs(scenario, tmp_path):
@@ -781,26 +763,17 @@ def test_potential_increase_error_names_edge_agents_and_messages(scenario, monke
 
 
 def test_nan_control_is_an_invariant_error(scenario, monkeypatch, capsys):
-    """A NaN from the goal law is reported as an EngineInvariantError that
+    """A NaN nominal control is reported as an EngineInvariantError that
     names the agent, the instant and the values, and the CLI prints it as
-    an error line, not a traceback. The NaN comes from the first tick
-    control computed at or after 0.1 s, however many ticks before it read
-    their control from the scan's rollout."""
-    goal_law = engine_mod.goal_law
-    apply_control = engine_mod.Engine._apply_mode_control
-    nan_from_ns = 100_000_000
-    now = [0]
+    an error line, not a traceback. The NaN comes from every control the
+    scans give from 0.1 s on, whether read from a rollout or computed."""
+    control = triggers_mod.Scan.control
 
-    def noting_the_instant(self, ag, now_ns):
-        now[0] = now_ns
-        return apply_control(self, ag, now_ns)
+    def nan_from_0_1s(self, t_ns, pose):
+        speed, turn = control(self, t_ns, pose)
+        return (math.nan, turn) if t_ns >= 100_000_000 else (speed, turn)
 
-    def nan_from_0_1s(*args):
-        speed, turn = goal_law(*args)
-        return (math.nan, turn) if now[0] >= nan_from_ns else (speed, turn)
-
-    monkeypatch.setattr(engine_mod.Engine, "_apply_mode_control", noting_the_instant)
-    monkeypatch.setattr(engine_mod, "goal_law", nan_from_0_1s)
+    monkeypatch.setattr(triggers_mod.Scan, "control", nan_from_0_1s)
     with pytest.raises(engine_mod.EngineInvariantError) as err:
         run(with_overrides(scenario, duration=0.5))
     m = re.fullmatch(
@@ -824,8 +797,8 @@ def test_nan_control_is_an_invariant_error(scenario, monkeypatch, capsys):
 def test_control_input_only_at_bootstrap_and_promise_issue(scenario_name, law, monkeypatch):
     """The tick holds the control as raw floats: a 1 s run builds a
     ControlInput only for the bootstrap views' zero control, at promise
-    issue (the anchor, and in safe mode the planning control: at most two
-    per promise), and when a delivered promise is decoded from the wire."""
+    issue (the anchor, one per promise), and when a delivered promise is
+    decoded from the wire."""
     sites = Counter()
     post_init = ControlInput.__post_init__
 
@@ -841,5 +814,5 @@ def test_control_input_only_at_bootstrap_and_promise_issue(scenario_name, law, m
     n_promises = result.metrics["n_comm"]
     assert set(sites) <= {"_bootstrap", "_issue_promise", "promise_from_wire"}, sites
     assert sites["_bootstrap"] == 1
-    assert n_promises <= sites["_issue_promise"] <= 2 * n_promises
+    assert sites["_issue_promise"] == n_promises
     assert sites["promise_from_wire"] <= n_promises

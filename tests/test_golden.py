@@ -8,7 +8,7 @@ is meant to keep behaviour must keep them.
 The four GOLDEN runs are the reference workloads. The PATHS runs reach code
 those four never execute: the applied control with `safe_turn` off, the
 dynamic promise rule with the adaptive dwell (whose radius and dwell are
-computed from the planning control), a ball promise's disk past its expiry,
+computed from the planning gap), a ball promise's disk past its expiry,
 a warning about a view issued at its own instant, an agent with no
 neighbour, the `run_compare` table and the `sweep_lambda` table.
 """

@@ -54,7 +54,6 @@ UNREACHED = {
     ("engine", "Engine._apply_mode_control", 'f" or not finite: speed {speed!r}, turn rate {turn!r}"'): (
         "the nominal-control error's message"
     ),
-    ("engine", "Engine._monitor", "continue"): "a recipient with no promise in flight; no golden run leaves one",
     ("engine", "Engine._record", "raise EngineInvariantError(self._rise_report(ts_ns, row, last, v))"): (
         "the potential-rise error; test_potential_increase_error_names_edge_agents_and_messages raises it"
     ),
@@ -89,6 +88,7 @@ UNREACHED = {
     ("engine", "run_compare", 'raise ValueError(f"sample_dt must be positive and at least 1 ns, got {sample_dt!r}")'): _INPUT,
     ("promises", "StaticBall.__post_init__", 'raise ValueError(f"tightness must be >= 0, got {self.tightness}")'): _INPUT,
     ("promises", "DynamicBall.__post_init__", 'raise ValueError(f"{name} must be finite and >= 0, got {v}")'): _INPUT,
+    ("promises", "make_promise", 'raise ValueError("the dynamic rule sizes the ball from the planning gap; none was given")'): _INPUT,
     ("promises", "Promise.__post_init__", 'raise ValueError(f"promise radius must be >= 0, got {self.radius}")'): _INPUT,
     ("promises", "Promise.__post_init__", 'raise ValueError("noise_slack must be >= 0")'): _INPUT,
     ("promises", "Promise.__post_init__", 'raise ValueError("fallback promise needs fb_center, fb_radius, fb_time")'): _INPUT,

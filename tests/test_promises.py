@@ -76,13 +76,16 @@ def test_make_promise_static_radius():
     assert p.mode is PromiseMode.BALL_RADIUS
 
 
-def test_make_promise_dynamic_radius_uses_planning_control():
+def test_make_promise_dynamic_radius_uses_planning_gap():
+    """The dynamic rule sizes the ball from the planning control's gap, not
+    from the applied anchor control, and refuses a promise without one."""
     anchor_c = ControlInput(0.0, 0.0, LIM)  # safe mode applied
-    plan = ControlInput(3.0, 4.0 / 5.0 * 3.0, LIM)
-    p = make_promise(
-        0, 1, 0.0, UnicycleState(0, 0, 0), anchor_c, DynamicBall(0.5, 1e-6), planning_control=plan
-    )
-    assert p.radius == 0.5 * math.hypot(plan.speed, plan.turn_rate) + 1e-6
+    gap = math.hypot(3.0, 4.0 / 5.0 * 3.0)
+    p = make_promise(0, 1, 0.0, UnicycleState(0, 0, 0), anchor_c, DynamicBall(0.5, 1e-6), gap=gap)
+    assert p.radius == 0.5 * gap + 1e-6
+    assert p.gap == gap
+    with pytest.raises(ValueError, match="planning gap"):
+        make_promise(0, 1, 0.0, UnicycleState(0, 0, 0), anchor_c, DynamicBall(0.5, 1e-6))
 
 
 def test_promise_validation_rejects_bad_fields():
