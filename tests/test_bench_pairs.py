@@ -160,24 +160,49 @@ def test_a_count_that_differs_between_traced_runs_stops_the_comparison(tmp_path,
     assert not out.exists()
 
 
-def test_the_report_names_each_checkout(tmp_path):
-    """The report records each side's commit and whether its tree is clean,
-    and null for a directory that is not the top of a git checkout."""
-    repo = _stub_checkout(tmp_path / "repo")
+def _committed(repo):
+    """Commit everything in `repo` as a new git checkout; return its HEAD."""
     git = ["git", "-c", "user.name=stub", "-c", "user.email=stub@example.com", "-C", str(repo)]
     for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
         subprocess.run(git + args, check=True)
     head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True, check=True)
+    return head.stdout.strip()
+
+
+def _checkouts(before, after, out):
+    argv = ["--before", str(before), "--after", str(after), "--pairs", "2", "--workload", "team"]
+    assert bench_pairs.main(argv + ["--out", str(out)]) == 0
+    return json.loads(out.read_text())["checkouts"]
+
+
+def test_the_report_names_each_checkout(tmp_path):
+    """The report records each side's commit and whether its tree is clean,
+    and null for a directory that is not the top of a git checkout."""
+    repo = _stub_checkout(tmp_path / "repo")
+    head = _committed(repo)
     plain = _stub_checkout(tmp_path / "plain")
     out = tmp_path / "out.json"
-
-    def checkouts(before, after):
-        argv = ["--before", str(before), "--after", str(after), "--pairs", "2", "--workload", "team"]
-        assert bench_pairs.main(argv + ["--out", str(out)]) == 0
-        return json.loads(out.read_text())["checkouts"]
-
-    clean = {"head": head.stdout.strip(), "clean": True}
-    assert checkouts(plain, repo) == {"before": None, "after": clean}
+    clean = {"head": head, "clean": True, "src_lines": None}
+    assert _checkouts(plain, repo, out) == {"before": None, "after": clean}
     # A stub inside the checkout: untracked there, and not a checkout itself.
     nested = _stub_checkout(repo / "nested")
-    assert checkouts(repo, nested) == {"before": {**clean, "clean": False}, "after": None}
+    assert _checkouts(repo, nested, out) == {"before": {**clean, "clean": False}, "after": None}
+
+
+def test_the_report_counts_each_checkouts_source_lines(tmp_path):
+    """src_lines is what `wc -l src/ttlab/*.py` totals: newlines in the
+    package's own modules, not in its subdirectories or other files."""
+    repo = _stub_checkout(tmp_path / "repo")
+    src = repo / "src" / "ttlab"
+    (src / "data").mkdir(parents=True)
+    (src / "a.py").write_text("x = 1\ny = 2\n\n")
+    (src / "b.py").write_text("z = 3\nw = 4")  # the last line has no newline
+    (src / "notes.txt").write_text("not\ncounted\n")
+    (src / "data" / "c.py").write_text("not = 'counted'\n")
+    head = _committed(repo)
+    bare = _stub_checkout(tmp_path / "bare")
+    bare_head = _committed(bare)
+    assert _checkouts(bare, repo, tmp_path / "out.json") == {
+        "before": {"head": bare_head, "clean": True, "src_lines": None},
+        "after": {"head": head, "clean": True, "src_lines": 4},
+    }

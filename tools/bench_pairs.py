@@ -22,9 +22,9 @@ names the checkout, the workload and the pair: its timings would measure
 something other than the program. So do traced runs of one side whose
 counts, ratios or byte counts differ.
 
-The report's ``"checkouts"`` names the trees compared: each side's commit
-and whether its working tree was clean, or null for a directory that is
-not a git checkout.
+The report's ``"checkouts"`` names the trees compared: each side's commit,
+whether its working tree was clean and the line count of its
+``src/ttlab/*.py``, or null for a directory that is not a git checkout.
 """
 
 from __future__ import annotations
@@ -94,9 +94,10 @@ def traced(checkout: Path, workload: str, units: Dict[str, str]) -> Dict[str, fl
 
 
 def checkout_state(path: Path) -> Optional[Dict]:
-    """`path`'s commit (`git rev-parse HEAD`) and whether its tree is clean
-    (`git status --porcelain` prints nothing), or None when `path` is not
-    the top of a git checkout."""
+    """`path`'s commit (`git rev-parse HEAD`), whether its tree is clean
+    (`git status --porcelain` prints nothing) and the lines of its
+    src/ttlab/*.py as `wc -l` counts them (None without src/ttlab), or
+    None when `path` is not the top of a git checkout."""
 
     def git(*args: str) -> Optional[str]:
         proc = subprocess.run(["git", *args], cwd=path, capture_output=True, text=True)
@@ -106,7 +107,9 @@ def checkout_state(path: Path) -> Optional[Dict]:
     if top is None or Path(top.strip()).resolve() != path.resolve():
         return None
     head = git("rev-parse", "HEAD")
-    return {"head": head and head.strip(), "clean": git("status", "--porcelain") == ""}
+    src = path / "src" / "ttlab"
+    lines = sum(f.read_bytes().count(b"\n") for f in src.glob("*.py")) if src.is_dir() else None
+    return {"head": head and head.strip(), "clean": git("status", "--porcelain") == "", "src_lines": lines}
 
 
 def summary(values: List[float]) -> Dict:
