@@ -14,13 +14,14 @@ at every recorded tick for every agent not in safe mode.
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 import ttlab.engine as engine_mod
 from ttlab.config import bundled_config, with_overrides
-from ttlab.model import ControlInput, DiskSet, UnicycleState
-from ttlab.promises import view_disk_at
+from ttlab.model import ControlInput, DiskSet, FormationSpec, Limits, UnicycleState
+from ttlab.promises import Promise, PromiseMode, view_disk_at
 from ttlab.triggers import li_v_sup
 
 # The GOLDEN runs of tests/test_golden.py: (scenario, overrides).
@@ -82,3 +83,40 @@ def test_every_certificate_holds_at_every_tick(name, monkeypatch):
     monkeypatch.setattr(engine_mod.Engine, "_record", checked)
     engine_mod.run(with_overrides(bundled_config(scenario), **overrides))
     assert len(slacks) > 100
+
+
+def _frozen_disk(issuer, center, radius):
+    """A fallback promise whose disk at t = 0 is exactly (center, radius)."""
+    return Promise(
+        issuer=issuer, recipient=0, issued_at=0.0, anchor_state=UnicycleState(*center, 0.0),
+        anchor_control=ControlInput(0.0, 0.0, Limits(5.0, 3.0)), radius=0.0,
+        mode=PromiseMode.REACHABILITY_FALLBACK, fb_center=center, fb_radius=radius, fb_time=0.0,
+    )
+
+
+def test_a_planted_worst_case_needs_the_bound_pad():
+    """A planted view where the disk bound's sampling alone falls short.
+
+    On neighbour 1's disk, g has two boundary maxima of nearly equal
+    height. The 64 boundary samples see the lower one best (sample 30,
+    102.54), and the Newton steps refine that one (102.55); the true
+    supremum, 102.90, lies at the other, about 2.48 samples round, where
+    neighbour 1 is planted. Neighbour 2's disk is a point, whose term the
+    bound gives exactly, and it makes the certified rate negative. Only
+    the bound's pad (0.58 here) keeps the true rate below it: without the
+    pad the check fails on the true-rate assertion."""
+    limits = Limits(5.0, 3.0)
+    agent = SimpleNamespace(
+        id=0, safe=False, x=2.0, y=1.0, heading=0.6305, speed=3.6447, turn=0.0,
+        view={1: _frozen_disk(1, (0.3425, 2.1156), 1.7594), 2: _frozen_disk(2, (3.777, 2.297), 0.0)},
+    )
+    # Parked neighbours: in safe mode, so only agent 0 is checked.
+    neighbours = [
+        SimpleNamespace(safe=True, x=2.05004, y=2.53960), SimpleNamespace(safe=True, x=3.777, y=2.297)
+    ]
+    eng = SimpleNamespace(
+        agents=[agent, *neighbours], guard=0.0, limits=limits,
+        spec=FormationSpec({(0, 1): 3.1333, (0, 2): 1.0}, 150.0),
+    )
+    (slack,) = check_certificates(eng, 0)
+    assert 0.0 <= slack < 0.3
