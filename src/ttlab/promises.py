@@ -61,7 +61,7 @@ class StaticBall:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.tightness and math.isfinite(self.tightness)):
-            raise ValueError(f"tightness must be >= 0, got {self.tightness}")
+            raise ValueError(f"tightness must be finite and >= 0, got {self.tightness}")
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,25 @@ def test_bad_override_exits_2_without_traceback(capsys, argv):
     assert argv[-2].lstrip("-") in err  # the message names the option
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config", "formation4", "--duration", "0.01", "--tightness", "inf"],
+        ["run", "--config", "formation4", "--duration", "0.01", "--tightness", "nan"],
+        ["sweep", "--config", "formation4", "--duration", "0.01", "--lambda-grid", "0.1,inf"],
+        ["sweep", "--config", "formation4", "--duration", "0.01", "--lambda-grid", "nan"],
+    ],
+    ids=["run-inf", "run-nan", "sweep-inf", "sweep-nan"],
+)
+def test_non_finite_tightness_exits_2_saying_finite(capsys, argv):
+    """An infinite or NaN tightness is refused as not finite, not as
+    negative."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "must be finite and >= 0" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_table(tmp_path, capsys):
     rc = main(
         [

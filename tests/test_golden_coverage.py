@@ -86,7 +86,7 @@ UNREACHED = {
         "the parallel sweep (c6); its points run in worker processes, which this trace cannot see"
     ),
     ("engine", "run_compare", 'raise ValueError(f"sample_dt must be positive and at least 1 ns, got {sample_dt!r}")'): _INPUT,
-    ("promises", "StaticBall.__post_init__", 'raise ValueError(f"tightness must be >= 0, got {self.tightness}")'): _INPUT,
+    ("promises", "StaticBall.__post_init__", 'raise ValueError(f"tightness must be finite and >= 0, got {self.tightness}")'): _INPUT,
     ("promises", "DynamicBall.__post_init__", 'raise ValueError(f"{name} must be finite and >= 0, got {v}")'): _INPUT,
     ("promises", "make_promise", 'raise ValueError("the dynamic rule sizes the ball from the planning gap; none was given")'): _INPUT,
     ("promises", "Promise.__post_init__", 'raise ValueError(f"promise radius must be >= 0, got {self.radius}")'): _INPUT,
