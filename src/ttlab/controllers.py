@@ -5,10 +5,13 @@ neighbor distance errors, saturating speed and turn rate at the actuation
 limits. Team variants evaluate the same law on promised estimates of the
 neighbors instead of their true states.
 
-goal_law is the one implementation of that law, on raw floats; the trigger
-scan calls it, for its rollout and for the engine's control tick
-(triggers.Scan.control). u_double_star evaluates it on a promise view and
-returns a ControlInput.
+goal_law is the one implementation of that law, on raw floats, in two
+halves: goal_offset finds the goal point relative to the agent, and steer
+turns that offset and the heading into the saturated control. The trigger
+scan calls goal_law for its rollout and for the engine's control tick
+(triggers.Scan.control), which keeps the offset and runs steer alone while
+neither the agent nor the goal point can move. u_double_star evaluates it on
+a promise view and returns a ControlInput.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from .model import ControlInput, FormationSpec, Limits, UnicycleState, wrap_angl
 from .promises import Promise, expected_position
 
 
-def goal_law(x, y, heading, points, dists, gain, max_speed, max_turn) -> Tuple[float, float]:
-    """(speed, turn rate) of the saturated law toward the goal point, on raw floats.
+def goal_offset(x, y, points, dists) -> Tuple[float, float]:
+    """(gx - x, gy - y): the goal point p* relative to the agent at (x, y).
 
     points[k] estimates the neighbor y_k whose target distance is dists[k];
     each contributes its distance error along the line of sight, in order:
@@ -29,11 +32,6 @@ def goal_law(x, y, heading, points, dists, gain, max_speed, max_turn) -> Tuple[f
         p* = x + sum_k (||y_k - x|| - d_k) * (y_k - x) / ||y_k - x||
 
     A neighbor coinciding with the agent has no direction and adds nothing.
-    Speed is the gain times the goal offset along the heading, clamped to
-    [0, max_speed]; the turn rate is the gain times the wrapped bearing
-    error, clamped to +/- max_turn. A goal at the agent gives the zero
-    control; one directly behind gives bearing +pi, so the turn saturates
-    positive.
     """
     gx, gy = x, y
     for (yx, yy), d in zip(points, dists):
@@ -44,8 +42,17 @@ def goal_law(x, y, heading, points, dists, gain, max_speed, max_turn) -> Tuple[f
             err = dist - d
             gx += err * dx / dist
             gy += err * dy / dist
-    dx = gx - x
-    dy = gy - y
+    return (gx - x, gy - y)
+
+
+def steer(dx, dy, heading, gain, max_speed, max_turn) -> Tuple[float, float]:
+    """(speed, turn rate) of the saturated law toward a goal offset (dx, dy).
+
+    Speed is the gain times the offset along the heading, clamped to
+    [0, max_speed]; the turn rate is the gain times the wrapped bearing
+    error, clamped to +/- max_turn. A zero offset gives the zero control;
+    one directly behind gives bearing +pi, so the turn saturates positive.
+    """
     if dx == 0.0 and dy == 0.0:
         return (0.0, 0.0)
     along = math.cos(heading) * dx + math.sin(heading) * dy
@@ -53,6 +60,12 @@ def goal_law(x, y, heading, points, dists, gain, max_speed, max_turn) -> Tuple[f
     bearing = wrap_angle(math.atan2(dy, dx) - heading)
     turn = min(max(gain * bearing, -max_turn), max_turn)
     return (speed, turn)
+
+
+def goal_law(x, y, heading, points, dists, gain, max_speed, max_turn) -> Tuple[float, float]:
+    """(speed, turn rate) of the saturated law toward the goal point, on raw
+    floats: steer on goal_offset."""
+    return steer(*goal_offset(x, y, points, dists), heading, gain, max_speed, max_turn)
 
 
 def u_double_star(

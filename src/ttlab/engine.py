@@ -30,7 +30,8 @@ self request. The Scan keeps the view it was built from; a view never
 changes without a resolve that replaces it. So the control tick asks the
 agent's Scan for the nominal control (Scan.control): the rollout holds it
 where the agent sits exactly at a rollout pose, and the Scan computes it
-from its promises elsewhere.
+from its promises elsewhere, holding the goal offset while neither the
+agent nor any promise's centre can move.
 
 The breach monitor and the containment check run on the ticks where a
 miss is possible (_next_check_ns), and each keeps the earliest such tick,

@@ -15,7 +15,8 @@ until fresh information arrives.
 A Scan holds one such search: it is built from everything the search
 depends on, and critical_time_ns(scan) rolls the prediction out one chunk
 further per call. The nominal control it rolls out is also the one the
-engine's control tick applies: Scan.control gives it at any pose.
+engine's control tick applies: Scan.control gives it at any pose, and
+holds the goal offset while the agent and every promise's centre stay put.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 import numpy as np
 
 from .model import DiskSet, FormationSpec, Limits, UnicycleState, arc_step, wrap_angle
-from .controllers import goal_law
+from .controllers import goal_law, goal_offset, steer
 from .promises import _FALLBACK, Promise, disk_kernel, expected_position
 
 NS = 1_000_000_000
@@ -293,12 +294,17 @@ class Scan:
     the point before it, at most SCAN_MAX_CHUNK + 1, each as (t_ns, x, y,
     heading, speed, turn). The refinement starts from the point before a
     crossing, and the control tick asks control() for the nominal control,
-    which a rollout point at its pose already holds.
+    which a rollout point at its pose already holds. `fixed` says whether
+    every promise's center stays put (a fallback disk, or a ball whose
+    anchor speed is 0); then the goal point does too, and control() keeps
+    the goal offset it last computed in `held`, keyed by the agent's x and
+    y: an agent in safe mode holds its position until a resolve replaces
+    the scan.
     """
 
     __slots__ = (
         "promises", "dists", "gain", "limits", "guard", "t_ns", "first_grid", "dt_ns", "n",
-        "pose", "start", "rollout", "chunk", "pending",
+        "pose", "start", "rollout", "chunk", "pending", "fixed", "held",
     )
 
     def __init__(
@@ -331,6 +337,10 @@ class Scan:
         self.rollout: Dict[int, Tuple[int, float, float, float, float, float]] = {}
         self.chunk = SCAN_FIRST_CHUNK
         self.pending = False
+        self.fixed = all(
+            p.mode is _FALLBACK or p.anchor_control.speed == 0.0 for p in self.promises
+        )
+        self.held = None
 
     def grid(self, k: int) -> int:
         """The instant of grid point k."""
@@ -351,16 +361,25 @@ class Scan:
 
         The rollout point at t_ns holds it when its pose is `pose` bit for
         bit; the rollout's centers are expected_position's on the tick
-        grid. Equal floats have equal bits except zeros, whose sign
-        goal_law can see, so a pose with a zero is computed afresh.
+        grid. Otherwise, when every center is fixed, the goal offset is too:
+        `held` keeps (x, y, dx, dy) from the last goal_offset computed here,
+        and a later call at the same x and y runs steer alone. Equal floats
+        have equal bits except zeros, whose sign goal_law can see, so a pose
+        with a zero is neither read nor held.
         """
         rec = self.rollout.get(t_ns)
         if rec is not None and rec[1:4] == pose and 0.0 not in pose:
             return rec[4:]
-        t = t_ns * 1e-9
-        points = [expected_position(p, t) for p in self.promises]
+        x, y, heading = pose
         lim = self.limits
-        return goal_law(*pose, points, self.dists, self.gain, lim.max_speed, lim.max_turn)
+        held = self.held
+        if held is not None and held[0] == x and held[1] == y:
+            return steer(held[2], held[3], heading, self.gain, lim.max_speed, lim.max_turn)
+        t = t_ns * 1e-9
+        dx, dy = goal_offset(x, y, [expected_position(p, t) for p in self.promises], self.dists)
+        if self.fixed and x and y:
+            self.held = (x, y, dx, dy)
+        return steer(dx, dy, heading, self.gain, lim.max_speed, lim.max_turn)
 
 
 def _refine(scan: Scan, before: Tuple[int, float, float, float, float, float], hi: int) -> int:

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttlab.config import with_overrides
-from ttlab.controllers import goal_law, team_control, u_double_star
+from ttlab.controllers import goal_law, goal_offset, steer, team_control, u_double_star
 from ttlab.engine import Engine
 from ttlab.model import ControlInput, FormationSpec, Limits, UnicycleState
 from ttlab.promises import StaticBall, expected_position, fallback_to_reachability, make_promise
@@ -115,6 +117,27 @@ def test_goal_law_matches_wrappers():
     got = u_double_star(0, s, view, 0.3, spec, LIM)
     want = goal_law(s.x, s.y, s.heading, pts, [0.5, 1.5], spec.gain, *LIM_ARGS)
     assert (got.speed, got.turn_rate) == want
+
+
+_COORD = st.floats(-50.0, 50.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=_COORD,
+    y=_COORD,
+    heading=st.floats(-7.0, 7.0),
+    neighbors=st.lists(st.tuples(_COORD, _COORD, st.floats(0.0, 10.0)), max_size=4),
+    gain=st.floats(0.1, 200.0),
+)
+def test_goal_law_is_steer_on_goal_offset(x, y, heading, neighbors, gain):
+    """goal_law is its two halves composed, bit for bit: the scan's held
+    offset runs steer alone and must give what goal_law gives."""
+    points = [(px, py) for px, py, _ in neighbors]
+    dists = [d for _, _, d in neighbors]
+    law = goal_law(x, y, heading, points, dists, gain, *LIM_ARGS)
+    composed = steer(*goal_offset(x, y, points, dists), heading, gain, *LIM_ARGS)
+    assert [v.hex() for v in law] == [v.hex() for v in composed]
 
 
 def test_team_control_safe_after_t_star():

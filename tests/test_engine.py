@@ -701,6 +701,31 @@ def test_resolve_takes_its_control_from_scan_point_0(case, scenario, robust_scen
     assert calls[0] > 0  # the ticks that compute their control call it
 
 
+@pytest.mark.parametrize(
+    "case, split",
+    [
+        ("team", (3_530, 5_477, 3_059)),
+        ("robust", (3_388, 3_918, 12_859)),
+    ],
+    ids=["team", "robust"],
+)
+def test_tick_controls_split_into_read_held_and_computed(case, split, scenario, robust_scenario, monkeypatch):
+    """On the benchmark's team and robust inputs, the control ticks split
+    exactly into rollout reads, held offsets (steer alone) and computed
+    ones (goal_offset, then steer). The counts are frozen from the first
+    code that held the offset: a change that holds fewer ticks, or reads
+    fewer from the rollout, moves them."""
+    controls = _count_calls(monkeypatch, triggers_mod.Scan, "control")
+    steers = _count_calls(monkeypatch, triggers_mod, "steer")
+    offsets = _count_calls(monkeypatch, triggers_mod, "goal_offset")
+    if case == "team":
+        cfg = with_overrides(scenario, law="team", tightness=0.1, duration=3.0)
+    else:
+        cfg = with_overrides(robust_scenario, seed=20260819, law="robust-team", duration=5.0)
+    run(cfg)
+    assert (controls[0] - steers[0], steers[0] - offsets[0], offsets[0]) == split
+
+
 def test_adaptive_dwell_cap_keeps_outputs(scenario, tmp_path):
     """Cutting the adaptive dwell at twice the run length changes no output
     byte: every dwell the cut shortens put its self request past the end

@@ -657,6 +657,159 @@ def test_scan_stops_at_first_stationary_point(goal_ahead, still_at, rollout_rows
     assert resumed == t_star
 
 
+# The hold's scans start here, after neighbor 1's fallback time.
+HOLD_T0 = 100 * DT
+
+
+def _fixed_view(rng, moving=False):
+    """Agent 0's view of three neighbors whose centers stay put: a fallback
+    disk, a ball parked while turning and one parked straight; with
+    `moving`, the last one's anchor speed is not 0. Gain 1 keeps most
+    controls off their limits."""
+
+    def ball(j, speed, turn):
+        anchor = UnicycleState(rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(-3.2, 3.2))
+        return make_promise(j, 0, 0.0, anchor, ControlInput(speed, turn, LIM), StaticBall(0.1))
+
+    view = {
+        1: fallback_to_reachability(ball(1, rng.uniform(0.0, 5.0), rng.uniform(-3.0, 3.0)), 0.05),
+        2: ball(2, 0.0, rng.uniform(0.5, 3.0)),
+        3: ball(3, rng.uniform(0.5, 5.0) if moving else 0.0, 0.0),
+    }
+    return FormationSpec({(0, 1): 2.0, (0, 2): 1.0, (0, 3): 1.5}, 1.0), view
+
+
+def _fresh_law(scan, t_ns, pose):
+    """goal_law at pose on the scan's promises at t_ns, computed afresh."""
+    points = [expected_position(p, t_ns * 1e-9) for p in scan.promises]
+    return goal_law(*pose, points, scan.dists, scan.gain, LIM.max_speed, LIM.max_turn)
+
+
+def _controls(scan, calls):
+    """Scan.control at each (t_ns, pose) of `calls`, with how many of them
+    computed the goal offset."""
+    offsets = [0]
+    goal_offset = triggers.goal_offset
+
+    def counted(*args):
+        offsets[0] += 1
+        return goal_offset(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(triggers, "goal_offset", counted)
+        got = [scan.control(t_ns, pose) for t_ns, pose in calls]
+    return got, offsets[0]
+
+
+def _nonzero(rng):
+    return float(rng.uniform(0.5, 20.0) * rng.choice([-1.0, 1.0]))
+
+
+# Heading offsets from the goal's direction that put the goal directly
+# behind, or a bearing on either side of the wrap at +/- pi.
+_BEHIND = [
+    v for a in (math.pi, -math.pi)
+    for v in (a, math.nextafter(a, 0.0), math.nextafter(a, 2 * a))
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    headings=st.lists(
+        st.tuples(
+            st.booleans(),
+            st.one_of(st.floats(-7.0, 7.0), st.sampled_from(_BEHIND + [0.0, -0.0])),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_scan_holds_the_goal_offset_while_nothing_moves(seed, headings):
+    """With every center fixed and no rollout point at the pose, the first
+    control at (x, y) computes the goal offset and holds it; later ticks at
+    the same x and y, whatever the heading, run steer alone and give
+    goal_law's control bit for bit. Each heading is drawn raw or as an
+    offset from the goal's direction, which reaches the goal directly
+    behind and bearings on both sides of the wrap at +/- pi."""
+    rng = np.random.default_rng(seed)
+    spec, view = _fixed_view(rng)
+    x, y = _nonzero(rng), _nonzero(rng)
+    scan = Scan(0, x, y, 0.0, view, HOLD_T0, spec, LIM, DT, HORIZON)
+    assert scan.fixed
+    first, _ = _controls(scan, [(HOLD_T0, (x, y, 0.0))])
+    assert _hex(first[0]) == _hex(_fresh_law(scan, HOLD_T0, (x, y, 0.0)))
+    assert scan.held[:2] == (x, y)
+    goal = math.atan2(scan.held[3], scan.held[2])
+    calls = [
+        (HOLD_T0 + k * DT, (x, y, goal + h if relative else h))
+        for k, (relative, h) in enumerate(headings, 1)
+    ]
+    got, computed = _controls(scan, calls)
+    assert computed == 0
+    for (t_ns, pose), control in zip(calls, got):
+        assert _hex(control) == _hex(_fresh_law(scan, t_ns, pose)), pose
+
+
+def test_scan_holds_nothing_while_a_center_moves():
+    """One ball with a nonzero anchor speed moves the goal point: every
+    tick computes the offset afresh, and none is held."""
+    rng = np.random.default_rng(5)
+    spec, view = _fixed_view(rng, moving=True)
+    x, y = _nonzero(rng), _nonzero(rng)
+    scan = Scan(0, x, y, 0.0, view, HOLD_T0, spec, LIM, DT, HORIZON)
+    assert not scan.fixed
+    calls = [(HOLD_T0 + k * 50 * DT, (x, y, 0.25)) for k in range(6)]
+    got, computed = _controls(scan, calls)
+    assert computed == len(calls)
+    assert scan.held is None
+    assert [_hex(c) for c in got] == [_hex(_fresh_law(scan, *call)) for call in calls]
+    assert len(set(got)) > 1  # a held offset would have been stale
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_scan_holds_nothing_at_a_zero_coordinate(axis, zero):
+    """`==` cannot tell 0.0 from -0.0, whose sign goal_offset can see, so a
+    pose with a zero coordinate is never held, even on a fixed view; the
+    ticks alternate the zero's sign."""
+    rng = np.random.default_rng(11)
+    spec, view = _fixed_view(rng)
+    other = _nonzero(rng)
+    pose = (zero, other) if axis == "x" else (other, zero)
+    scan = Scan(0, *pose, 0.0, view, HOLD_T0, spec, LIM, DT, HORIZON)
+    assert scan.fixed
+    calls = []
+    for k in range(4):
+        z = zero if k % 2 == 0 else -zero
+        at = (z, other) if axis == "x" else (other, z)
+        calls.append((HOLD_T0 + k * DT, (*at, 0.5 * k)))
+    got, computed = _controls(scan, calls)
+    assert computed == len(calls)
+    assert scan.held is None
+    assert [_hex(c) for c in got] == [_hex(_fresh_law(scan, *call)) for call in calls]
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+@pytest.mark.parametrize("way", [math.inf, -math.inf], ids=["up", "down"])
+def test_scan_recomputes_after_a_one_ulp_move(axis, way):
+    """A pose 1 ulp away from the held one computes its offset afresh,
+    gives goal_law's control there and holds the new position."""
+    rng = np.random.default_rng(17)
+    spec, view = _fixed_view(rng)
+    pose = (_nonzero(rng), _nonzero(rng), 0.4)
+    scan = Scan(0, *pose, view, HOLD_T0, spec, LIM, DT, HORIZON)
+    _controls(scan, [(HOLD_T0, pose)])
+    moved = list(pose)
+    moved[axis] = math.nextafter(moved[axis], way)
+    moved = tuple(moved)
+    got, computed = _controls(scan, [(HOLD_T0 + DT, moved), (HOLD_T0 + 2 * DT, moved)])
+    assert computed == 1
+    assert scan.held[:2] == moved[:2]
+    want = _fresh_law(scan, HOLD_T0 + DT, moved)
+    assert _hex(got[0]) == _hex(got[1]) == _hex(want)
+
+
 def _resumed_scan(own, view, t_last, spec, dt, horizon, guard, cuts=()):
     """critical_time_ns one chunk per call on one Scan; chunk k is cuts[k]
     points long where given. Returns t* and the lower bounds the pending
