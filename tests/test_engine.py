@@ -30,7 +30,7 @@ from ttlab.engine import (
 from ttlab.triggers import rate_bound
 
 from test_golden import GOLDEN, PATHS, golden_config
-from test_triggers import _scan_to_end
+from test_triggers import _count_calls, _scan_to_end
 
 OUTPUT_FILES = ("metrics.json", "lyapunov.csv", "messages.csv", "trace.csv")
 
@@ -626,20 +626,6 @@ def _apply_mode_control_reference(self, ag, now_ns):
     ag.speed = speed
     ag.turn = turn
     ag.safe = now_ns >= ag.t_star_ns
-
-
-def _count_calls(m, module, name):
-    """Count the calls of module.name under the monkeypatch m, in the one
-    item of the list returned."""
-    calls = [0]
-    fn = getattr(module, name)
-
-    def counted(*args):
-        calls[0] += 1
-        return fn(*args)
-
-    m.setattr(module, name, counted)
-    return calls
 
 
 def _run_counting_laws(cfg, outdir, reference=False):

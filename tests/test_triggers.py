@@ -685,18 +685,25 @@ def _fresh_law(scan, t_ns, pose):
     return goal_law(*pose, points, scan.dists, scan.gain, LIM.max_speed, LIM.max_turn)
 
 
+def _count_calls(m, module, name):
+    """Count the calls of module.name under the monkeypatch m, in the one
+    item of the list returned."""
+    calls = [0]
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    m.setattr(module, name, counted)
+    return calls
+
+
 def _controls(scan, calls):
     """Scan.control at each (t_ns, pose) of `calls`, with how many of them
     computed the goal offset."""
-    offsets = [0]
-    goal_offset = triggers.goal_offset
-
-    def counted(*args):
-        offsets[0] += 1
-        return goal_offset(*args)
-
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(triggers, "goal_offset", counted)
+        offsets = _count_calls(m, triggers, "goal_offset")
         got = [scan.control(t_ns, pose) for t_ns, pose in calls]
     return got, offsets[0]
 
