@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 import time
 from pathlib import Path
@@ -24,8 +22,6 @@ from .engine import (
     write_sweep_csv,
 )
 from .promises import StaticBall
-
-log = logging.getLogger("ttlab")
 
 DEFAULT_GRID = "0.05,0.1,0.15,0.2,0.3,0.4,0.5,0.6,0.75,0.9,1.0"
 
@@ -159,10 +155,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("TTLAB_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":

@@ -25,8 +25,9 @@ chunk before any other event there can act on it. Once the crossing is
 found, the self request is queued where a scan run to its crossing at the
 resolve would have queued it, under the sequence number reserved at the
 resolve. So the prediction is rolled out only as far as simulated time
-reaches, and a later resolve supersedes a pending continuation as it does a
-self request. The Scan keeps the view it was built from; a view never
+reaches. Both events carry the Scan they were queued for and act only while
+it is still the agent's, so a later resolve supersedes a pending
+continuation as it does a self request. The Scan keeps the view it was built from; a view never
 changes without a resolve that replaces it. So the control tick asks the
 agent's Scan for the nominal control (Scan.control): the rollout holds it
 where the agent sits exactly at a rollout pose, and the Scan computes it
@@ -156,7 +157,6 @@ class _Agent:
         "rounds",
         "round_anchor_ns",
         "round_pending",
-        "self_req_token",
         "scan",
         "req_floor_ns",
         "req_seq",
@@ -183,7 +183,6 @@ class _Agent:
         self.rounds: List[int] = []
         self.round_anchor_ns = 0
         self.round_pending: set = set()
-        self.self_req_token = 0
         # The certificate scan under way, and the earliest time and the heap
         # sequence number of the self request it will queue.
         self.scan: Optional[Scan] = None
@@ -327,17 +326,16 @@ class Engine:
         ag.req_floor_ns = max(ag.round_anchor_ns + dwell, now_ns)
         self._seq += 1
         ag.req_seq = self._seq
-        ag.self_req_token += 1
         self._queue_scan_step(ag)
 
     def _queue_scan_step(self, ag: _Agent) -> None:
         """Queue what follows the scan's last chunk: its continuation at
         the lower bound, or once t* is known the self request."""
         if ag.scan.pending:
-            self._push(ag.t_star_ns, PRIO_SCAN, "scan", (ag.id, ag.self_req_token))
+            self._push(ag.t_star_ns, PRIO_SCAN, "scan", (ag.id, ag.scan))
         else:
             request_ns = max(ag.req_floor_ns, ag.t_star_ns)
-            data = (ag.id, ag.self_req_token)
+            data = (ag.id, ag.scan)
             self._push(request_ns, PRIO_SELF_REQUEST, "selfreq", data, ag.req_seq)
 
     # ------------------------------------------------------------------
@@ -494,15 +492,15 @@ class Engine:
     # ------------------------------------------------------------------
     # event handlers
 
-    def _scan_continuation(self, i: int, token: int) -> None:
+    def _scan_continuation(self, i: int, scan: Scan) -> None:
         ag = self.agents[i]
-        if token == ag.self_req_token:
+        if ag.scan is scan:
             ag.t_star_ns = critical_time_ns(ag.scan)
             self._queue_scan_step(ag)
 
-    def _self_request(self, ts_ns: int, i: int, token: int) -> None:
+    def _self_request(self, ts_ns: int, i: int, scan: Scan) -> None:
         ag = self.agents[i]
-        if token == ag.self_req_token:
+        if ag.scan is scan:
             self._start_round(ag, ts_ns)
 
     def _start_round(self, ag: _Agent, ts_ns: int) -> None:

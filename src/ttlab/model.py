@@ -3,6 +3,8 @@
 Positions live in R^2, headings on (-pi, pi]. Controls are (speed, turn rate)
 pairs bounded by per-scenario limits. The formation objective is the usual
 squared-distance-error potential summed over the communication edges.
+arc_step is the one constant-control arc: agents move on it, and a promise
+disk's centre is the anchor pose carried along it (promises.disk_kernel).
 """
 
 from __future__ import annotations
@@ -163,25 +165,27 @@ class FormationSpec:
 
 
 def arc_step(
-    x: float, y: float, heading: float, speed: float, turn: float, dt: float
-) -> Tuple[float, float, float]:
-    """Exact constant-control unicycle step on raw floats.
+    x: float, y: float, heading: float, speed: float, turn: float, dt,
+    sin=math.sin, cos=math.cos,
+):
+    """Exact constant-control unicycle step: the one arc formula.
 
-    This is the single source of the arc math for agent motion; both the
-    public :func:`step_unicycle` and the simulation internals call it.
-    promises.disk_kernel evaluates the same arc over arrays of ages.
+    Agent motion calls it on floats, through :func:`step_unicycle` and the
+    simulation internals. The promise disk's centre is the same arc at the
+    disk's age: promises.disk_kernel passes numpy's sin and cos with an
+    array of ages for the trigger scan, which agree with libm bit for bit.
     """
     if abs(turn) > ARC_EPS:
         th1 = heading + turn * dt
         k = speed / turn
         return (
-            x + k * (math.sin(th1) - math.sin(heading)),
-            y - k * (math.cos(th1) - math.cos(heading)),
+            x + k * (sin(th1) - sin(heading)),
+            y - k * (cos(th1) - cos(heading)),
             th1,
         )
     return (
-        x + speed * dt * math.cos(heading),
-        y + speed * dt * math.sin(heading),
+        x + speed * dt * cos(heading),
+        y + speed * dt * sin(heading),
         heading + turn * dt,
     )
 

@@ -14,11 +14,12 @@ which contains every admissible deviation the commitment allows, is monotone
 in delta (tighter promises give nested disks) and nondecreasing in tau, and
 never exceeds the anchor reachability disk by more than twice the chord
 length dist(zoh, anchor). disk_kernel is its one implementation, and _ages
-the one rule for a disk's age and its growth past expiry. Its centre half
-alone gives expected_position, the estimate of the control tick and
-u_double_star; on floats it gives disk_at, for the breach and containment
-checks and the fallback; on arrays, triggers.disk_params_batch, for the
-trigger scan's rollout and refinement.
+the one rule for a disk's age and its growth past expiry. A ball's centre
+is model.arc_step, the arc the agents move on, run from the anchor pose at
+the disk's age; alone it gives expected_position, the estimate of the
+control tick and u_double_star. On floats disk_kernel gives disk_at, for
+the breach and containment checks and the fallback; on arrays,
+triggers.disk_params_batch, for the trigger scan's rollout and refinement.
 
 The breach margin m(t) = radius(t) + BREACH_TOL - |issuer(t) - center(t)|
 falls by at most 2 * max_speed per second. The radius never shrinks (ball,
@@ -33,10 +34,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
-from .model import ARC_EPS, ControlInput, DiskSet, UnicycleState
+from .model import ControlInput, DiskSet, UnicycleState, arc_step
 
 BREACH_TOL = 1e-9
 
@@ -101,13 +102,8 @@ class Promise:
     fb_center: Optional[Tuple[float, float]] = None
     fb_radius: Optional[float] = None
     fb_time: Optional[float] = None
-    # sin and cos of the anchor heading, set by __post_init__ (so also by replace).
-    anchor_sin: float = field(init=False, compare=False, repr=False)
-    anchor_cos: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "anchor_sin", math.sin(self.anchor_state.heading))
-        object.__setattr__(self, "anchor_cos", math.cos(self.anchor_state.heading))
         if self.radius < 0.0:
             raise ValueError(f"promise radius must be >= 0, got {self.radius}")
         if self.noise_slack < 0.0:
@@ -156,41 +152,31 @@ def make_promise(
     )
 
 
-def _disk_center(p: Promise, tau, sin, cos):
-    """Centre half of disk_kernel: the hold prediction (arc_step's arc) or the frozen centre."""
-    if p.mode is _FALLBACK:
-        return p.fb_center
-    a = p.anchor_state
-    c = p.anchor_control
-    if abs(c.turn_rate) > ARC_EPS:
-        th1 = a.heading + c.turn_rate * tau
-        k = c.speed / c.turn_rate
-        return a.x + k * (sin(th1) - p.anchor_sin), a.y - k * (cos(th1) - p.anchor_cos)
-    return a.x + c.speed * tau * p.anchor_cos, a.y + c.speed * tau * p.anchor_sin
-
-
 def disk_kernel(p: Promise, tau, late, ops):
     """Center (x, y) and radius of p's disk at age tau, grown at max speed
     for `late` further seconds.
 
-    This is the one implementation of the promise disk: _disk_center, then
-    the radius half. `ops` is the tuple (sin, cos, hypot, minimum) that fits
-    the type of tau and late: (math.sin, math.cos, math.hypot, min) on
-    floats for disk_at, the numpy ufuncs on arrays of ages for
-    triggers.disk_params_batch. numpy's array sin and cos agree with libm
-    bit for bit, so the two callers get the same centers, and the control
-    tick can take its control from the scan's rollout; np.hypot and
+    This is the one implementation of the promise disk. A ball's centre is
+    model.arc_step from the anchor pose under the anchor control for tau
+    seconds; the radius half follows. `ops` is the tuple (sin, cos, hypot,
+    minimum) that fits the type of tau and late: (math.sin, math.cos,
+    math.hypot, min) on floats for disk_at, the numpy ufuncs on arrays of
+    ages for triggers.disk_params_batch. numpy's array sin and cos agree
+    with libm bit for bit, so the two callers get the same centers, and the
+    control tick can take its control from the scan's rollout; np.hypot and
     math.hypot can differ in the last bit, so a radius can too, and each
     caller keeps the bits it always had. A fallback promise's frozen disk
     stands for every age: only `late`, counted from its fallback time,
     grows it.
     """
     sin, cos, hypot, minimum = ops
-    zx, zy = _disk_center(p, tau, sin, cos)
     u_max = p.anchor_control.limits.max_speed
     if p.mode is _FALLBACK:
+        zx, zy = p.fb_center
         return zx, zy, p.fb_radius + u_max * late  # type: ignore[operator]
     a = p.anchor_state
+    c = p.anchor_control
+    zx, zy, _ = arc_step(a.x, a.y, a.heading, c.speed, c.turn_rate, tau, sin, cos)
     s = p.noise_slack * (1.0 + tau + 0.5 * u_max * tau * tau)
     r_ball = p.radius * tau + s
     r_reach = hypot(zx - a.x, zy - a.y) + u_max * tau + p.noise_slack + 2.0 * s
@@ -226,9 +212,15 @@ def view_disk_at(p: Promise, t: float) -> DiskSet:
 
 
 def expected_position(p: Promise, t: float) -> Tuple[float, float]:
-    """Center of the promise disk at t, the recipient's point estimate: the centre
-    half only, at the age _ages gives."""
-    return _disk_center(p, _ages(p, t)[0], math.sin, math.cos)
+    """Center of the promise disk at t, the recipient's point estimate:
+    disk_kernel's centre alone, arc_step at the age _ages gives."""
+    tau = _ages(p, t)[0]
+    if p.mode is _FALLBACK:
+        return p.fb_center
+    a = p.anchor_state
+    c = p.anchor_control
+    x, y, _ = arc_step(a.x, a.y, a.heading, c.speed, c.turn_rate, tau)
+    return x, y
 
 
 def breach_margin(p: Promise, t: float, x: float, y: float) -> float:

@@ -278,6 +278,16 @@ def test_console_script_entry_point():
     assert "N_comm=" in proc.stdout
 
 
+def test_run_ignores_a_bogus_ttlab_log(monkeypatch, capsys):
+    """TTLAB_LOG once set a logging level, and a bad one was a traceback.
+    The CLI reads no environment variable now."""
+    monkeypatch.setenv("TTLAB_LOG", "bogus")
+    assert main(["run", "--config", "formation4", "--duration", "0.01"]) == 0
+    captured = capsys.readouterr()
+    assert "N_comm=" in captured.out
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
 def test_bad_out_fails_before_simulating(monkeypatch, capsys, command):
     """The --out directory is made before the runs, so an unusable one

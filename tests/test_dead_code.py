@@ -1,7 +1,8 @@
 """Dead-code guard for the package source, using only the stdlib `ast`.
 
 It fails on an import a module never uses, on a module-level private name
-(`_x`) that no module of the package refers to, and on a public function or
+(`_x`) that no module of the package refers to, on a public module-level
+assignment that no module of the package reads, and on a public function or
 class that no run reaches and that is not kept for a stated reason, so code
 that a change leaves unreachable is deleted with it.
 """
@@ -60,12 +61,12 @@ def test_every_import_is_used():
     assert unused == []
 
 
-def test_every_private_module_name_is_referenced():
-    referenced = set().union(*map(_referenced, MODULES.values()))
-    unreferenced = []
+def _module_level_names(assigned_only):
+    """(where, name) for each name a module's top level defines: by
+    assignment, and unless `assigned_only` by def or class too."""
     for name, tree in MODULES.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not assigned_only:
                 defined = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -73,9 +74,29 @@ def test_every_private_module_name_is_referenced():
             else:
                 continue
             for d in defined:
-                if d.startswith("_") and not d.startswith("__") and d not in referenced:
-                    unreferenced.append(f"{name}:{node.lineno} {d}")
+                yield f"{name}:{node.lineno}", d
+
+
+def test_every_private_module_name_is_referenced():
+    referenced = set().union(*map(_referenced, MODULES.values()))
+    unreferenced = [
+        f"{where} {d}"
+        for where, d in _module_level_names(assigned_only=False)
+        if d.startswith("_") and not d.startswith("__") and d not in referenced
+    ]
     assert unreferenced == []
+
+
+def test_every_public_module_level_assignment_is_read():
+    """A public constant, alias or object that no module of the package
+    reads is a dead knob; `__all__` and the other dunders are exempt."""
+    referenced = set().union(*map(_referenced, MODULES.values()))
+    unread = [
+        f"{where} {d}"
+        for where, d in _module_level_names(assigned_only=True)
+        if not d.startswith("_") and d not in referenced
+    ]
+    assert unread == []
 
 
 # Public names the package calls from outside any module's code, with the

@@ -506,9 +506,9 @@ def _run_counting_continuations(cfg, outdir):
     calls = [0]
     scan_on = engine_mod.Engine._scan_continuation
 
-    def counted(self, i, token):
-        calls[0] += token == self.agents[i].self_req_token
-        return scan_on(self, i, token)
+    def counted(self, i, scan):
+        calls[0] += self.agents[i].scan is scan
+        return scan_on(self, i, scan)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(engine_mod.Engine, "_scan_continuation", counted)
@@ -551,16 +551,16 @@ def test_every_chunk_scans_the_view_its_scan_was_built_from(name, monkeypatch):
     continuation = engine_mod.Engine._scan_continuation
     resumed = []
 
-    def checked(self, i, token):
+    def checked(self, i, scan):
         ag = self.agents[i]
-        if token == ag.self_req_token:
+        if ag.scan is scan:
             held = ag.scan.promises
             assert len(held) == len(ag.view)
             assert all(a is b for a, b in zip(held, (ag.view[j] for j in sorted(ag.view)))), (
                 f"agent {i}: its view changed while its scan was pending"
             )
             resumed.append(i)
-        return continuation(self, i, token)
+        return continuation(self, i, scan)
 
     monkeypatch.setattr(engine_mod.Engine, "_scan_continuation", checked)
     run(golden_config(name))
@@ -585,11 +585,11 @@ def test_scan_continuation_runs_first_at_its_instant(case, scenario, robust_scen
         monkeypatch.setattr(engine_mod.Engine, name, logged(name, handler))
     continuation = engine_mod.Engine._scan_continuation
 
-    def logged_continuation(self, i, token):
+    def logged_continuation(self, i, scan):
         ag = self.agents[i]
-        if token == ag.self_req_token:
+        if ag.scan is scan:
             log.append((ag.t_star_ns, "scan"))
-        return continuation(self, i, token)
+        return continuation(self, i, scan)
 
     monkeypatch.setattr(engine_mod.Engine, "_scan_continuation", logged_continuation)
     if case == "lambda0":
