@@ -25,9 +25,9 @@ chunk before any other event there can act on it. Once the crossing is
 found, the self request is queued where a scan run to its crossing at the
 resolve would have queued it, under the sequence number reserved at the
 resolve. So the prediction is rolled out only as far as simulated time
-reaches. Both events carry the Scan they were queued for and act only while
-it is still the agent's, so a later resolve supersedes a pending
-continuation as it does a self request. The Scan keeps the view it was built from; a view never
+reaches. Both events carry their Scan and act only while it is still the
+agent's, so a later resolve supersedes a pending continuation as it does a
+self request. The Scan keeps the view it was built from; a view never
 changes without a resolve that replaces it. So the control tick asks the
 agent's Scan for the nominal control (Scan.control): the rollout holds it
 where the agent sits exactly at a rollout pose, and the Scan computes it
@@ -495,7 +495,7 @@ class Engine:
     def _scan_continuation(self, i: int, scan: Scan) -> None:
         ag = self.agents[i]
         if ag.scan is scan:
-            ag.t_star_ns = critical_time_ns(ag.scan)
+            ag.t_star_ns = critical_time_ns(scan)
             self._queue_scan_step(ag)
 
     def _self_request(self, ts_ns: int, i: int, scan: Scan) -> None:
