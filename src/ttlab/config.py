@@ -109,9 +109,12 @@ def validate_config(cfg: ScenarioConfig) -> None:
     """Reject configurations the simulator cannot run soundly."""
     if cfg.law not in LAWS:
         raise ConfigError(f"[engine] law must be one of {LAWS}, got {cfg.law!r}")
+    if cfg.n_agents < 1:
+        raise ConfigError(f"[graph] agents must be at least 1, got {cfg.n_agents}")
     if len(cfg.initial_states) != cfg.n_agents:
         raise ConfigError(
-            f"{cfg.n_agents} agents declared but {len(cfg.initial_states)} initial states given"
+            f"[graph] agents = {cfg.n_agents} but [agents] gives"
+            f" {len(cfg.initial_states)} initial states"
         )
     try:
         graph = cfg.graph()
@@ -163,15 +166,18 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.law != "robust-team" and not cfg.network.ideal:
         raise ConfigError(
             "drop/delay/noise parameters require law = robust-team; "
-            "the plain team and self laws assume an ideal channel"
+            f"the plain team and self laws assume an ideal channel: [engine] law = {cfg.law!r}"
+            " needs [network] drop_prob, max_delay, noise_bound and radius_noise_bound at 0"
         )
     if cfg.workspace is not None:
         xmin, xmax, ymin, ymax = cfg.workspace
         if not (xmin < xmax and ymin < ymax):
-            raise ConfigError("workspace bounds must satisfy xmin < xmax and ymin < ymax")
+            raise ConfigError(
+                f"[workspace] bounds = {cfg.workspace!r} must satisfy xmin < xmax and ymin < ymax"
+            )
         for k, st in enumerate(cfg.initial_states):
             if not (xmin <= st.x <= xmax and ymin <= st.y <= ymax):
-                raise ConfigError(f"initial state of agent {k} lies outside the workspace")
+                raise ConfigError(f"[agents] state.{k} lies outside the workspace [workspace] bounds")
 
 
 def _parse_pair(text: str, where: str) -> Tuple[int, int]:

@@ -1,11 +1,12 @@
 """Discrete-event simulator for promise-based formation coordination.
 
-Time is integer nanoseconds. The event heap carries (timestamp, priority,
-sequence) keys so simultaneous events process in a fixed order: certificate
-scan continuations first, then request retries, then promise traffic
-(scheduled sends and deliveries), then self requests, then the control
-tick. Warning and request bits are reliable and instantaneous and are
-handled inline instead of through the heap.
+Time is integer nanoseconds. The run steps through the control ticks, the
+multiples of dt up to the duration, and before each tick handles every
+queued event up to and including its instant. The event heap carries
+(timestamp, priority, sequence) keys so simultaneous events process in a
+fixed order: request retries, then promise traffic (scheduled sends and
+deliveries), then self requests. Warning and request bits are reliable and
+instantaneous and are handled inline instead of through the heap.
 
 Agent poses advance lazily under the held control (closed-form arcs); the
 held interval splits at the certificate horizon, past which the agent's
@@ -20,14 +21,16 @@ at plain ticks or request rounds, so the tick loop stays cheap.
 A resolve builds the agent's triggers.Scan from its pose and view and scans
 only the first chunk of the predicted trajectory. While no crossing has
 turned up, the agent's `t_star_ns` is only a lower bound, the last grid
-point scanned, and a continuation event at that instant scans the next
-chunk before any other event there can act on it. Once the crossing is
-found, the self request is queued where a scan run to its crossing at the
-resolve would have queued it, under the sequence number reserved at the
-resolve. So the prediction is rolled out only as far as simulated time
-reaches. Both events carry their Scan and act only while it is still the
-agent's, so a later resolve supersedes a pending continuation as it does a
-self request. The Scan keeps the view it was built from; a view never
+point scanned: a tick more than six ticks after the resolve. The tick
+before that bound scans the next chunk once it has controlled, monitored
+and recorded, so no event or tick at the bound sees the lower bound; a
+chunk's result depends on its Scan alone, so scanning it a tick early
+changes nothing. Once the crossing is found, the self request is queued
+where a scan run to its crossing at the resolve would have queued it, under
+the sequence number reserved at the resolve. So the prediction is rolled
+out only as far as simulated time reaches. The self request carries its
+Scan and acts only while it is still the agent's, so a later resolve
+supersedes it. The Scan keeps the view it was built from; a view never
 changes without a resolve that replaces it. So the control tick asks the
 agent's Scan for the nominal control (Scan.control): the rollout holds it
 where the agent sits exactly at a rollout pose, and the Scan computes it
@@ -55,7 +58,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .config import ConfigError, ScenarioConfig, time_problem, validate_config
+from .config import ConfigError, ScenarioConfig, validate_config
 from .controllers import team_control
 from .model import ControlInput, UnicycleState, arc_step, lyapunov, safe_mode, wrap_angle
 from .network import Channel
@@ -76,11 +79,9 @@ from .promises import (
 )
 from .triggers import NS, Scan, adaptive_dwell, critical_time_ns, to_ns
 
-PRIO_SCAN = 0
-PRIO_REQ_RETRY = 1
-PRIO_PROMISE = 2
-PRIO_SELF_REQUEST = 3
-PRIO_TICK = 4
+PRIO_REQ_RETRY = 0
+PRIO_PROMISE = 1
+PRIO_SELF_REQUEST = 2
 
 # Neighbor disks are inflated by this many units of max_speed * dt in every
 # trigger solve. Breach monitoring runs on the tick grid, so an issuer can
@@ -305,7 +306,7 @@ class Engine:
         The self request goes out at max(anchor + dwell, t*, now); the
         first and last terms are fixed here, since the anchor and the
         adaptive dwell can move before t* is known. Only the scan's first
-        chunk runs here; continuation events take it on.
+        chunk runs here; the tick before each lower bound takes it on.
         """
         self._advance(ag, now_ns)
         ag.scan = Scan(
@@ -326,14 +327,12 @@ class Engine:
         ag.req_floor_ns = max(ag.round_anchor_ns + dwell, now_ns)
         self._seq += 1
         ag.req_seq = self._seq
-        self._queue_scan_step(ag)
+        self._queue_self_request(ag)
 
-    def _queue_scan_step(self, ag: _Agent) -> None:
-        """Queue what follows the scan's last chunk: its continuation at
-        the lower bound, or once t* is known the self request."""
-        if ag.scan.pending:
-            self._push(ag.t_star_ns, PRIO_SCAN, "scan", (ag.id, ag.scan))
-        else:
+    def _queue_self_request(self, ag: _Agent) -> None:
+        """Once the scan has found t*, queue the self request under the
+        sequence number reserved at the resolve."""
+        if not ag.scan.pending:
             request_ns = max(ag.req_floor_ns, ag.t_star_ns)
             data = (ag.id, ag.scan)
             self._push(request_ns, PRIO_SELF_REQUEST, "selfreq", data, ag.req_seq)
@@ -492,12 +491,6 @@ class Engine:
     # ------------------------------------------------------------------
     # event handlers
 
-    def _scan_continuation(self, i: int, scan: Scan) -> None:
-        ag = self.agents[i]
-        if ag.scan is scan:
-            ag.t_star_ns = critical_time_ns(scan)
-            self._queue_scan_step(ag)
-
     def _self_request(self, ts_ns: int, i: int, scan: Scan) -> None:
         ag = self.agents[i]
         if ag.scan is scan:
@@ -562,9 +555,12 @@ class Engine:
             for ag in self.agents:
                 self._monitor(ag, ts_ns)
         self._record(ts_ns)
+        # A pending scan's bound is a tick; the tick before it scans on.
         nxt = ts_ns + self.dt_ns
-        if nxt <= self.duration_ns:
-            self._push(nxt, PRIO_TICK, "tick", ())
+        for ag in self.agents:
+            if ag.scan.pending and ag.t_star_ns == nxt:
+                ag.t_star_ns = critical_time_ns(ag.scan)
+                self._queue_self_request(ag)
 
     def _record(self, ts_ns: int) -> None:
         v = lyapunov(self.agents, self.spec, self.graph)
@@ -647,29 +643,30 @@ class Engine:
             self._resolve(ag, 0)
         for ag in self.agents:
             self._start_round(ag, 0)
-        self._push(0, PRIO_TICK, "tick", ())
 
-    def run(self) -> RunResult:
-        start = _time.perf_counter()
-        self._bootstrap()
+    def _handle_events(self, end_ns: int) -> None:
+        """Handle every queued event up to and including end_ns, in heap order."""
         heap = self._heap
-        end_ns = self.duration_ns
-        while heap:
+        while heap and heap[0][0] <= end_ns:
             ts_ns = heap[0][0]
-            if ts_ns > end_ns:
-                break
             if heap[0][1] == PRIO_PROMISE:
                 self._drain_promises(ts_ns)
                 continue
             _, _, _, kind, data = heapq.heappop(heap)
-            if kind == "tick":
-                self._tick(ts_ns)
-            elif kind == "scan":
-                self._scan_continuation(*data)
-            elif kind == "selfreq":
+            if kind == "selfreq":
                 self._self_request(ts_ns, *data)
-            elif kind == "retry":
+            else:
                 self._req_retry(ts_ns, *data)
+
+    def run(self) -> RunResult:
+        start = _time.perf_counter()
+        self._bootstrap()
+        for ts_ns in range(0, self.duration_ns + 1, self.dt_ns):
+            self._handle_events(ts_ns)
+            self._tick(ts_ns)
+        # What the last tick queued at its own instant, and what falls
+        # between it and an end off the tick grid.
+        self._handle_events(self.duration_ns)
         wall = _time.perf_counter() - start
         return RunResult(
             config=self.cfg,
@@ -785,6 +782,8 @@ def sweep_lambda(cfg: ScenarioConfig, grid: List[float], parallel: bool = False)
 
 
 COMPARE_VARIANTS = ("self", "fpfd", "fpad", "apfd", "apad")
+# run_compare samples every variant every 0.1 s.
+COMPARE_SAMPLE_NS = NS // 10
 
 
 def _compare_cfg(cfg: ScenarioConfig, variant: str) -> ScenarioConfig:
@@ -804,23 +803,21 @@ def compare_configs(cfg: ScenarioConfig) -> Dict[str, ScenarioConfig]:
     return {v: _derived(_compare_cfg(cfg, v), runs) for v in COMPARE_VARIANTS}
 
 
-def run_compare(cfg: ScenarioConfig, sample_dt: float = 0.1) -> List[Dict]:
+def run_compare(cfg: ScenarioConfig) -> List[Dict]:
     """Communication/performance trade-off table across controller variants.
 
     Columns per variant: cumulative promise payloads and the potential,
-    sampled every `sample_dt` seconds. Variants: worst-case baseline (self),
+    sampled every COMPARE_SAMPLE_NS. Variants: worst-case baseline (self),
     fixed/adaptive promises crossed with fixed/adaptive dwell. Every
     variant's config is validated before any variant runs.
     """
-    if not sample_dt > 0.0 or time_problem(sample_dt):
-        raise ValueError(f"sample_dt must be positive and at least 1 ns, got {sample_dt!r}")
     results = {v: run(c) for v, c in compare_configs(cfg).items()}
     rows = []
     send_times = {
         v: sorted(m.sent_at_ns for m in r.messages if m.kind == "PROMISE")
         for v, r in results.items()
     }
-    for t in range(0, to_ns(cfg.duration) + 1, to_ns(sample_dt)):
+    for t in range(0, to_ns(cfg.duration) + 1, COMPARE_SAMPLE_NS):
         row: Dict = {"t_ns": t}
         for v, r in results.items():
             idx = bisect.bisect_right(r.times_ns, t) - 1

@@ -132,6 +132,9 @@ expiration = none
         # The initial potential overflows.
         ("distance.0-1 = 1.5", "distance.0-1 = 1e300", "formation", "distance.0-1"),
         ("state.0 = 0.0, 0.0, 0.0", "state.0 = 1e155, 10.0, 0", "agents", "state.0"),
+        ("expiration = none", "expiration = none\n\n[workspace]\nbounds = 1.0, -1.0, 0.0, 1.0", "workspace", "bounds"),
+        ("expiration = none", "expiration = none\n\n[workspace]\nbounds = -1.0, 1.0, -1.0, 1.0", "agents", "state.1"),
+        ("expiration = none", "expiration = none\n\n[network]\ndrop_prob = 0.1", "network", "drop_prob"),
     ],
     ids=[
         "tightness",
@@ -164,6 +167,9 @@ expiration = none
         "default-section",
         "potential-overflow-distance",
         "potential-overflow-state",
+        "workspace-bounds",
+        "state-outside-workspace",
+        "lossy-channel-without-robust-law",
     ],
 )
 def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, old, new, section, key):

@@ -180,6 +180,23 @@ def test_workspace_bounds(tmp_path):
         load_config(_write(tmp_path, bad))
 
 
+@pytest.mark.parametrize(
+    "n, states, message",
+    [
+        (0, 0, r"\[graph\] agents must be at least 1, got 0"),
+        (-1, 0, r"\[graph\] agents must be at least 1, got -1"),
+        (3, 4, r"\[graph\] agents = 3 but \[agents\] gives 4 initial states"),
+    ],
+    ids=["zero", "negative", "mismatch"],
+)
+def test_validate_config_names_the_agent_count(n, states, message):
+    """An agent count that is not positive, or that the initial states do
+    not match, is blamed on [graph] agents, as in a file."""
+    cfg = bundled_config("formation4")
+    with pytest.raises(ConfigError, match=message):
+        validate_config(replace(cfg, n_agents=n, initial_states=cfg.initial_states[:states]))
+
+
 def test_dynamic_rule_parsing(tmp_path):
     text = MINIMAL + "\n[promise]\nrule = dynamic\nscale = 0.4\nfloor = 1e-5\n"
     cfg = load_config(_write(tmp_path, text))

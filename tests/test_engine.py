@@ -303,8 +303,8 @@ def test_sweep_lambda_rows(scenario):
 
 
 def test_compare_table_shape(scenario):
-    rows = run_compare(with_overrides(scenario, duration=2.0), sample_dt=0.5)
-    assert len(rows) == 5
+    rows = run_compare(with_overrides(scenario, duration=2.0))
+    assert len(rows) == 21
     assert rows[0]["t_ns"] == 0
     for v in ("self", "fpfd", "fpad", "apfd", "apad"):
         assert f"ncomm_{v}" in rows[0] and f"v_{v}" in rows[0]
@@ -315,14 +315,6 @@ def test_compare_table_shape(scenario):
     # the adaptive dwell must actually stretch silences, not alias the fixed one
     assert rows[-1]["ncomm_fpad"] < rows[-1]["ncomm_fpfd"]
     assert rows[-1]["ncomm_apad"] < rows[-1]["ncomm_apfd"]
-
-
-@pytest.mark.parametrize("sample_dt", [0.0, -0.5, 4e-10, 1e300, math.nan])
-def test_compare_rejects_sample_dt_off_the_ns_grid(scenario, sample_dt):
-    """A sample step that is not a positive whole number of nanoseconds
-    would never advance the sampling loop, or overflow it."""
-    with pytest.raises(ValueError, match="sample_dt"):
-        run_compare(with_overrides(scenario, duration=0.01), sample_dt=sample_dt)
 
 
 def test_next_check_is_margin_over_twice_max_speed():
@@ -502,24 +494,26 @@ def _cycle5(scenario, duration):
 
 def _run_counting_continuations(cfg, outdir):
     """Run cfg and write its outputs; return them with the number of scan
-    continuations that went on with a scan."""
+    continuations: the engine's critical_time_ns calls on a scan past its
+    first chunk."""
     calls = [0]
-    scan_on = engine_mod.Engine._scan_continuation
+    scan_on = engine_mod.critical_time_ns
 
-    def counted(self, i, scan):
-        calls[0] += self.agents[i].scan is scan
-        return scan_on(self, i, scan)
+    def counted(scan):
+        calls[0] += scan.start > 0
+        return scan_on(scan)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(engine_mod.Engine, "_scan_continuation", counted)
+        m.setattr(engine_mod, "critical_time_ns", counted)
         write_outputs(run(cfg), outdir)
     return {f: (outdir / f).read_bytes() for f in OUTPUT_FILES}, calls[0]
 
 
 @pytest.mark.parametrize("case", ["team", "self", "lambda0", "robust-7", "cycle5-lambda0"])
 def test_lazy_scan_matches_full_scan(case, scenario, robust_scenario, tmp_path, monkeypatch):
-    """Scanning each certificate one chunk per continuation event changes
-    no output byte against scanning it to the crossing at the resolve.
+    """Scanning each certificate one chunk per continuation, on the tick
+    before each lower bound, changes no output byte against scanning it to
+    the crossing at the resolve.
 
     The self-law run has self requests of two agents due at the same
     nanosecond (1.8 s), which keep their order only because each request
@@ -546,63 +540,60 @@ def test_every_chunk_scans_the_view_its_scan_was_built_from(name, monkeypatch):
     """A Scan keeps the promises of the view it was built from, so a view
     must not change while its scan is pending. It does not: every change
     to a view is followed by a resolve, which replaces the scan before any
-    continuation runs. So each continuation finds in the agent's view
-    exactly the promise objects its scan holds."""
-    continuation = engine_mod.Engine._scan_continuation
+    continuation runs. So each continuation is of an agent's current scan,
+    and finds in its view exactly the promise objects the scan holds."""
+    engine = engine_mod.Engine(golden_config(name))
+    scan_on = engine_mod.critical_time_ns
     resumed = []
 
-    def checked(self, i, scan):
-        ag = self.agents[i]
-        if ag.scan is scan:
-            held = ag.scan.promises
+    def checked(scan):
+        if scan.start:
+            (ag,) = [ag for ag in engine.agents if ag.scan is scan]
+            held = scan.promises
             assert len(held) == len(ag.view)
             assert all(a is b for a, b in zip(held, (ag.view[j] for j in sorted(ag.view)))), (
-                f"agent {i}: its view changed while its scan was pending"
+                f"agent {ag.id}: its view changed while its scan was pending"
             )
-            resumed.append(i)
-        return continuation(self, i, scan)
+            resumed.append(ag.id)
+        return scan_on(scan)
 
-    monkeypatch.setattr(engine_mod.Engine, "_scan_continuation", checked)
-    run(golden_config(name))
+    monkeypatch.setattr(engine_mod, "critical_time_ns", checked)
+    engine.run()
     assert resumed
 
 
 @pytest.mark.parametrize("case", ["lambda0", "robust-7"])
 def test_scan_continuation_runs_first_at_its_instant(case, scenario, robust_scenario, monkeypatch):
     """A pending scan leaves t_star_ns at a lower bound, so its continuation
-    runs before any other event at that instant can act on it."""
-    log = []
+    runs before any event handler or tick at that instant can act on it: none
+    sees a pending scan whose bound it has reached."""
+    continued = set()  # the bounds that continuations went on from
+    handled = set()  # the instants at which a handler or tick ran
+    scan_on = engine_mod.critical_time_ns
 
-    def logged(name, handler):
+    def logged_scan(scan):
+        if scan.start:
+            continued.add(scan.grid(scan.start - 1))
+        return scan_on(scan)
+
+    def checked(name, handler):
         def wrapper(self, ts_ns, *args):
-            log.append((ts_ns, name))
+            handled.add(ts_ns)
+            late = [ag.id for ag in self.agents if ag.scan.pending and ag.t_star_ns <= ts_ns]
+            assert not late, f"{name} at {ts_ns} ns sees the lower bound of agents {late}"
             return handler(self, ts_ns, *args)
 
         return wrapper
 
+    monkeypatch.setattr(engine_mod, "critical_time_ns", logged_scan)
     for name in ("_tick", "_drain_promises", "_self_request", "_req_retry"):
         handler = getattr(engine_mod.Engine, name)
-        monkeypatch.setattr(engine_mod.Engine, name, logged(name, handler))
-    continuation = engine_mod.Engine._scan_continuation
-
-    def logged_continuation(self, i, scan):
-        ag = self.agents[i]
-        if ag.scan is scan:
-            log.append((ag.t_star_ns, "scan"))
-        return continuation(self, i, scan)
-
-    monkeypatch.setattr(engine_mod.Engine, "_scan_continuation", logged_continuation)
+        monkeypatch.setattr(engine_mod.Engine, name, checked(name, handler))
     if case == "lambda0":
         run(with_overrides(scenario, tightness=0.0, duration=0.16))
     else:
         run(with_overrides(robust_scenario, seed=7, duration=1.0))
-    shared = 0
-    for k, (ts, name) in enumerate(log):
-        if name == "scan":
-            earlier = [n for t, n in log[:k] if t == ts]
-            assert set(earlier) <= {"scan"}, f"continuation at {ts} ns runs after {earlier}"
-            shared += any(t == ts and n != "scan" for t, n in log[k:])
-    assert shared > 0
+    assert continued & handled
 
 
 def _apply_mode_control_reference(self, ag, now_ns):

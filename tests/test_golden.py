@@ -192,7 +192,7 @@ def test_path_digests(name, tmp_path):
 
 
 def test_compare_table_digest(tmp_path):
-    rows = run_compare(with_overrides(bundled_config("formation4"), duration=1.0), sample_dt=0.1)
+    rows = run_compare(with_overrides(bundled_config("formation4"), duration=1.0))
     write_compare_csv(rows, tmp_path / "compare.csv")
     assert _sha(tmp_path / "compare.csv") == COMPARE_DIGEST
 

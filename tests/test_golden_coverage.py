@@ -85,7 +85,6 @@ UNREACHED = {
     ("engine", "sweep_lambda", "return list(pool.map(_sweep_one, cfgs))"): (
         "the parallel sweep (c6); its points run in worker processes, which this trace cannot see"
     ),
-    ("engine", "run_compare", 'raise ValueError(f"sample_dt must be positive and at least 1 ns, got {sample_dt!r}")'): _INPUT,
     ("promises", "StaticBall.__post_init__", 'raise ValueError(f"tightness must be finite and >= 0, got {self.tightness}")'): _INPUT,
     ("promises", "DynamicBall.__post_init__", 'raise ValueError(f"{name} must be finite and >= 0, got {v}")'): _INPUT,
     ("promises", "make_promise", 'raise ValueError("the dynamic rule sizes the ball from the planning gap; none was given")'): _INPUT,
@@ -145,7 +144,7 @@ def _golden_runs(out):
     for name in [*GOLDEN, *PATHS]:
         write_outputs(run(golden_config(name)), out)
     cfg = with_overrides(bundled_config("formation4"), duration=1.0)
-    write_compare_csv(run_compare(cfg, sample_dt=0.1), out / "compare.csv")
+    write_compare_csv(run_compare(cfg), out / "compare.csv")
     write_sweep_csv(sweep_lambda(cfg, [0.1, 0.5, 1.0]), out / "sweep.csv")
 
 
