@@ -165,9 +165,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
                 raise ConfigError(f"[{section}] {key} = {seconds!r} {problem}")
     if cfg.law != "robust-team" and not cfg.network.ideal:
         raise ConfigError(
-            "drop/delay/noise parameters require law = robust-team; "
-            f"the plain team and self laws assume an ideal channel: [engine] law = {cfg.law!r}"
-            " needs [network] drop_prob, max_delay, noise_bound and radius_noise_bound at 0"
+            "drop/delay/noise parameters require law = robust-team; [engine] law ="
+            f" {cfg.law!r} assumes an ideal channel, with [network] drop_prob, max_delay,"
+            " noise_bound and radius_noise_bound at 0"
         )
     if cfg.workspace is not None:
         xmin, xmax, ymin, ymax = cfg.workspace

@@ -36,16 +36,6 @@ def _referenced(tree: ast.AST) -> set:
     return names
 
 
-def _exported(tree: ast.AST) -> set:
-    """The names a module lists in `__all__`."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return {ast.literal_eval(e) for e in node.value.elts}
-    return set()
-
-
 def test_package_init_imports_and_defines_nothing():
     """Every module is imported by its own name (ttlab.engine, ...); the
     package itself holds only its docstring, so no second name for a
@@ -58,7 +48,7 @@ def test_package_init_imports_and_defines_nothing():
 def test_every_import_is_used():
     unused = []
     for name, tree in MODULES.items():
-        used = _used_names(tree) | _exported(tree)
+        used = _used_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
@@ -127,19 +117,18 @@ KEPT = {
 
 
 def _reached_public_names():
-    """(reached, public), each mapping the modules other than __init__.py
-    to a set of names: `public` to their public top-level functions and
-    classes, `reached` to those a run reaches. A name is reached when
+    """(reached, public), each mapping the modules to a set of names:
+    `public` to their public top-level functions and classes, `reached`
+    to those a run reaches. A name is reached when
     another module refers to it, when its module's top-level code (outside
     functions and classes) does, when it is an entry point, or when a
     reached function or class of its own module refers to it."""
-    modules = {name: tree for name, tree in MODULES.items() if name != "__init__.py"}
     reached, public = {}, {}
-    for name, tree in modules.items():
+    for name, tree in MODULES.items():
         defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
         public[name] = {d for d in defs if not d.startswith("_")}
         roots = set(ENTRY_POINTS)
-        for other, t in modules.items():
+        for other, t in MODULES.items():
             if other != name:
                 roots |= _referenced(t)
         for node in tree.body:
