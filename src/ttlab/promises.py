@@ -3,22 +3,29 @@
 A promise anchors the issuer's pose and applied control at issue time and
 bounds how far its future controls may stray (a ball of `radius` in control
 space). Recipients turn a promise into a growing position disk; issuers
-monitor their own promises and must warn recipients before leaving the disk.
+monitor their own promises and warn recipients once they leave the disk.
 
 The disk realization keeps the zero-order-hold prediction as the center and
 caps the radius with the anchor reachability bound:
 
     radius(tau) = min(delta * tau, dist(zoh(tau), anchor) + max_speed * tau)
 
-which contains every admissible deviation the commitment allows, is monotone
-in delta (tighter promises give nested disks) and nondecreasing in tau, and
-never exceeds the anchor reachability disk by more than twice the chord
-length dist(zoh, anchor). disk_kernel is its one implementation, and _ages
-the one rule for a disk's age and its growth past expiry. A ball's centre
-is model.arc_step, the arc the agents move on, run from the anchor pose at
-the disk's age; alone it gives expected_position, the estimate of the
-control tick and u_double_star. On floats disk_kernel gives disk_at, for
-the breach and containment checks and the fallback; on arrays,
+which is monotone in delta (tighter promises give nested disks) and
+nondecreasing in tau, and never exceeds the anchor reachability disk by
+more than twice the chord length dist(zoh, anchor). It does not contain
+every motion the control ball allows: a turn-rate deviation dw moves the
+issuer about v * dw * tau^2 / 2 off the centre, v the anchor speed, which
+passes delta * tau once tau > 2 / v. So in-ball motion stays inside only up
+to an age of about 2 / v. The position promise is kept by the issuer's
+breach monitor, which warns or sends a fresh promise at the first tick it
+finds itself outside; the trigger scan's guard covers that tick of lag.
+
+disk_kernel is the disk's one implementation, and _ages the one rule for a
+disk's age and its growth past expiry. A ball's centre is model.arc_step,
+the arc the agents move on, run from the anchor pose at the disk's age;
+alone it gives expected_position, the estimate of the control tick, of
+the trigger scan's first point in each chunk and of u_double_star. On floats disk_kernel gives disk_at, for the breach and
+containment checks and the fallback; on arrays,
 triggers.disk_params_batch, for the trigger scan's rollout and refinement.
 
 The breach margin m(t) = radius(t) + BREACH_TOL - |issuer(t) - center(t)|

@@ -436,8 +436,12 @@ def critical_time_ns(scan: Scan) -> int:
     The rollout stops at the first grid point where the agent is
     stationary (fx == fy == 0.0 under its own law): the rate there is
     exactly +0.0 (see disk_sup_batch), so that point is a crossing unless
-    an earlier one is. Only the points before it go to the kernel, and none
-    when it is the chunk's first; the crossing is refined as any other.
+    an earlier one is. Only the points before it go to the kernel; the
+    crossing is refined as any other. The chunk's first point comes before
+    any array: its control is goal_law on expected_position's centres,
+    which are the arrays' bit for bit, so a chunk that opens on a
+    stationary point evaluates no disk array at all. A view with a
+    fallback time after the first point is an error (see _ages).
     """
     dists, gain, n = scan.dists, scan.gain, scan.n
     u_max, v_max = scan.limits.max_speed, scan.limits.max_turn
@@ -445,17 +449,26 @@ def critical_time_ns(scan: Scan) -> int:
     # or None at the scan's start.
     chunk, state, start = scan.chunk, scan.pose, scan.start
     before = scan.rollout[scan.grid(start - 1)] if start else None
+    rollout = scan.rollout = {} if before is None else {before[0]: before}
+    t0 = scan.grid(start)
+    sx, sy, th = state
+    points = [expected_position(p, t0 * 1e-9) for p in scan.promises]
+    sp, tu = goal_law(sx, sy, th, points, dists, gain, u_max, v_max)
+    rollout[t0] = (t0, sx, sy, th, sp, tu)
+    if sp * math.cos(th) == 0.0 and sp * math.sin(th) == 0.0:
+        scan.pending = False
+        return t0 if before is None else _refine(scan, before, t0)
     stop = min(start + chunk, n)
     ts = [scan.grid(k) for k in range(start, stop)]
     disks = scan.disks_at(ts)
     centers = [list(zip(cxj.tolist(), cyj.tolist())) for cxj, cyj, _ in disks]
     rows = []
-    rollout = scan.rollout = {} if before is None else {before[0]: before}
     stationary = False
     for local, tn in enumerate(ts):
-        sx, sy, th = state
-        sp, tu = goal_law(sx, sy, th, [c[local] for c in centers], dists, gain, u_max, v_max)
-        rollout[tn] = (tn, sx, sy, th, sp, tu)
+        if local:
+            sx, sy, th = state
+            sp, tu = goal_law(sx, sy, th, [c[local] for c in centers], dists, gain, u_max, v_max)
+            rollout[tn] = (tn, sx, sy, th, sp, tu)
         fx, fy = sp * math.cos(th), sp * math.sin(th)
         if fx == 0.0 and fy == 0.0:
             stationary = True

@@ -362,7 +362,9 @@ def _check_containment():
     """Four Monte Carlo containment suites, 1000 draws each, zero violations."""
     violations = 0
 
-    # in-ball rollouts stay inside promised disks (tau <= 0.35)
+    # in-ball rollouts stay inside promised disks for tau <= 0.35, below the
+    # age of about 2 / (anchor speed) past which in-ball motion can leave
+    # them; there the issuer's breach monitor keeps the position promise
     rng = np.random.default_rng(20260819)
     dt, steps = 0.05, 7
     for _ in range(1000):

@@ -660,8 +660,26 @@ def test_rollout_control_matches_goal_law_on_every_tick(case, scenario, robust_s
 def test_resolve_takes_its_control_from_scan_point_0(case, scenario, robust_scenario, monkeypatch):
     """A resolve whose t* lies after it applies the control the scan's
     rollout computed at its own instant, point 0, and computes no control
-    of its own: Scan.control calls expected_position not once."""
-    calls = _count_calls(monkeypatch, triggers_mod, "expected_position")
+    of its own: Scan.control calls expected_position not once. The scan's
+    own first point calls it too, so only the calls made inside
+    Scan.control count."""
+    calls = [0]
+    inside = []
+    position, control = triggers_mod.expected_position, triggers_mod.Scan.control
+
+    def counted_position(*args):
+        calls[0] += bool(inside)
+        return position(*args)
+
+    def traced_control(self, *args):
+        inside.append(True)
+        try:
+            return control(self, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(triggers_mod, "expected_position", counted_position)
+    monkeypatch.setattr(triggers_mod.Scan, "control", traced_control)
     resolve = engine_mod.Engine._resolve
     evals = []
 
@@ -701,6 +719,17 @@ def test_tick_controls_split_into_read_held_and_computed(case, split, scenario, 
         cfg = with_overrides(robust_scenario, seed=20260819, law="robust-team", duration=5.0)
     run(cfg)
     assert (controls[0] - steers[0], steers[0] - offsets[0], offsets[0]) == split
+
+
+def test_lambda0_disk_array_count(scenario, monkeypatch):
+    """On the benchmark's λ=0 input most scan chunks open on a stationary
+    point, and such a chunk evaluates no disk array. The count of
+    disk_params_batch calls is frozen from the first code that skipped
+    them (317 before): a change that evaluates a chunk's arrays before it
+    knows it needs them moves it."""
+    calls = _count_calls(monkeypatch, triggers_mod, "disk_params_batch")
+    run(with_overrides(scenario, law="team", tightness=0.0, duration=0.16))
+    assert calls[0] == 105
 
 
 def test_adaptive_dwell_cap_keeps_outputs(scenario, tmp_path):

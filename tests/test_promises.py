@@ -179,6 +179,25 @@ def test_ball_containment_monte_carlo():
     assert violations == 0
 
 
+@pytest.mark.parametrize("delta,exit_ms", [(0.05, 401), (0.5, 401), (1.0, 402), (2.0, 408)])
+def test_in_ball_motion_leaves_the_disk_past_two_over_anchor_speed(delta, exit_ms):
+    """The disk does not hold every motion the control ball allows. An
+    issuer anchored at control (5, 0) that holds (5, delta), within delta of
+    the anchor, drifts about 5 * delta * tau^2 / 2 off the straight centre,
+    which passes the ball radius delta * tau once tau > 2 / 5 s. On the 1 ms
+    grid it is inside up to the tick before exit_ms and outside from exit_ms
+    to 2 s: containment of in-ball motion holds only up to an age of about
+    2 / (anchor speed), and past it the issuer's breach monitor keeps the
+    position promise."""
+    p = _promise(UnicycleState(0.0, 0.0, 0.0), ControlInput(5.0, 0.0, LIM), delta)
+    inside = []
+    for k in range(1, 2001):
+        x, y, _ = arc_step(0.0, 0.0, 0.0, 5.0, delta, k * 1e-3)
+        inside.append(breach_margin(p, k * 1e-3, x, y) >= 0.0)
+    assert all(inside[: exit_ms - 1]) and not any(inside[exit_ms - 1 :])
+    assert 2.0 / 5.0 < exit_ms * 1e-3 < 2.1 / 5.0
+
+
 def test_reachability_containment_monte_carlo():
     """The tightness-1 promise contains any admissible motion at any horizon."""
     rng = np.random.default_rng(4242)

@@ -173,7 +173,9 @@ def test_scan_centers_equal_expected_position_on_the_tick_grid(kind):
     """disk_params_batch gives the scan's rollout the very centre bits that
     expected_position gives the control tick, at the resolve instant and on
     the tick grid after it, for a turning ball, a straight one (|turn| at
-    most ARC_EPS), one past its expiry and a fallback."""
+    most ARC_EPS), one past its expiry and a fallback. A resolve comes at
+    the issue instant or at an off-grid instant later, where the scan's
+    first point takes its control from expected_position's centres."""
     rng = np.random.default_rng(["turning", "straight", "expired", "fallback"].index(kind))
     for _ in range(20):
         issued_ns = int(rng.integers(0, 2 * NS))
@@ -189,17 +191,18 @@ def test_scan_centers_equal_expected_position_on_the_tick_grid(kind):
             ControlInput(rng.uniform(0.0, 5.0), turn, LIM), StaticBall(rng.uniform(0.0, 1.0)),
             expires_at=None if expires_ns is None else expires_ns * 1e-9,
         )
-        start_ns = issued_ns
+        later_ns = issued_ns + int(rng.integers(0, 100 * DT))
+        later_ns += later_ns % DT == 0  # off the grid
         if kind == "fallback":
-            start_ns = issued_ns + int(rng.integers(0, 100 * DT))
-            p = fallback_to_reachability(p, max((start_ns - DT) * 1e-9, p.issued_at))
-        # The scan's grid: the resolve instant, off the grid, then 200 ticks.
-        first = (start_ns // DT + 1) * DT
-        tns = [start_ns] + [first + k * DT for k in range(200)]
-        cx, cy, _ = disk_params_batch(p, np.array([tn * 1e-9 for tn in tns]))
-        ticks = [expected_position(p, tn * 1e-9) for tn in tns]
-        assert _hex(cx.tolist()) == _hex(x for x, _ in ticks)
-        assert _hex(cy.tolist()) == _hex(y for _, y in ticks)
+            p = fallback_to_reachability(p, max((later_ns - DT) * 1e-9, p.issued_at))
+        for start_ns in [later_ns] if kind == "fallback" else [issued_ns, later_ns]:
+            # The scan's grid: the resolve instant, off the grid, then 200 ticks.
+            first = (start_ns // DT + 1) * DT
+            tns = [start_ns] + [first + k * DT for k in range(200)]
+            cx, cy, _ = disk_params_batch(p, np.array([tn * 1e-9 for tn in tns]))
+            ticks = [expected_position(p, tn * 1e-9) for tn in tns]
+            assert _hex(cx.tolist()) == _hex(x for x, _ in ticks)
+            assert _hex(cy.tolist()) == _hex(y for _, y in ticks)
 
 
 def _single_neighbor_view(pos, d_target, tightness=0.05):
@@ -548,10 +551,14 @@ def _chunks_through(k):
 
 def _random_view(rng, dt_ns):
     """Agent 0 and one to three neighbors: plain, expiring and fallback
-    promises at random tightness, issued before a random scan start."""
+    promises at random tightness, issued around a random scan start. No
+    fallback time lies after the start, on the tick grid or off it: the
+    engine freezes a warned disk no later than the resolve that scans it."""
     k = int(rng.integers(1, 4))
     spec = FormationSpec({(0, j): rng.uniform(0.5, 4.0) for j in range(1, k + 1)}, 150.0)
     t0 = rng.uniform(0.0, 2.0)
+    t_last = int(t0 * NS)
+    latest_fb = (t_last - t_last % dt_ns) * 1e-9
     view = {}
     for j in range(1, k + 1):
         anchor = UnicycleState(*rng.uniform(-4.0, 4.0, 2).tolist(), rng.uniform(-3.1, 3.1))
@@ -562,9 +569,8 @@ def _random_view(rng, dt_ns):
         p = make_promise(j, 0, issued, anchor, control, StaticBall(rng.uniform(0.0, 0.3)),
                          expires_at=expires)
         if kind == 2:
-            p = fallback_to_reachability(p, rng.uniform(issued, t0))
+            p = fallback_to_reachability(p, rng.uniform(min(issued, latest_fb), latest_fb))
         view[j] = p
-    t_last = int(t0 * NS)
     if rng.integers(2):
         t_last -= t_last % dt_ns  # on the tick grid
     own = (*rng.uniform(-4.0, 4.0, 2).tolist(), rng.uniform(-3.1, 3.1))
@@ -572,6 +578,21 @@ def _random_view(rng, dt_ns):
 
 
 HORIZON_SCAN = 400 * DT
+
+
+@pytest.mark.parametrize("t_ns", [371_000_000, 371_088_312], ids=["on-grid", "off-grid"])
+def test_scan_over_a_view_from_the_future_is_an_error(t_ns):
+    """A view whose fallback disk was frozen after the scan's start has no
+    disk there: the scan's first critical_time_ns call raises rather than
+    grow that disk by a negative age."""
+    spec = FormationSpec({(0, 1): 1.0}, 150.0)
+    p = make_promise(
+        1, 0, 0.317, UnicycleState(3.2, -3.3, 0.4), ControlInput(2.0, 0.5, LIM), StaticBall(0.1)
+    )
+    view = {1: fallback_to_reachability(p, 0.3710883125654855)}
+    scan = Scan(0, 0.0, 0.0, 0.0, view, t_ns, spec, LIM, DT, HORIZON_SCAN)
+    with pytest.raises(ValueError, match="precedes fallback time"):
+        critical_time_ns(scan)
 
 
 def test_batched_refinement_matches_sequential_bisection(monkeypatch):
@@ -627,9 +648,12 @@ def test_scan_stops_at_first_stationary_point(goal_ahead, still_at, rollout_rows
     reference's t* without evaluating that point or any after it: on a
     stationary start it calls no kernel; when the stationary point opens
     the second chunk, that chunk calls no kernel;
-    mid-chunk, the kernel gets only the points before it. With a 10 ms
-    tick and gain 150 the agent, heading straight for its parked
-    neighbor's goal point, overshoots it and stops."""
+    mid-chunk, the kernel gets only the points before it. A chunk that
+    opens on the stationary point evaluates no disk array either, the
+    refinement's aside, and records there the control goal_law gives on
+    the arrays' centres. With a 10 ms tick and gain 150 the agent, heading
+    straight for its parked neighbor's goal point, overshoots it and
+    stops."""
     spec = FormationSpec({(0, 1): 1.0}, 150.0)
     p = make_promise(
         1, 0, 0.0, UnicycleState(1.0 + goal_ahead, 0.0, 0.0), ControlInput(0.0, 0.0, LIM),
@@ -645,7 +669,15 @@ def test_scan_stops_at_first_stationary_point(goal_ahead, still_at, rollout_rows
         return disk_sup_batch(*args)
 
     monkeypatch.setattr(triggers, "disk_sup_batch", counted)
-    t_star = _scan_to_end(Scan(0, *own, view, 0, spec, LIM, dt, HORIZON_SCAN))
+    arrays = _count_calls(monkeypatch, triggers, "disk_params_batch")
+    scan = Scan(0, *own, view, 0, spec, LIM, dt, HORIZON_SCAN)
+    per_chunk = []
+    while True:
+        before = arrays[0]
+        t_star = critical_time_ns(scan)
+        per_chunk.append(arrays[0] - before)
+        if not scan.pending:
+            break
     assert t_star == want
     assert calls[: len(rollout_rows)] == rollout_rows
     refinement = calls[len(rollout_rows) :]
@@ -653,6 +685,18 @@ def test_scan_stops_at_first_stationary_point(goal_ahead, still_at, rollout_rows
         assert 1 <= len(refinement) <= 2
     else:
         assert refinement == []
+    # One array per chunk for its one neighbor, and one per refinement call.
+    opens = still_at in (0, SCAN_FIRST_CHUNK)
+    assert per_chunk == [1] * (len(per_chunk) - 1) + [(not opens) + len(refinement)]
+    t_stop = scan.grid(still_at)
+    x, y, th = scan.rollout[t_stop][1:4]
+    cx, cy, _ = disk_params_batch(p, np.array([t_stop * 1e-9]))
+    centre = [(float(cx[0]), float(cy[0]))]
+    law = goal_law(x, y, th, centre, [1.0], 150.0, LIM.max_speed, LIM.max_turn)
+    assert _hex(scan.rollout[t_stop][4:]) == _hex(law)
+    assert law[0] == 0.0
+    if opens:
+        assert sorted(scan.rollout) == [scan.grid(k) for k in range(max(0, still_at - 1), still_at + 1)]
     resumed, _ = _resumed_scan(own, view, 0, spec, dt, HORIZON_SCAN, 0.0)
     assert resumed == t_star
 
