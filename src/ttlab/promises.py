@@ -24,9 +24,10 @@ disk_kernel is the disk's one implementation, and _ages the one rule for a
 disk's age and its growth past expiry. A ball's centre is model.arc_step,
 the arc the agents move on, run from the anchor pose at the disk's age;
 alone it gives expected_position, the estimate of the control tick, of
-the trigger scan's first point in each chunk and of u_double_star. On floats disk_kernel gives disk_at, for the breach and
-containment checks and the fallback; on arrays,
-triggers.disk_params_batch, for the trigger scan's rollout and refinement.
+the trigger scan's first point in each chunk and of u_double_star. On
+floats disk_kernel gives disk_at, for the breach and containment checks
+and the fallback; on arrays, triggers.disk_params_batch, for the trigger
+scan's rollout and refinement.
 
 The breach margin m(t) = radius(t) + BREACH_TOL - |issuer(t) - center(t)|
 falls by at most 2 * max_speed per second. The radius never shrinks (ball,

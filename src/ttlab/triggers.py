@@ -440,8 +440,8 @@ def critical_time_ns(scan: Scan) -> int:
     crossing is refined as any other. The chunk's first point comes before
     any array: its control is goal_law on expected_position's centres,
     which are the arrays' bit for bit, so a chunk that opens on a
-    stationary point evaluates no disk array at all. A view with a
-    fallback time after the first point is an error (see _ages).
+    stationary point evaluates no disk array at all. A view whose fallback
+    time lies after the scan's start is an error (see promises._ages).
     """
     dists, gain, n = scan.dists, scan.gain, scan.n
     u_max, v_max = scan.limits.max_speed, scan.limits.max_turn

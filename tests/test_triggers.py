@@ -696,7 +696,8 @@ def test_scan_stops_at_first_stationary_point(goal_ahead, still_at, rollout_rows
     assert _hex(scan.rollout[t_stop][4:]) == _hex(law)
     assert law[0] == 0.0
     if opens:
-        assert sorted(scan.rollout) == [scan.grid(k) for k in range(max(0, still_at - 1), still_at + 1)]
+        kept = range(max(0, still_at - 1), still_at + 1)
+        assert sorted(scan.rollout) == [scan.grid(k) for k in kept]
     resumed, _ = _resumed_scan(own, view, 0, spec, dt, HORIZON_SCAN, 0.0)
     assert resumed == t_star
 
