@@ -3,8 +3,9 @@
 Positions live in R^2, headings on (-pi, pi]. Controls are (speed, turn rate)
 pairs bounded by per-scenario limits. The formation objective is the usual
 squared-distance-error potential summed over the communication edges.
-arc_step is the one constant-control arc: agents move on it, and a promise
-disk's centre is the anchor pose carried along it (promises.disk_kernel).
+arc_step is the one constant-control arc: agents move on it, with the
+heading wrapped after each step, and a promise disk's centre is the anchor
+pose carried along it (promises.disk_kernel).
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 # Below this turn rate the circular arc degenerates to a straight line.
 ARC_EPS = 1e-9
@@ -170,10 +169,11 @@ def arc_step(
 ):
     """Exact constant-control unicycle step: the one arc formula.
 
-    Agent motion calls it on floats, through :func:`step_unicycle` and the
-    simulation internals. The promise disk's centre is the same arc at the
-    disk's age: promises.disk_kernel passes numpy's sin and cos with an
-    array of ages for the trigger scan, which agree with libm bit for bit.
+    Agent motion calls it on floats: the engine's step and the trigger
+    scan's rollout and refinement, each wrapping the returned heading with
+    wrap_angle. The promise disk's centre is the same arc at the disk's
+    age: promises.disk_kernel passes numpy's sin and cos with an array of
+    ages for the trigger scan, which agree with libm bit for bit.
     """
     if abs(turn) > ARC_EPS:
         th1 = heading + turn * dt
@@ -188,31 +188,6 @@ def arc_step(
         y + speed * dt * sin(heading),
         heading + turn * dt,
     )
-
-
-def step_unicycle(state: UnicycleState, control: ControlInput, dt: float) -> UnicycleState:
-    """Integrate the unicycle exactly over one interval of held control.
-
-    Parameters
-    ----------
-    state : UnicycleState
-        Pose at the start of the interval.
-    control : ControlInput
-        Control held constant over the interval.
-    dt : float
-        Interval length in seconds, dt >= 0.
-
-    Returns
-    -------
-    UnicycleState
-        Pose at the end of the interval. For |turn_rate| above ``ARC_EPS``
-        the update is the closed-form circular arc, otherwise a straight
-        line; headings wrap back into (-pi, pi].
-    """
-    if dt < 0.0:
-        raise ValueError("dt must be nonnegative")
-    nx, ny, nth = arc_step(state.x, state.y, state.heading, control.speed, control.turn_rate, dt)
-    return UnicycleState(nx, ny, nth)
 
 
 def lyapunov(states: Sequence, spec: FormationSpec, graph: CommGraph) -> float:
@@ -230,24 +205,3 @@ def lyapunov(states: Sequence, spec: FormationSpec, graph: CommGraph) -> float:
         err = dx * dx + dy * dy - d2
         total += err * err
     return total
-
-
-def lyapunov_gradient(
-    i: int, states: Sequence[UnicycleState], spec: FormationSpec, graph: CommGraph
-) -> np.ndarray:
-    """Gradient of the formation potential with respect to agent i's position.
-
-    Uses only agent i's own state and its neighbors' states, so a networked
-    implementation evaluating the same expression gets bitwise-equal output.
-    """
-    gx = 0.0
-    gy = 0.0
-    xi = states[i].x
-    yi = states[i].y
-    for j in graph.neighbors(i):
-        dx = states[j].x - xi
-        dy = states[j].y - yi
-        err = dx * dx + dy * dy - spec.distance(i, j) ** 2
-        gx += 4.0 * err * (-dx)
-        gy += 4.0 * err * (-dy)
-    return np.array([gx, gy])

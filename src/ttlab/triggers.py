@@ -26,7 +26,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .model import DiskSet, FormationSpec, Limits, UnicycleState, arc_step, wrap_angle
+from .model import FormationSpec, Limits, arc_step, wrap_angle
 from .controllers import goal_law, goal_offset, steer
 from .promises import _FALLBACK, Promise, disk_kernel, expected_position
 
@@ -201,11 +201,11 @@ def rate_bound(px, py, fx, fy, disks, dists: Sequence[float]) -> np.ndarray:
 
     px, py, fx, fy and each disk's (cx, cy, r) are arrays of one length, or
     floats for a single point. This is the one place the per-neighbor
-    bounds are added up: li_v_sup, the trigger scan and its refinement all
-    call it. All neighbors go through one disk_sup_batch call, stacked
-    neighbor by neighbor with a per-row target distance; every row of it is
-    computed on its own, so each keeps the bits of a call of its own, and
-    the rows are added up in neighbor order. No neighbors give zero.
+    bounds are added up: the trigger scan and its refinement both call it.
+    All neighbors go through one disk_sup_batch call, stacked neighbor by
+    neighbor with a per-row target distance; every row of it is computed on
+    its own, so each keeps the bits of a call of its own, and the rows are
+    added up in neighbor order. No neighbors give zero.
     """
     px, py, fx, fy = (np.atleast_1d(v) for v in (px, py, fx, fy))
     rate = np.zeros(px.shape)
@@ -222,28 +222,6 @@ def rate_bound(px, py, fx, fy, disks, dists: Sequence[float]) -> np.ndarray:
     for row in sup.reshape(k, n):
         rate += row
     return rate
-
-
-def li_v_sup(
-    i: int,
-    own_state: UnicycleState,
-    neighbor_disks: Mapping[int, DiskSet],
-    control,
-    spec: FormationSpec,
-) -> float:
-    """Worst-case instantaneous rate of the formation potential for agent i.
-
-    Supremum of grad_i V . f over every combination of neighbor positions
-    inside their disks; the sum decomposes per neighbor, so each disk is
-    bounded independently.
-    """
-    order = sorted(neighbor_disks)
-    disks = [(*neighbor_disks[j].center, neighbor_disks[j].radius) for j in order]
-    dists = [spec.distance(i, j) for j in order]
-    fx = control.speed * math.cos(own_state.heading)
-    fy = control.speed * math.sin(own_state.heading)
-    rate = rate_bound(own_state.x, own_state.y, fx, fy, disks, dists)
-    return float(rate[0])
 
 
 def _bisect_depth(width: int) -> int:

@@ -19,24 +19,22 @@ from ttlab.engine import EngineInvariantError, run, run_self_triggered, sweep_la
 from ttlab.model import (
     CommGraph,
     ControlInput,
-    DiskSet,
     FormationSpec,
     Limits,
     UnicycleState,
+    arc_step,
     lyapunov,
-    lyapunov_gradient,
-    step_unicycle,
     wrap_angle,
 )
 from ttlab.promises import (
     Promise,
     StaticBall,
+    disk_at,
     fallback_to_reachability,
     make_promise,
     validate_noisy_promise,
-    view_disk_at,
 )
-from ttlab.triggers import li_v_sup
+from ttlab.triggers import rate_bound
 
 from conftest import DISTANCES, EDGES, GAIN
 
@@ -249,7 +247,9 @@ def test_c7_robust_ensemble(robust_scenario):
 
 
 # ---------------------------------------------------------------------------
-# criterion 8: independent numeric oracles
+# criterion 8: independent numeric oracles for the functions a run executes:
+# the certificate bound triggers.rate_bound, the arc model.arc_step and the
+# promise disk promises.disk_at
 
 
 def _dense_scan(px, py, fx, fy, cx, cy, r, d, n_ang=720, n_rad=80):
@@ -268,7 +268,7 @@ def _dense_scan(px, py, fx, fy, cx, cy, r, d, n_ang=720, n_rad=80):
 
 
 def _check_rate_bound():
-    """Certificate rate bound vs dense polar grid on 100 random instances."""
+    """rate_bound on one disk vs dense polar grid on 100 random instances."""
     rng = np.random.default_rng(123)
     for _ in range(100):
         px, py = rng.uniform(-5, 5, 2)
@@ -277,9 +277,8 @@ def _check_rate_bound():
         cx, cy = rng.uniform(-5, 5, 2)
         r = rng.uniform(0.01, 3.0)
         d = rng.uniform(0.5, 4.0)
-        spec = FormationSpec({(0, 1): d}, GAIN)
-        state = UnicycleState(px, py, heading)
-        mine = li_v_sup(0, state, {1: DiskSet((cx, cy), r)}, ControlInput(speed, 0.0, LIM), spec)
+        th = wrap_angle(heading)  # the engine's headings are wrapped
+        (mine,) = rate_bound(px, py, speed * math.cos(th), speed * math.sin(th), [(cx, cy, r)], [d])
         sup, amax = _dense_scan(
             px, py, speed * math.cos(heading), speed * math.sin(heading), cx, cy, r, d
         )
@@ -291,7 +290,9 @@ def _check_rate_bound():
 
 
 def _check_gradient():
-    """Central differences on 100 random configurations, rel err < 1e-6."""
+    """rate_bound over radius-0 disks at the neighbours along f = (1, 0) and
+    (0, 1), which is grad_i V, vs central differences of lyapunov on 100
+    random configurations, rel err < 1e-6."""
     graph = CommGraph(4, EDGES)
     spec = FormationSpec(DISTANCES, GAIN)
     rng = np.random.default_rng(7)
@@ -299,9 +300,10 @@ def _check_gradient():
     for _ in range(100):
         pts = rng.uniform(-5.0, 5.0, size=(4, 2))
         i = int(rng.integers(0, 4))
-        grad = lyapunov_gradient(
-            i, [UnicycleState(px, py, 0.0) for px, py in pts], spec, graph
-        )
+        nbrs = graph.neighbors(i)
+        points = [(*pts[j], 0.0) for j in nbrs]
+        dists = [spec.distance(i, j) for j in nbrs]
+        grad = [rate_bound(*pts[i], *f, points, dists)[0] for f in ((1.0, 0.0), (0.0, 1.0))]
         fd = np.zeros(2)
         for axis in range(2):
             bump = pts.copy()
@@ -317,26 +319,21 @@ def _check_gradient():
 
 
 def _check_integrator():
-    """Closed-form step vs fine RK4, error < 1e-8."""
+    """arc_step, its heading wrapped, vs fine RK4, error < 1e-8."""
     for speed, turn in ((2.0, 1.0), (5.0, -3.0), (3.0, 0.5), (1.0, 2.9), (4.0, 0.0)):
-        s0 = UnicycleState(1.0, -2.0, 0.3)
-        c = ControlInput(speed, turn, LIM)
         dt = 0.25
-        x, y, th = s0.x, s0.y, s0.heading
+        x, y, th = 1.0, -2.0, 0.3
         h = dt / 400
         for _ in range(400):
             h1 = th
-            h2 = th + h / 2 * c.turn_rate
-            h4 = th + h * c.turn_rate
-            x += h / 6 * c.speed * (math.cos(h1) + 4 * math.cos(h2) + math.cos(h4))
-            y += h / 6 * c.speed * (math.sin(h1) + 4 * math.sin(h2) + math.sin(h4))
+            h2 = th + h / 2 * turn
+            h4 = th + h * turn
+            x += h / 6 * speed * (math.cos(h1) + 4 * math.cos(h2) + math.cos(h4))
+            y += h / 6 * speed * (math.sin(h1) + 4 * math.sin(h2) + math.sin(h4))
             th = h4
-        exact = step_unicycle(s0, c, dt)
-        if (
-            abs(exact.x - x) >= 1e-8
-            or abs(exact.y - y) >= 1e-8
-            or abs(wrap_angle(exact.heading - th)) >= 1e-8
-        ):
+        ex, ey, eth = arc_step(1.0, -2.0, 0.3, speed, turn, dt)
+        eth = wrap_angle(eth)
+        if abs(ex - x) >= 1e-8 or abs(ey - y) >= 1e-8 or abs(wrap_angle(eth - th)) >= 1e-8:
             return False, f"step vs RK4 mismatch at speed={speed}, turn={turn}"
     return True, "closed-form step within 1e-8 of RK4 on 5 parameter sets"
 
@@ -348,18 +345,28 @@ def _clamp(speed, turn):
 
 
 def _rollout(start, controls, dt):
-    s = start
+    """(t, x, y) after each arc_step under the held controls, the heading
+    wrapped after each step as the engine does."""
+    x, y, th = start.x, start.y, start.heading
     t = 0.0
     out = []
     for c in controls:
-        s = step_unicycle(s, c, dt)
+        x, y, th = arc_step(x, y, th, c.speed, c.turn_rate, dt)
+        th = wrap_angle(th)
         t += dt
-        out.append((t, s))
+        out.append((t, x, y))
     return out
 
 
+def _outside(p, t, x, y):
+    """(x, y) lies outside p's disk_at disk at t plus 1e-9."""
+    cx, cy, r = disk_at(p, t)
+    return not math.hypot(x - cx, y - cy) <= r + 1e-9
+
+
 def _check_containment():
-    """Four Monte Carlo containment suites, 1000 draws each, zero violations."""
+    """Four Monte Carlo containment suites on disk_at, 1000 draws each,
+    zero violations."""
     violations = 0
 
     # in-ball rollouts stay inside promised disks for tau <= 0.35, below the
@@ -377,10 +384,7 @@ def _check_containment():
             rho = delta * math.sqrt(rng.uniform())
             phi = rng.uniform(0.0, 2.0 * math.pi)
             controls.append(_clamp(c0.speed + rho * math.cos(phi), c0.turn_rate + rho * math.sin(phi)))
-        violations += sum(
-            not view_disk_at(p, t).contains((s.x, s.y), tol=1e-9)
-            for t, s in _rollout(anchor, controls, dt)
-        )
+        violations += sum(_outside(p, t, x, y) for t, x, y in _rollout(anchor, controls, dt))
 
     # the tightness-1 promise contains any admissible motion
     rng = np.random.default_rng(4242)
@@ -391,10 +395,7 @@ def _check_containment():
             StaticBall(1.0),
         )
         controls = [ControlInput(rng.uniform(0, U_MAX), rng.uniform(-3, 3), LIM) for _ in range(20)]
-        violations += sum(
-            not view_disk_at(p, t).contains((s.x, s.y), tol=1e-9)
-            for t, s in _rollout(anchor, controls, 0.1)
-        )
+        violations += sum(_outside(p, t, x, y) for t, x, y in _rollout(anchor, controls, 0.1))
 
     # post-warning fallback disks contain anything reachable from the frozen disk
     rng = np.random.default_rng(99)
@@ -403,19 +404,14 @@ def _check_containment():
                     rng.uniform(0, 3))
         t0 = rng.uniform(0.05, 0.5)
         fb = fallback_to_reachability(p, t0)
-        frozen = view_disk_at(p, t0)
-        rho = frozen.radius * math.sqrt(rng.uniform())
+        fcx, fcy, fr = disk_at(p, t0)
+        rho = fr * math.sqrt(rng.uniform())
         phi = rng.uniform(0, 2 * math.pi)
         start = UnicycleState(
-            frozen.center[0] + rho * math.cos(phi),
-            frozen.center[1] + rho * math.sin(phi),
-            rng.uniform(-3.1, 3.1),
+            fcx + rho * math.cos(phi), fcy + rho * math.sin(phi), rng.uniform(-3.1, 3.1)
         )
         controls = [ControlInput(rng.uniform(0, U_MAX), rng.uniform(-3, 3), LIM) for _ in range(10)]
-        violations += sum(
-            not view_disk_at(fb, t0 + t).contains((s.x, s.y), tol=1e-9)
-            for t, s in _rollout(start, controls, 0.1)
-        )
+        violations += sum(_outside(fb, t0 + t, x, y) for t, x, y in _rollout(start, controls, 0.1))
 
     # validated noisy promises still contain the issuer's true motion
     rng = np.random.default_rng(777)
@@ -445,10 +441,8 @@ def _check_containment():
             rho = delta * math.sqrt(rng.uniform())
             phi = rng.uniform(0.0, 2.0 * math.pi)
             controls.append(_clamp(c0.speed + rho * math.cos(phi), c0.turn_rate + rho * math.sin(phi)))
-        violations += sum(
-            not view_disk_at(validated, t).contains((s.x, s.y), tol=1e-9)
-            for t, s in _rollout(anchor, controls, 0.05)
-        )
+        rollout = _rollout(anchor, controls, 0.05)
+        violations += sum(_outside(validated, t, x, y) for t, x, y in rollout)
 
     if violations:
         return False, f"{violations} containment violations across 4000 draws"

@@ -107,6 +107,9 @@ from pathlib import Path
 seen = Path("runs.txt")
 k = int(seen.read_text()) if seen.exists() else 0
 seen.write_text(str(k + 1))
+# Every run of either checkout, in order, in a file beside both.
+with open("../runs.log", "a") as log:
+    log.write(Path.cwd().name + (" traced" if "--trace" in sys.argv else " timed") + "\\n")
 metrics = {{"sim_s": {{"value": 1.0, "unit": "s"}}}}
 if "--trace" in sys.argv:
     metrics = {{"x.calls": {{"value": {calls}, "unit": "count"}},
@@ -148,6 +151,19 @@ def test_traced_runs_report_the_median_timing_and_the_one_count(tmp_path):
     assert per_layer == {side: {"x.calls": 7, "x.self_s": 2.0} for side in ("before", "after")}
     # Two untraced runs and TRACE_RUNS traced runs per side.
     assert (after / "runs.txt").read_text() == str(2 + bench_pairs.TRACE_RUNS)
+
+
+def test_traced_runs_alternate_between_the_sides(tmp_path):
+    """The traced runs alternate as the pairs do, so that a drift in host
+    speed falls on both sides' per-layer timings alike."""
+    before = _traced_checkout(tmp_path / "before", "7")
+    after = _traced_checkout(tmp_path / "after", "7")
+    assert bench_pairs.main(_traced_argv(before, after, tmp_path / "out.json")) == 0
+    runs = [line.split() for line in (tmp_path / "runs.log").read_text().splitlines()]
+    assert [side for side, kind in runs if kind == "timed"] == ["before", "after", "after", "before"]
+    assert [side for side, kind in runs if kind == "traced"] == [
+        "before", "after", "after", "before", "before", "after"
+    ]
 
 
 def test_a_count_that_differs_between_traced_runs_stops_the_comparison(tmp_path, capsys):

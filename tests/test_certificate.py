@@ -3,9 +3,10 @@
 The engine's own in-run check is that the total potential V never rises
 (Engine._record). V is a sum over agents, so one agent whose certificate is
 unsound could hide behind the others' descent. Up to t*, agent i's
-certified rate L_i, li_v_sup over its view disks inflated by the guard
-under its nominal control, is negative; and as long as every neighbour's
-true position y_j lies in its inflated disk, the true term
+certified rate L_i, triggers.rate_bound over its view disks
+(promises.disk_at) inflated by the guard under its nominal control, is
+negative; and as long as every neighbour's true position y_j lies in its
+inflated disk, the true term
 
     sum_j 4 (||y_j - p||^2 - d_ij^2) ((p - y_j) . f)
 
@@ -20,9 +21,9 @@ import pytest
 
 import ttlab.engine as engine_mod
 from ttlab.config import bundled_config, with_overrides
-from ttlab.model import ControlInput, DiskSet, FormationSpec, Limits, UnicycleState
-from ttlab.promises import Promise, PromiseMode, view_disk_at
-from ttlab.triggers import li_v_sup
+from ttlab.model import ControlInput, FormationSpec, Limits, UnicycleState
+from ttlab.promises import Promise, PromiseMode, disk_at
+from ttlab.triggers import rate_bound
 
 # The GOLDEN runs of tests/test_golden.py: (scenario, overrides).
 RUNS = {
@@ -47,19 +48,20 @@ def check_certificates(eng, ts_ns):
         inflated = {}
         true_rate = 0.0
         for j, p in ag.view.items():
-            disk = view_disk_at(p, t)
+            cx, cy, r = disk_at(p, t)
             y = eng.agents[j]
-            assert disk.contains((y.x, y.y), eng.guard), (
+            assert math.hypot(y.x - cx, y.y - cy) <= r + eng.guard, (
                 f"agent {ag.id} at {where}: neighbour {j} at ({y.x!r}, {y.y!r}) lies outside"
-                f" its view disk {disk.center!r}, radius {disk.radius!r}, plus guard {eng.guard!r}"
+                f" its view disk {(cx, cy)!r}, radius {r!r}, plus guard {eng.guard!r}"
             )
-            inflated[j] = DiskSet(disk.center, disk.radius + eng.guard)
+            inflated[j] = (cx, cy, r + eng.guard)
             dx, dy = px - y.x, py - y.y
             d = eng.spec.distance(ag.id, j)
             true_rate += 4.0 * (dx * dx + dy * dy - d * d) * (dx * fx + dy * fy)
-        state = UnicycleState(px, py, ag.heading)
-        control = ControlInput(ag.speed, ag.turn, eng.limits)
-        bound = li_v_sup(ag.id, state, inflated, control, eng.spec)
+        order = sorted(inflated)
+        (bound,) = rate_bound(
+            px, py, fx, fy, [inflated[j] for j in order], [eng.spec.distance(ag.id, j) for j in order]
+        )
         assert bound < 0.0, f"agent {ag.id} at {where}: certified rate {bound!r} is not negative"
         assert true_rate <= bound, (
             f"agent {ag.id} at {where}: true rate {true_rate!r} exceeds certified rate {bound!r}"
@@ -105,7 +107,6 @@ def test_a_planted_worst_case_needs_the_bound_pad():
     bound gives exactly, and it makes the certified rate negative. Only
     the bound's pad (0.58 here) keeps the true rate below it: without the
     pad the check fails on the true-rate assertion."""
-    limits = Limits(5.0, 3.0)
     agent = SimpleNamespace(
         id=0, safe=False, x=2.0, y=1.0, heading=0.6305, speed=3.6447, turn=0.0,
         view={1: _frozen_disk(1, (0.3425, 2.1156), 1.7594), 2: _frozen_disk(2, (3.777, 2.297), 0.0)},
@@ -115,7 +116,7 @@ def test_a_planted_worst_case_needs_the_bound_pad():
         SimpleNamespace(safe=True, x=2.05004, y=2.53960), SimpleNamespace(safe=True, x=3.777, y=2.297)
     ]
     eng = SimpleNamespace(
-        agents=[agent, *neighbours], guard=0.0, limits=limits,
+        agents=[agent, *neighbours], guard=0.0,
         spec=FormationSpec({(0, 1): 3.1333, (0, 2): 1.0}, 150.0),
     )
     (slack,) = check_certificates(eng, 0)

@@ -39,7 +39,6 @@ MODULES = (ttlab.engine, ttlab.promises, ttlab.triggers, ttlab.controllers)
 
 _INPUT = "refuses a bad input; no golden run passes one"
 _RISE = "builds the potential-rise error, which no golden run raises"
-_ORACLE = "the scalar certificate bound, kept as the oracle of tests/test_certificate.py and c8"
 _HOOKED = "kept for bench/run.py's hook; the engine calls"
 
 # (module, function, stripped line) -> why no golden run executes it.
@@ -103,13 +102,6 @@ UNREACHED = {
     ("controllers", "u_double_star", "speed, turn = goal_law("): f"{_HOOKED} goal_law",
     ("controllers", "u_double_star", "state.x, state.y, state.heading, points, dists, spec.gain, limits.max_speed, limits.max_turn"): f"{_HOOKED} goal_law",
     ("controllers", "u_double_star", "return ControlInput(speed, turn, limits)"): f"{_HOOKED} goal_law",
-    ("triggers", "li_v_sup", "order = sorted(neighbor_disks)"): _ORACLE,
-    ("triggers", "li_v_sup", "disks = [(*neighbor_disks[j].center, neighbor_disks[j].radius) for j in order]"): _ORACLE,
-    ("triggers", "li_v_sup", "dists = [spec.distance(i, j) for j in order]"): _ORACLE,
-    ("triggers", "li_v_sup", "fx = control.speed * math.cos(own_state.heading)"): _ORACLE,
-    ("triggers", "li_v_sup", "fy = control.speed * math.sin(own_state.heading)"): _ORACLE,
-    ("triggers", "li_v_sup", "rate = rate_bound(own_state.x, own_state.y, fx, fy, disks, dists)"): _ORACLE,
-    ("triggers", "li_v_sup", "return float(rate[0])"): _ORACLE,
     ("triggers", "critical_time_ns", "return ts[-1]  # the horizon: no crossing before it"): (
         "a scan that reaches its horizon of ten self dwells; every golden scan crosses first"
     ),

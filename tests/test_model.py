@@ -12,11 +12,11 @@ from ttlab.model import (
     FormationSpec,
     Limits,
     UnicycleState,
+    arc_step,
     lyapunov,
-    lyapunov_gradient,
-    step_unicycle,
     wrap_angle,
 )
+from ttlab.triggers import rate_bound
 
 LIM = Limits(5.0, 3.0)
 
@@ -59,31 +59,30 @@ def test_limits_validation():
         Limits(math.inf, 1.0)
 
 
-def test_step_unicycle_frozen_values():
-    """Closed-form arc and straight-line steps against hand-checked values."""
-    s = step_unicycle(UnicycleState(1.0, 2.0, math.pi / 6), ControlInput(2.0, 1.0, LIM), 0.5)
-    assert s.x == 1.7079719531989266
-    assert s.y == 2.6914587611424956
-    assert s.heading == 1.0235987755982987
+def _step(x, y, th, speed, turn, dt):
+    """The engine's step: arc_step under a held control, the heading wrapped."""
+    nx, ny, nth = arc_step(x, y, th, speed, turn, dt)
+    return nx, ny, wrap_angle(nth)
 
-    s = step_unicycle(UnicycleState(1.0, 2.0, math.pi / 6), ControlInput(2.0, 0.0, LIM), 0.5)
-    assert s.x == 1.8660254037844388
-    assert s.y == 2.5
-    assert s.heading == 0.5235987755982988
+
+def test_arc_step_frozen_values():
+    """Closed-form arc and straight-line steps against hand-checked values."""
+    assert _step(1.0, 2.0, math.pi / 6, 2.0, 1.0, 0.5) == (
+        1.7079719531989266, 2.6914587611424956, 1.0235987755982987
+    )
+    assert _step(1.0, 2.0, math.pi / 6, 2.0, 0.0, 0.5) == (1.8660254037844388, 2.5, 0.5235987755982988)
 
 
 def test_step_zero_dt_is_identity():
-    s0 = UnicycleState(3.0, -1.0, 0.7)
-    s1 = step_unicycle(s0, ControlInput(4.0, 2.0, LIM), 0.0)
-    assert (s1.x, s1.y, s1.heading) == (s0.x, s0.y, s0.heading)
+    assert _step(3.0, -1.0, 0.7, 4.0, 2.0, 0.0) == (3.0, -1.0, 0.7)
 
 
-def _rk4(state, control, dt, n):
-    x, y, th = state.x, state.y, state.heading
+def _rk4(state, speed, turn, dt, n):
+    x, y, th = state
     h = dt / n
     for _ in range(n):
         def f(xx, yy, tt):
-            return (control.speed * math.cos(tt), control.speed * math.sin(tt), control.turn_rate)
+            return (speed * math.cos(tt), speed * math.sin(tt), turn)
 
         k1 = f(x, y, th)
         k2 = f(x + h / 2 * k1[0], y + h / 2 * k1[1], th + h / 2 * k1[2])
@@ -101,14 +100,13 @@ def _rk4(state, control, dt, n):
 )
 def test_step_matches_rk4(speed, turn):
     """The closed-form step agrees with a fine RK4 integration to < 1e-8."""
-    s0 = UnicycleState(1.0, -2.0, 0.3)
-    c = ControlInput(speed, turn, LIM)
+    s0 = (1.0, -2.0, 0.3)
     dt = 0.25
-    exact = step_unicycle(s0, c, dt)
-    rx, ry, rth = _rk4(s0, c, dt, 400)
-    assert abs(exact.x - rx) < 1e-8
-    assert abs(exact.y - ry) < 1e-8
-    assert abs(wrap_angle(exact.heading - rth)) < 1e-8
+    ex, ey, eth = _step(*s0, speed, turn, dt)
+    rx, ry, rth = _rk4(s0, speed, turn, dt, 400)
+    assert abs(ex - rx) < 1e-8
+    assert abs(ey - ry) < 1e-8
+    assert abs(wrap_angle(eth - rth)) < 1e-8
 
 
 @given(
@@ -122,23 +120,20 @@ def test_step_matches_rk4(speed, turn):
 @settings(max_examples=200)
 def test_step_composition(x, y, th, speed, turn, dt):
     """Stepping dt then dt equals stepping 2*dt under a held control."""
-    s0 = UnicycleState(x, y, th)
-    c = ControlInput(speed, turn, LIM)
-    once = step_unicycle(step_unicycle(s0, c, dt), c, dt)
-    twice = step_unicycle(s0, c, 2 * dt)
-    assert math.isclose(once.x, twice.x, abs_tol=1e-9)
-    assert math.isclose(once.y, twice.y, abs_tol=1e-9)
-    assert abs(wrap_angle(once.heading - twice.heading)) < 1e-9
+    s0 = (x, y, wrap_angle(th))  # a pose's heading is wrapped
+    once = _step(*_step(*s0, speed, turn, dt), speed, turn, dt)
+    twice = _step(*s0, speed, turn, 2 * dt)
+    assert math.isclose(once[0], twice[0], abs_tol=1e-9)
+    assert math.isclose(once[1], twice[1], abs_tol=1e-9)
+    assert abs(wrap_angle(once[2] - twice[2])) < 1e-9
 
 
 @given(st.floats(0.0, 5.0), st.floats(-3.0, 3.0), st.floats(0.0, 3.0))
 @settings(max_examples=200)
 def test_step_stays_in_reachable_disk(speed, turn, horizon):
     """An agent ends within max_speed * horizon of where it started."""
-    s0 = UnicycleState(0.0, 0.0, 1.1)
-    c = ControlInput(speed, turn, LIM)
-    s1 = step_unicycle(s0, c, horizon)
-    assert math.hypot(s1.x - s0.x, s1.y - s0.y) <= LIM.max_speed * horizon + 1e-9
+    x, y, _ = _step(0.0, 0.0, 1.1, speed, turn, horizon)
+    assert math.hypot(x, y) <= LIM.max_speed * horizon + 1e-9
 
 
 def test_comm_graph_neighbors_and_validation():
@@ -178,12 +173,24 @@ def test_lyapunov_zero_at_target():
     assert lyapunov(states, spec, g) == 0.0
 
 
+def _gradient(i, states, spec, graph):
+    """grad_i V as the trigger scan's rate bound reads it. Over a radius-0
+    disk at neighbour j every sample of g_j is g_j at the centre, which is
+    grad_i V_ij . f, so rate_bound along f = (1, 0) and then (0, 1) gives
+    the gradient's two components."""
+    nbrs = graph.neighbors(i)
+    points = [(states[j].x, states[j].y, 0.0) for j in nbrs]
+    dists = [spec.distance(i, j) for j in nbrs]
+    s = states[i]
+    return np.array([rate_bound(s.x, s.y, *f, points, dists)[0] for f in ((1.0, 0.0), (0.0, 1.0))])
+
+
 def test_gradient_two_agent_oracle():
     """Same setup: dV/dx0 = 4 * 3 * (-(2)) = -24, dV/dy0 = 0."""
     spec = FormationSpec({(0, 1): 1.0}, 1.0)
     g = CommGraph(2, [(0, 1)])
     states = [UnicycleState(0.0, 0.0, 0.0), UnicycleState(2.0, 0.0, 0.0)]
-    grad = lyapunov_gradient(0, states, spec, g)
+    grad = _gradient(0, states, spec, g)
     assert grad[0] == -24.0
     assert grad[1] == 0.0
 
@@ -196,7 +203,7 @@ def test_gradient_matches_finite_differences(graph, spec):
         pts = rng.uniform(-5.0, 5.0, size=(4, 2))
         states = [UnicycleState(px, py, 0.0) for px, py in pts]
         i = int(rng.integers(0, 4))
-        grad = lyapunov_gradient(i, states, spec, graph)
+        grad = _gradient(i, states, spec, graph)
         fd = np.zeros(2)
         for axis in range(2):
             bump = pts.copy()
@@ -214,7 +221,7 @@ def test_gradient_sums_to_zero(graph, spec):
     rng = np.random.default_rng(11)
     pts = rng.uniform(-3.0, 3.0, size=(4, 2))
     states = [UnicycleState(px, py, 0.0) for px, py in pts]
-    total = sum(lyapunov_gradient(i, states, spec, graph) for i in range(4))
+    total = sum(_gradient(i, states, spec, graph) for i in range(4))
     assert np.allclose(total, 0.0, atol=1e-9)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttlab.model import ARC_EPS, ControlInput, Limits, UnicycleState, arc_step, step_unicycle
+from ttlab.model import ARC_EPS, ControlInput, Limits, UnicycleState, arc_step, wrap_angle
 from ttlab.promises import (
     BREACH_TOL,
     DynamicBall,
@@ -59,15 +59,23 @@ def _clamp_control(speed, turn):
 
 
 def _rollout(anchor, controls, dt):
-    """Integrate a piecewise-constant control sequence; yields (t, state)."""
-    s = anchor
+    """Integrate a piecewise-constant control sequence as the engine steps
+    it, arc_step with the heading wrapped; returns the (t, x, y) reached."""
+    x, y, th = anchor.x, anchor.y, anchor.heading
     t = 0.0
     out = []
     for c in controls:
-        s = step_unicycle(s, c, dt)
+        x, y, th = arc_step(x, y, th, c.speed, c.turn_rate, dt)
+        th = wrap_angle(th)
         t += dt
-        out.append((t, s))
+        out.append((t, x, y))
     return out
+
+
+def _outside(p, t, x, y):
+    """(x, y) lies outside p's disk_at disk at t plus 1e-9."""
+    cx, cy, r = disk_at(p, t)
+    return not math.hypot(x - cx, y - cy) <= r + 1e-9
 
 
 def test_make_promise_static_radius():
@@ -173,8 +181,8 @@ def test_ball_containment_monte_carlo():
             phi = rng.uniform(0.0, 2.0 * math.pi)
             controls.append(_clamp_control(c0.speed + rho * math.cos(phi),
                                            c0.turn_rate + rho * math.sin(phi)))
-        for t, s in _rollout(anchor, controls, dt):
-            if not view_disk_at(p, t).contains((s.x, s.y), tol=1e-9):
+        for t, x, y in _rollout(anchor, controls, dt):
+            if _outside(p, t, x, y):
                 violations += 1
     assert violations == 0
 
@@ -210,8 +218,8 @@ def test_reachability_containment_monte_carlo():
         controls = [
             ControlInput(rng.uniform(0, U_MAX), rng.uniform(-3, 3), LIM) for _ in range(20)
         ]
-        for t, s in _rollout(anchor, controls, dt):
-            if not view_disk_at(p, t).contains((s.x, s.y), tol=1e-9):
+        for t, x, y in _rollout(anchor, controls, dt):
+            if _outside(p, t, x, y):
                 violations += 1
     assert violations == 0
 
@@ -226,20 +234,18 @@ def test_fallback_containment_monte_carlo():
         p = _promise(anchor, ControlInput(2.0, 0.5, LIM), rng.uniform(0, 3))
         t0 = rng.uniform(0.05, 0.5)
         fb = fallback_to_reachability(p, t0)
-        frozen = view_disk_at(p, t0)
+        fcx, fcy, fr = disk_at(p, t0)
         # start anywhere inside the frozen disk
-        rho = frozen.radius * math.sqrt(rng.uniform())
+        rho = fr * math.sqrt(rng.uniform())
         phi = rng.uniform(0, 2 * math.pi)
         start = UnicycleState(
-            frozen.center[0] + rho * math.cos(phi),
-            frozen.center[1] + rho * math.sin(phi),
-            rng.uniform(-3.1, 3.1),
+            fcx + rho * math.cos(phi), fcy + rho * math.sin(phi), rng.uniform(-3.1, 3.1)
         )
         controls = [
             ControlInput(rng.uniform(0, U_MAX), rng.uniform(-3, 3), LIM) for _ in range(10)
         ]
-        for t, s in _rollout(start, controls, dt):
-            if not view_disk_at(fb, t0 + t).contains((s.x, s.y), tol=1e-9):
+        for t, x, y in _rollout(start, controls, dt):
+            if _outside(fb, t0 + t, x, y):
                 violations += 1
     assert violations == 0
 
@@ -281,8 +287,8 @@ def test_noisy_validation_containment_monte_carlo():
             phi = rng.uniform(0.0, 2.0 * math.pi)
             controls.append(_clamp_control(c0.speed + rho * math.cos(phi),
                                            c0.turn_rate + rho * math.sin(phi)))
-        for t, s in _rollout(anchor, controls, dt):
-            if not view_disk_at(validated, t).contains((s.x, s.y), tol=1e-9):
+        for t, x, y in _rollout(anchor, controls, dt):
+            if _outside(validated, t, x, y):
                 violations += 1
     assert violations == 0
 
@@ -310,11 +316,11 @@ def test_zero_radius_promise_breaches_within_one_step():
     hold = ControlInput(2.0, 0.0, LIM)
     p = _promise(anchor, hold, 0.0)
     dt = 1e-3
-    s = step_unicycle(anchor, ControlInput(2.0, 3.0, LIM), dt)
-    assert check_breach(p, dt, s)
+    x, y, _ = arc_step(0.0, 0.0, 0.0, 2.0, 3.0, dt)
+    assert breach_margin(p, dt, x, y) < 0.0
     # while the anchored control itself never breaches
-    s_hold = step_unicycle(anchor, hold, dt)
-    assert not check_breach(p, dt, s_hold)
+    x, y, _ = arc_step(0.0, 0.0, 0.0, hold.speed, hold.turn_rate, dt)
+    assert breach_margin(p, dt, x, y) >= 0.0
 
 
 def test_expiry_and_ballooning():

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ttlab.triggers as triggers
-from ttlab.controllers import goal_law, u_double_star
+from ttlab.controllers import goal_law
 from ttlab.model import (
     ARC_EPS,
     ControlInput,
-    DiskSet,
     FormationSpec,
     Limits,
     UnicycleState,
@@ -20,10 +19,10 @@ from ttlab.model import (
 )
 from ttlab.promises import (
     StaticBall,
+    disk_at,
     expected_position,
     fallback_to_reachability,
     make_promise,
-    view_disk_at,
 )
 from ttlab.triggers import (
     _COS_PHIS,
@@ -40,7 +39,6 @@ from ttlab.triggers import (
     critical_time_ns,
     disk_params_batch,
     disk_sup_batch,
-    li_v_sup,
     rate_bound,
 )
 
@@ -71,7 +69,7 @@ def _dense_scan(px, py, fx, fy, cx, cy, r, d, n_ang=720, n_rad=80):
     return sup, amax
 
 
-def test_li_v_sup_conservative_and_tight():
+def test_rate_bound_conservative_and_tight():
     """Certificate bound vs dense-grid supremum on 100 random instances.
 
     The bound must never fall below the true supremum, and its overshoot
@@ -87,35 +85,13 @@ def test_li_v_sup_conservative_and_tight():
         cx, cy = rng.uniform(-5, 5, 2)
         r = rng.uniform(0.01, 3.0)
         d = rng.uniform(0.5, 4.0)
-        spec = FormationSpec({(0, 1): d}, 150.0)
-        state = UnicycleState(px, py, heading)
-        control = ControlInput(speed, 0.0, LIM)
-        mine = li_v_sup(0, state, {1: DiskSet((cx, cy), r)}, control, spec)
+        th = wrap_angle(heading)  # the engine's headings are wrapped
+        (mine,) = rate_bound(px, py, speed * math.cos(th), speed * math.sin(th), [(cx, cy, r)], [d])
         sup, amax = _dense_scan(
             px, py, speed * math.cos(heading), speed * math.sin(heading), cx, cy, r, d
         )
         assert mine >= sup - 1e-12
         assert mine - sup <= 0.05 * max(amax, 1e-9)
-
-
-def test_li_v_sup_zero_when_parked():
-    """A stationary agent cannot change the potential: the rate is zero."""
-    spec = FormationSpec({(0, 1): 1.0}, 150.0)
-    state = UnicycleState(0.0, 0.0, 0.0)
-    rate = li_v_sup(0, state, {1: DiskSet((3.0, 0.0), 0.5)}, ControlInput(0.0, 0.0, LIM), spec)
-    assert rate == 0.0
-
-
-def test_li_v_sup_sums_over_neighbors():
-    spec = FormationSpec({(0, 1): 1.0, (0, 2): 1.0}, 150.0)
-    state = UnicycleState(0.0, 0.0, 0.0)
-    c = ControlInput(2.0, 0.0, LIM)
-    d1 = {1: DiskSet((3.0, 0.0), 0.5)}
-    d2 = {2: DiskSet((0.0, 3.0), 0.5)}
-    both = li_v_sup(0, state, {**d1, **d2}, c, spec)
-    assert both == pytest.approx(
-        li_v_sup(0, state, d1, c, spec) + li_v_sup(0, state, d2, c, spec)
-    )
 
 
 def _rand_promise(rng, expires=None, noisy=False):
@@ -132,7 +108,7 @@ def _rand_promise(rng, expires=None, noisy=False):
 
 @pytest.mark.parametrize("variant", ["plain", "expiring", "noisy", "fallback"])
 def test_disk_params_batch_matches_scalar(variant):
-    """The vectorized disk evaluation and view_disk_at must agree exactly."""
+    """The vectorized disk evaluation and disk_at must agree exactly."""
     rng = np.random.default_rng(hash(variant) % 2**32)
     for _ in range(20):
         if variant == "plain":
@@ -147,10 +123,10 @@ def test_disk_params_batch_matches_scalar(variant):
         ts = np.asarray(t0 + np.sort(rng.uniform(0.0, 5.0, size=16)))
         cx, cy, r = disk_params_batch(p, ts)
         for k, t in enumerate(ts):
-            d = view_disk_at(p, float(t))
-            assert cx[k] == pytest.approx(d.center[0], abs=1e-12)
-            assert cy[k] == pytest.approx(d.center[1], abs=1e-12)
-            assert r[k] == pytest.approx(d.radius, abs=1e-12)
+            dcx, dcy, dr = disk_at(p, float(t))
+            assert cx[k] == pytest.approx(dcx, abs=1e-12)
+            assert cy[k] == pytest.approx(dcy, abs=1e-12)
+            assert r[k] == pytest.approx(dr, abs=1e-12)
 
 
 def test_numpy_sin_cos_match_libm():
@@ -282,17 +258,18 @@ def test_critical_time_off_grid_start():
     assert t_star >= t_last
 
 
-def test_critical_time_ns_start_rate_matches_li_v_sup(monkeypatch):
-    """The scan's rate at its start, rate_bound's row for grid point 0, is
-    li_v_sup on the guard-inflated disks under the nominal control: both
-    run the same rate bound and goal law."""
+def test_critical_time_ns_start_rate_matches_disk_at(monkeypatch):
+    """The scan's rate at its start, rate_bound's row for grid point 0 on
+    the scan's disk arrays, is rate_bound on disk_at's disk inflated by the
+    guard under goal_law on expected_position: the float path's bits."""
     spec, view = _single_neighbor_view((2.0, 0.0), 1.0)
     guard = 0.005
-    state = UnicycleState(0.0, 0.0, 0.0)
-    disk = view_disk_at(view[1], 0.0)
-    inflated = {1: DiskSet(disk.center, disk.radius + guard)}
-    control = u_double_star(0, state, view, 0.0, spec, LIM)
-    want = li_v_sup(0, state, inflated, control, spec)
+    cx, cy, r = disk_at(view[1], 0.0)
+    dists = [spec.distance(0, 1)]
+    points = [expected_position(view[1], 0.0)]
+    speed, _ = goal_law(0.0, 0.0, 0.0, points, dists, spec.gain, LIM.max_speed, LIM.max_turn)
+    # Heading 0: the velocity is (speed, 0).
+    (want,) = rate_bound(0.0, 0.0, speed, 0.0, [(cx, cy, r + guard)], dists)
     rates = _captured_rates(monkeypatch)
     critical_time_ns(Scan(0, 0.0, 0.0, 0.0, view, 0, spec, LIM, DT, HORIZON, guard))
     assert rates[0][0] == want
@@ -524,8 +501,8 @@ def _sequential_scan(x, y, heading, view, t_last_ns, spec, dt_ns, horizon_ns, gu
         sth = wrap_angle(sth)
         disks = []
         for p in proms:
-            disk = view_disk_at(p, tn * 1e-9)
-            disks.append((*disk.center, disk.radius + guard))
+            cx, cy, r = disk_at(p, tn * 1e-9)
+            disks.append((cx, cy, r + guard))
         fx, fy = sp0 * math.cos(sth), sp0 * math.sin(sth)
         return float(_rate_bound_loop(sx, sy, fx, fy, disks, dists)[0])
 
@@ -551,28 +528,31 @@ def _chunks_through(k):
 
 def _random_view(rng, dt_ns):
     """Agent 0 and one to three neighbors: plain, expiring and fallback
-    promises at random tightness, issued around a random scan start. No
-    fallback time lies after the start, on the tick grid or off it: the
-    engine freezes a warned disk no later than the resolve that scans it."""
+    promises at random tightness, issued up to 0.5 s before a random scan
+    start, on the tick grid or off it. As in the engine, no promise is
+    issued after the start, and a fallback disk is frozen between its
+    promise's issue and the start. Times are drawn in whole nanoseconds,
+    and ns * 1e-9 keeps their order."""
     k = int(rng.integers(1, 4))
     spec = FormationSpec({(0, j): rng.uniform(0.5, 4.0) for j in range(1, k + 1)}, 150.0)
-    t0 = rng.uniform(0.0, 2.0)
-    t_last = int(t0 * NS)
-    latest_fb = (t_last - t_last % dt_ns) * 1e-9
+    t_last = int(rng.uniform(0.0, 2.0) * NS)
+    if rng.integers(2):
+        t_last -= t_last % dt_ns  # on the tick grid
+    start = t_last * 1e-9
     view = {}
     for j in range(1, k + 1):
         anchor = UnicycleState(*rng.uniform(-4.0, 4.0, 2).tolist(), rng.uniform(-3.1, 3.1))
         control = ControlInput(rng.uniform(0.0, 5.0), rng.uniform(-3.0, 3.0), LIM)
-        issued = t0 - rng.uniform(0.0, 0.5)
+        issued_ns = t_last - int(rng.uniform(0.0, 0.5) * NS)
+        issued = issued_ns * 1e-9
         kind = rng.integers(3)
         expires = issued + rng.uniform(0.0, 0.6) if kind == 1 else None
         p = make_promise(j, 0, issued, anchor, control, StaticBall(rng.uniform(0.0, 0.3)),
                          expires_at=expires)
         if kind == 2:
-            p = fallback_to_reachability(p, rng.uniform(min(issued, latest_fb), latest_fb))
+            p = fallback_to_reachability(p, int(rng.integers(issued_ns, t_last + 1)) * 1e-9)
+        assert p.issued_at <= start and (p.fb_time is None or p.issued_at <= p.fb_time <= start)
         view[j] = p
-    if rng.integers(2):
-        t_last -= t_last % dt_ns  # on the tick grid
     own = (*rng.uniform(-4.0, 4.0, 2).tolist(), rng.uniform(-3.1, 3.1))
     return own, view, t_last, spec, float(rng.choice([0.0, 0.005]))
 
@@ -935,7 +915,7 @@ def test_resumed_scan_at_pinned_crossings(where, monkeypatch):
         "later-chunk": first_grid + 40 * DT + 123_456,
         "none": 10 * NS,
     }[where]
-    threshold = view_disk_at(view[1], cross_ns * 1e-9).radius
+    threshold = disk_at(view[1], cross_ns * 1e-9)[2]
     monkeypatch.setattr(triggers, "rate_bound", _radius_rate(threshold))
     own = (0.0, 0.0, 0.0)
     want = _scan_to_end(Scan(0, *own, view, t_last, spec, LIM, DT, HORIZON_SCAN))

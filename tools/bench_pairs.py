@@ -12,7 +12,8 @@ end-to-end metrics are summarised by their median and quartiles, and each
 metric gets the number of pairs the after side won and a verdict (see
 ``verdict``) against the bound the before checkout's ``BENCHMARK.json``
 fixes for it. With ``--trace`` the per-layer metrics of ``TRACE_RUNS`` traced
-runs per side are added: each timing as the median of those runs, and each
+runs per side are added, the two sides' traced runs alternating in the same
+order as the pairs: each timing as the median of those runs, and each
 count, ratio or byte count (by its unit in ``BENCHMARK.json``) as its one
 value, since those must repeat exactly.
 
@@ -72,13 +73,28 @@ def bench(checkout: Path, workload: str, seconds: float, trace: bool, label: str
     return result
 
 
-def traced(checkout: Path, workload: str, units: Dict[str, str]) -> Dict[str, float]:
-    """The per-layer metrics of TRACE_RUNS traced runs in `checkout`: a
-    metric whose unit `units` lists in EXACT_UNITS must read the same in
-    every run and is reported as that value, any other as the median."""
-    runs = [
-        bench(checkout, workload, 0, True, f"traced run {k}")["metrics"] for k in range(TRACE_RUNS)
-    ]
+def pair_order(k: int) -> tuple:
+    """The sides in the order pair k runs them: the parent first in even
+    pairs, the change first in odd ones."""
+    return ("before", "after") if k % 2 == 0 else ("after", "before")
+
+
+def traced(sides: Dict[str, Path], workload: str, units: Dict[str, str]) -> Dict[str, Dict]:
+    """Each side's per-layer metrics from TRACE_RUNS traced runs, the sides
+    alternating in the order of pair_order, as the pairs do."""
+    runs: Dict[str, List[Dict]] = {side: [] for side in sides}
+    for k in range(TRACE_RUNS):
+        for side in pair_order(k):
+            runs[side].append(bench(sides[side], workload, 0, True, f"traced run {k}")["metrics"])
+    return {side: layer_metrics(sides[side], workload, rs, units) for side, rs in runs.items()}
+
+
+def layer_metrics(
+    checkout: Path, workload: str, runs: List[Dict], units: Dict[str, str]
+) -> Dict[str, float]:
+    """The per-layer metrics of the traced `runs` of `checkout`: a metric
+    whose unit `units` lists in EXACT_UNITS must read the same in every run
+    and is reported as that value, any other as the median."""
     out = {}
     for name in runs[0]:
         values = [r[name]["value"] for r in runs]
@@ -182,8 +198,7 @@ def compare(
     and with args.trace each side's traced metrics (see `traced`)."""
     runs: Dict[str, List[Dict]] = {"before": [], "after": []}
     for k in range(args.pairs):
-        order = ("before", "after") if k % 2 == 0 else ("after", "before")
-        for side in order:
+        for side in pair_order(k):
             runs[side].append(bench(sides[side], w, args.seconds, False, f"pair {k}"))
             print(f"{w} pair {k} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
     entry: Dict = {
@@ -206,7 +221,7 @@ def compare(
                 vals["before"], vals["after"], rule["bound"]
             )
     if args.trace:
-        entry["per_layer"] = {side: traced(path, w, units) for side, path in sides.items()}
+        entry["per_layer"] = traced(sides, w, units)
     return entry
 
 
