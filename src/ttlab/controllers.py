@@ -11,7 +11,7 @@ turns that offset and the heading into the saturated control. The trigger
 scan calls goal_law for its rollout and for the engine's control tick
 (triggers.Scan.control), which keeps the offset and runs steer alone while
 neither the agent nor the goal point can move. u_double_star evaluates it on
-a promise view and returns a ControlInput.
+a promise view.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Tuple
 
-from .model import ControlInput, FormationSpec, Limits, UnicycleState, wrap_angle
+from .model import FormationSpec, Limits, UnicycleState, wrap_angle
 from .promises import Promise, expected_position
 
 
@@ -75,15 +75,14 @@ def u_double_star(
     t: float,
     spec: FormationSpec,
     limits: Limits,
-) -> ControlInput:
-    """Nominal team control: goal_law on the neighbors' expected positions at t,
-    taken in view order."""
+) -> Tuple[float, float]:
+    """Nominal team (speed, turn rate): goal_law on the neighbors' expected
+    positions at t, taken in view order."""
     points = [expected_position(p, t) for p in view.values()]
     dists = [spec.distance(i, j) for j in view]
-    speed, turn = goal_law(
+    return goal_law(
         state.x, state.y, state.heading, points, dists, spec.gain, limits.max_speed, limits.max_turn
     )
-    return ControlInput(speed, turn, limits)
 
 
 def team_control(

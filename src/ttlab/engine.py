@@ -12,7 +12,7 @@ Agent poses advance lazily under the held control (closed-form arcs); the
 held interval splits at the certificate horizon, past which the agent's
 speed drops to zero. Each agent holds its nominal control as raw floats and
 safe mode as one flag; controllers.team_control derives the applied control
-from them, and a ControlInput is built only when a promise is issued.
+from them, and a promise records it as floats.
 
 Certificates are recomputed ("resolved") at start-up, at each instant with
 an accepted promise delivery, and on each warning that voids a view; never
@@ -60,11 +60,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .config import ConfigError, ScenarioConfig, validate_config
 from .controllers import team_control
-from .model import ControlInput, UnicycleState, arc_step, lyapunov, safe_mode, wrap_angle
+from .model import UnicycleState, arc_step, lyapunov, wrap_angle
 from .network import Channel
 from .promises import (
-    _BALL,
-    _FALLBACK,
     BREACH_TOL,
     DynamicBall,
     Promise,
@@ -121,7 +119,6 @@ class MessageRecord:
     kind: str  # PROMISE, WARN, REQ
     sender: int
     receiver: int
-    size_class: str  # payload or bit
     event: bool  # True for event-layer promise sends (breach/expiry/retry)
 
 
@@ -342,18 +339,20 @@ class Engine:
 
     def _issue_promise(self, ag: _Agent, r: int, now_ns: int, event: bool) -> None:
         """Send r a promise anchored at the applied control, and schedule its
-        first breach check at once. This is the one place the held control
-        becomes a ControlInput, the anchor; the planning gap, the nominal
-        control's size, travels beside it."""
+        first breach check at once. The planning gap, the nominal control's
+        size, travels beside the anchor."""
         now_s = now_ns * 1e-9
         expires_ns = None if self.exp_ns is None else now_ns + self.exp_ns
-        anchor = ControlInput(*team_control(ag.speed, ag.turn, ag.safe, self.safe_turn), self.limits)
+        speed, turn = team_control(ag.speed, ag.turn, ag.safe, self.safe_turn)
         p = make_promise(
             ag.id,
-            r,
             now_s,
-            UnicycleState(ag.x, ag.y, ag.heading),
-            anchor,
+            ag.x,
+            ag.y,
+            ag.heading,
+            speed,
+            turn,
+            self.limits.max_speed,
             self.rule,
             expires_at=None if expires_ns is None else expires_ns * 1e-9,
             gap=math.hypot(ag.speed, ag.turn),
@@ -373,13 +372,13 @@ class Engine:
         else:
             deliver_ns = None
         self.messages.append(
-            MessageRecord(now_ns, deliver_ns, "PROMISE", ag.id, r, "payload", event)
+            MessageRecord(now_ns, deliver_ns, "PROMISE", ag.id, r, event)
         )
         if expires_ns is not None:
             self._push(expires_ns, PRIO_PROMISE, "send", (ag.id, r, now_ns))
 
     def _accept_promise(self, rag: _Agent, wire: tuple, now_ns: int) -> bool:
-        p = promise_from_wire(wire, self.limits)
+        p = promise_from_wire(wire, self.limits.max_speed)
         if p.issued_at < rag.void_before.get(p.issuer, -1.0):
             return False  # voided by a warning while still in flight
         if not self.channel_ideal:
@@ -389,7 +388,7 @@ class Engine:
         cur = rag.view.get(p.issuer)
         stale = cur is not None and (
             p.issued_at < cur.issued_at
-            or (p.issued_at == cur.issued_at and cur.mode is _BALL)
+            or (p.issued_at == cur.issued_at and cur.fb_time is None)
         )
         if stale:
             return False
@@ -413,14 +412,14 @@ class Engine:
         the warning are refused when they land. Promises issued at or after
         the warning (the replacement travels with it) stay acceptable.
         """
-        self.messages.append(MessageRecord(detect_ns, detect_ns, "WARN", ag.id, r, "bit", False))
+        self.messages.append(MessageRecord(detect_ns, detect_ns, "WARN", ag.id, r, False))
         rag = self.agents[r]
         detect_s = detect_ns * 1e-9
         prev = rag.void_before.get(ag.id, -1.0)
         if detect_s > prev:
             rag.void_before[ag.id] = detect_s
         cur = rag.view.get(ag.id)
-        if cur is None or cur.mode is not _BALL:
+        if cur is None or cur.fb_time is not None:
             return
         if cur.issued_at >= detect_s:
             return  # already anchored at the warning instant or later
@@ -507,7 +506,7 @@ class Engine:
         """Send a request bit to each responder, which answers with a promise
         at once; on a lossy channel, retry in retry_ns while any is missing."""
         for j in responders:
-            self.messages.append(MessageRecord(ts_ns, ts_ns, "REQ", ag.id, j, "bit", False))
+            self.messages.append(MessageRecord(ts_ns, ts_ns, "REQ", ag.id, j, False))
             jag = self.agents[j]
             self._advance(jag, ts_ns)
             self._issue_promise(jag, ag.id, ts_ns, event)
@@ -621,18 +620,21 @@ class Engine:
     def _bootstrap(self) -> None:
         # Perfect initial views: a frozen disk of radius zero at the true
         # starting position, growing at max speed like any stale promise.
-        zero = safe_mode(self.limits)
         for ag in self.agents:
             for j in self.graph.neighbors(ag.id):
                 st = self.cfg.initial_states[j]
                 ag.view[j] = Promise(
                     issuer=j,
-                    recipient=ag.id,
                     issued_at=0.0,
-                    anchor_state=st,
-                    anchor_control=zero,
+                    x=st.x,
+                    y=st.y,
+                    heading=st.heading,
+                    speed=0.0,
+                    turn=0.0,
                     radius=0.0,
-                    mode=_FALLBACK,
+                    expires_at=None,
+                    gap=None,
+                    max_speed=self.limits.max_speed,
                     fb_center=(st.x, st.y),
                     fb_radius=0.0,
                     fb_time=0.0,
@@ -859,11 +861,12 @@ def write_outputs(result: RunResult, outdir: Path) -> None:
     _write_csv(outdir / "trace.csv", head, lines)
 
     sent, dropped = "%d.%09d,%d.%09d,%s,%d,%d,%s\r\n", "%d.%09d,DROPPED,%s,%d,%d,%s\r\n"
+    size = {"PROMISE": "payload", "WARN": "bit", "REQ": "bit"}
     lines = (
-        dropped % (m.sent_at_ns // NS, m.sent_at_ns % NS, m.kind, m.sender, m.receiver, m.size_class)
+        dropped % (m.sent_at_ns // NS, m.sent_at_ns % NS, m.kind, m.sender, m.receiver, size[m.kind])
         if m.deliver_at_ns is None
         else sent % (m.sent_at_ns // NS, m.sent_at_ns % NS, m.deliver_at_ns // NS,
-                     m.deliver_at_ns % NS, m.kind, m.sender, m.receiver, m.size_class)
+                     m.deliver_at_ns % NS, m.kind, m.sender, m.receiver, size[m.kind])
         for m in result.messages
     )
     _write_csv(outdir / "messages.csv", "sent_at,deliver_at,kind,sender,receiver,size_class\r\n", lines)

@@ -56,30 +56,6 @@ class UnicycleState:
         object.__setattr__(self, "heading", wrap_angle(self.heading))
 
 
-@dataclass(frozen=True)
-class ControlInput:
-    """A speed / turn-rate pair, rejected at construction if out of bounds."""
-
-    speed: float
-    turn_rate: float
-    limits: Limits
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.speed <= self.limits.max_speed):
-            raise ValueError(
-                f"speed {self.speed} outside [0, {self.limits.max_speed}]"
-            )
-        if abs(self.turn_rate) > self.limits.max_turn:
-            raise ValueError(
-                f"turn rate {self.turn_rate} outside +/-{self.limits.max_turn}"
-            )
-
-
-def safe_mode(limits: Limits) -> ControlInput:
-    """The zero control: position and heading both frozen."""
-    return ControlInput(0.0, 0.0, limits)
-
-
 class CommGraph:
     """Undirected communication graph on agents 0..n-1.
 

@@ -124,7 +124,7 @@ class Channel:
         delay = u_delay * p.max_delay
         if p.noise_bound == 0.0 and p.radius_noise_bound == 0.0:
             return TransmitResult(True, delay, wire)
-        issuer, recipient, issued_at, ax, ay, heading, speed, turn, radius, expires_at, gap = wire
+        issuer, issued_at, ax, ay, heading, speed, turn, radius, expires_at, gap = wire
         w = p.noise_bound
         if w > 0.0:
             rho = w * math.sqrt(u_prad)
@@ -139,5 +139,5 @@ class Channel:
             )
         if p.radius_noise_bound > 0.0:
             radius = max(radius + (2.0 * u_rn - 1.0) * p.radius_noise_bound, 0.0)
-        noisy = (issuer, recipient, issued_at, ax, ay, heading, speed, turn, radius, expires_at, gap)
+        noisy = (issuer, issued_at, ax, ay, heading, speed, turn, radius, expires_at, gap)
         return TransmitResult(True, delay, noisy)

@@ -31,8 +31,9 @@ scan's rollout and refinement.
 
 The breach margin m(t) = radius(t) + BREACH_TOL - |issuer(t) - center(t)|
 falls by at most 2 * max_speed per second. The radius never shrinks (ball,
-past expiry or fallback), the center moves at the anchor speed, which
-ControlInput holds to at most max_speed, and the issuer moves at most
+past expiry or fallback), the center moves at the anchor speed, which is at
+most max_speed (the engine refuses a nominal control out of bounds, and the
+channel clamps a noisy speed to the limits), and the issuer moves at most
 max_speed too. So a margin m found at t leaves the issuer inside the disk
 until t + m / (2 * max_speed); the engine schedules its breach and
 containment checks from this bound instead of testing every tick.
@@ -40,26 +41,13 @@ containment checks from this bound instead of testing every tick.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
-from .model import ControlInput, DiskSet, UnicycleState, arc_step
+from .model import DiskSet, UnicycleState, arc_step
 
 BREACH_TOL = 1e-9
-
-
-class PromiseMode(enum.Enum):
-    BALL_RADIUS = "ball"
-    REACHABILITY_FALLBACK = "fallback"
-
-
-# Looking an enum member up on its class is several times slower than
-# reading a module global; the disk path, the engine and the trigger scan
-# test the mode on every call.
-_BALL = PromiseMode.BALL_RADIUS
-_FALLBACK = PromiseMode.REACHABILITY_FALLBACK
 
 
 @dataclass(frozen=True)
@@ -92,21 +80,30 @@ PromiseRuleConfig = Union[StaticBall, DynamicBall]
 
 @dataclass(frozen=True)
 class Promise:
+    """The issuer's anchor pose (x, y, heading) and applied control (speed,
+    turn) at issued_at, and the ball of `radius` its later controls keep to.
+
+    The leading fields, issuer to gap, are the wire tuple. A promise is a
+    fallback exactly when fb_time is set: its disk is then frozen at
+    fb_center and fb_radius and grows at max_speed from fb_time.
+    """
+
     issuer: int
-    recipient: int
     issued_at: float
-    anchor_state: UnicycleState
-    anchor_control: ControlInput
+    x: float
+    y: float
+    heading: float
+    speed: float
+    turn: float
     radius: float
-    mode: PromiseMode = PromiseMode.BALL_RADIUS
-    expires_at: Optional[float] = None
+    expires_at: Optional[float]
+    # Planning-control gap: the dynamic rule's ball size, piggybacked for
+    # adaptive dwell selection.
+    gap: Optional[float]
+    max_speed: float
     # Validation slack for promises received over a noisy channel; zero on
     # the issuer side. See validate_noisy_promise.
     noise_slack: float = 0.0
-    # Planning-control gap: the dynamic rule's ball size, piggybacked for
-    # adaptive dwell selection.
-    gap: Optional[float] = None
-    # Frozen disk for REACHABILITY_FALLBACK mode.
     fb_center: Optional[Tuple[float, float]] = None
     fb_radius: Optional[float] = None
     fb_time: Optional[float] = None
@@ -116,19 +113,21 @@ class Promise:
             raise ValueError(f"promise radius must be >= 0, got {self.radius}")
         if self.noise_slack < 0.0:
             raise ValueError("noise_slack must be >= 0")
-        if self.mode is _FALLBACK:
-            if self.fb_center is None or self.fb_radius is None or self.fb_time is None:
-                raise ValueError("fallback promise needs fb_center, fb_radius, fb_time")
+        if self.fb_time is not None and (self.fb_center is None or self.fb_radius is None):
+            raise ValueError("fallback promise needs fb_center and fb_radius")
         if self.expires_at is not None and self.expires_at <= self.issued_at:
             raise ValueError("expires_at must lie strictly after issued_at")
 
 
 def make_promise(
     issuer: int,
-    recipient: int,
     now: float,
-    anchor_state: UnicycleState,
-    anchor_control: ControlInput,
+    x: float,
+    y: float,
+    heading: float,
+    speed: float,
+    turn: float,
+    max_speed: float,
     rule: PromiseRuleConfig,
     expires_at: Optional[float] = None,
     gap: Optional[float] = None,
@@ -140,23 +139,24 @@ def make_promise(
     issuer sits in safe mode. The dynamic rule sizes the ball from it, and
     needs it.
     """
-    u_max = anchor_control.limits.max_speed
     if isinstance(rule, StaticBall):
-        radius = 2.0 * u_max * rule.tightness
+        radius = 2.0 * max_speed * rule.tightness
     elif gap is None:
         raise ValueError("the dynamic rule sizes the ball from the planning gap; none was given")
     else:
         radius = rule.scale * gap + rule.floor
     return Promise(
         issuer=issuer,
-        recipient=recipient,
         issued_at=now,
-        anchor_state=anchor_state,
-        anchor_control=anchor_control,
+        x=x,
+        y=y,
+        heading=heading,
+        speed=speed,
+        turn=turn,
         radius=radius,
-        mode=_BALL,
         expires_at=expires_at,
         gap=gap,
+        max_speed=max_speed,
     )
 
 
@@ -178,16 +178,14 @@ def disk_kernel(p: Promise, tau, late, ops):
     grows it.
     """
     sin, cos, hypot, minimum = ops
-    u_max = p.anchor_control.limits.max_speed
-    if p.mode is _FALLBACK:
+    u_max = p.max_speed
+    if p.fb_time is not None:
         zx, zy = p.fb_center
         return zx, zy, p.fb_radius + u_max * late  # type: ignore[operator]
-    a = p.anchor_state
-    c = p.anchor_control
-    zx, zy, _ = arc_step(a.x, a.y, a.heading, c.speed, c.turn_rate, tau, sin, cos)
+    zx, zy, _ = arc_step(p.x, p.y, p.heading, p.speed, p.turn, tau, sin, cos)
     s = p.noise_slack * (1.0 + tau + 0.5 * u_max * tau * tau)
     r_ball = p.radius * tau + s
-    r_reach = hypot(zx - a.x, zy - a.y) + u_max * tau + p.noise_slack + 2.0 * s
+    r_reach = hypot(zx - p.x, zy - p.y) + u_max * tau + p.noise_slack + 2.0 * s
     return zx, zy, minimum(r_ball, r_reach) + u_max * late
 
 
@@ -199,7 +197,7 @@ def _ages(p: Promise, t: float) -> Tuple[float, float]:
     at max speed from its fallback time, and so does a ball promise's last
     disk past its expiry, which keeps a view sound until its replacement
     arrives."""
-    if p.mode is _FALLBACK:
+    if p.fb_time is not None:
         if t < p.fb_time:  # type: ignore[operator]
             raise ValueError(f"t={t} precedes fallback time {p.fb_time}")
         return 0.0, t - p.fb_time  # type: ignore[operator]
@@ -223,11 +221,9 @@ def expected_position(p: Promise, t: float) -> Tuple[float, float]:
     """Center of the promise disk at t, the recipient's point estimate:
     disk_kernel's centre alone, arc_step at the age _ages gives."""
     tau = _ages(p, t)[0]
-    if p.mode is _FALLBACK:
+    if p.fb_time is not None:
         return p.fb_center
-    a = p.anchor_state
-    c = p.anchor_control
-    x, y, _ = arc_step(a.x, a.y, a.heading, c.speed, c.turn_rate, tau)
+    x, y, _ = arc_step(p.x, p.y, p.heading, p.speed, p.turn, tau)
     return x, y
 
 
@@ -254,7 +250,6 @@ def fallback_to_reachability(p: Promise, t_star: float) -> Promise:
     cx, cy, r = disk_at(p, t_star)
     return replace(
         p,
-        mode=_FALLBACK,
         fb_center=(cx, cy),
         fb_radius=r,
         fb_time=t_star,
@@ -289,40 +284,27 @@ def is_expired(p: Promise, t: float) -> bool:
 
 
 WirePromise = Tuple[
-    int, int, float, float, float, float, float, float, float, Optional[float], Optional[float]
+    int, float, float, float, float, float, float, float, Optional[float], Optional[float]
 ]
 
 
 def promise_to_wire(p: Promise) -> WirePromise:
-    """Flatten a ball-mode promise to the tuple that crosses the channel."""
-    if p.mode is not _BALL:
+    """The tuple that crosses the channel: a ball promise's fields issuer to gap."""
+    if p.fb_time is not None:
         raise ValueError("only ball-mode promises are transmitted")
-    a = p.anchor_state
-    c = p.anchor_control
     return (
         p.issuer,
-        p.recipient,
         p.issued_at,
-        a.x,
-        a.y,
-        a.heading,
-        c.speed,
-        c.turn_rate,
+        p.x,
+        p.y,
+        p.heading,
+        p.speed,
+        p.turn,
         p.radius,
         p.expires_at,
         p.gap,
     )
 
 
-def promise_from_wire(wire: WirePromise, limits) -> Promise:
-    issuer, recipient, issued_at, ax, ay, heading, speed, turn, radius, expires_at, gap = wire
-    return Promise(
-        issuer=issuer,
-        recipient=recipient,
-        issued_at=issued_at,
-        anchor_state=UnicycleState(ax, ay, heading),
-        anchor_control=ControlInput(speed, turn, limits),
-        radius=radius,
-        expires_at=expires_at,
-        gap=gap,
-    )
+def promise_from_wire(wire: WirePromise, max_speed: float) -> Promise:
+    return Promise(*wire, max_speed)

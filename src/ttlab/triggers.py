@@ -28,7 +28,7 @@ import numpy as np
 
 from .model import FormationSpec, Limits, arc_step, wrap_angle
 from .controllers import goal_law, goal_offset, steer
-from .promises import _FALLBACK, Promise, disk_kernel, expected_position
+from .promises import Promise, disk_kernel, expected_position
 
 NS = 1_000_000_000
 BISECT_TOL_NS = 1_000  # refine the crossing to one microsecond
@@ -185,7 +185,7 @@ def disk_params_batch(
     Evaluates promises.disk_kernel on arrays, including the
     reachability-rate continuation past expiry.
     """
-    if p.mode is _FALLBACK:
+    if p.fb_time is not None:
         cx, cy, r = disk_kernel(p, 0.0, t - p.fb_time, _ARRAY_OPS)  # type: ignore[operator]
         return np.full_like(t, cx), np.full_like(t, cy), r
     tau = t - p.issued_at
@@ -315,9 +315,7 @@ class Scan:
         self.rollout: Dict[int, Tuple[int, float, float, float, float, float]] = {}
         self.chunk = SCAN_FIRST_CHUNK
         self.pending = False
-        self.fixed = all(
-            p.mode is _FALLBACK or p.anchor_control.speed == 0.0 for p in self.promises
-        )
+        self.fixed = all(p.fb_time is not None or p.speed == 0.0 for p in self.promises)
         self.held = None
 
     def grid(self, k: int) -> int:

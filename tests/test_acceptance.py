@@ -18,7 +18,6 @@ from ttlab.config import with_overrides
 from ttlab.engine import EngineInvariantError, run, run_self_triggered, sweep_lambda, write_outputs
 from ttlab.model import (
     CommGraph,
-    ControlInput,
     FormationSpec,
     Limits,
     UnicycleState,
@@ -339,9 +338,13 @@ def _check_integrator():
 
 
 def _clamp(speed, turn):
-    return ControlInput(
-        min(max(speed, 0.0), LIM.max_speed), min(max(turn, -LIM.max_turn), LIM.max_turn), LIM
-    )
+    return min(max(speed, 0.0), LIM.max_speed), min(max(turn, -LIM.max_turn), LIM.max_turn)
+
+
+def _ball(anchor, control, delta):
+    """A ball promise issued at 0 from the pose `anchor` under `control`, a
+    (speed, turn) pair."""
+    return Promise(0, 0.0, anchor.x, anchor.y, anchor.heading, *control, delta, None, None, U_MAX)
 
 
 def _rollout(start, controls, dt):
@@ -350,8 +353,8 @@ def _rollout(start, controls, dt):
     x, y, th = start.x, start.y, start.heading
     t = 0.0
     out = []
-    for c in controls:
-        x, y, th = arc_step(x, y, th, c.speed, c.turn_rate, dt)
+    for speed, turn in controls:
+        x, y, th = arc_step(x, y, th, speed, turn, dt)
         th = wrap_angle(th)
         t += dt
         out.append((t, x, y))
@@ -376,14 +379,14 @@ def _check_containment():
     dt, steps = 0.05, 7
     for _ in range(1000):
         anchor = UnicycleState(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-3.1, 3.1))
-        c0 = ControlInput(rng.uniform(0, U_MAX), rng.uniform(-3, 3), LIM)
+        c0 = (rng.uniform(0, U_MAX), rng.uniform(-3, 3))
         delta = rng.uniform(0.0, 2.0 * U_MAX)
-        p = Promise(0, 1, 0.0, anchor, c0, delta)
+        p = _ball(anchor, c0, delta)
         controls = []
         for _ in range(steps):
             rho = delta * math.sqrt(rng.uniform())
             phi = rng.uniform(0.0, 2.0 * math.pi)
-            controls.append(_clamp(c0.speed + rho * math.cos(phi), c0.turn_rate + rho * math.sin(phi)))
+            controls.append(_clamp(c0[0] + rho * math.cos(phi), c0[1] + rho * math.sin(phi)))
         violations += sum(_outside(p, t, x, y) for t, x, y in _rollout(anchor, controls, dt))
 
     # the tightness-1 promise contains any admissible motion
@@ -391,17 +394,16 @@ def _check_containment():
     for _ in range(1000):
         anchor = UnicycleState(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-3.1, 3.1))
         p = make_promise(
-            0, 1, 0.0, anchor, ControlInput(rng.uniform(0, U_MAX), rng.uniform(-3, 3), LIM),
-            StaticBall(1.0),
+            0, 0.0, anchor.x, anchor.y, anchor.heading, rng.uniform(0, U_MAX), rng.uniform(-3, 3),
+            U_MAX, StaticBall(1.0),
         )
-        controls = [ControlInput(rng.uniform(0, U_MAX), rng.uniform(-3, 3), LIM) for _ in range(20)]
+        controls = [(rng.uniform(0, U_MAX), rng.uniform(-3, 3)) for _ in range(20)]
         violations += sum(_outside(p, t, x, y) for t, x, y in _rollout(anchor, controls, 0.1))
 
     # post-warning fallback disks contain anything reachable from the frozen disk
     rng = np.random.default_rng(99)
     for _ in range(1000):
-        p = Promise(0, 1, 0.0, UnicycleState(0.0, 0.0, 0.0), ControlInput(2.0, 0.5, LIM),
-                    rng.uniform(0, 3))
+        p = _ball(UnicycleState(0.0, 0.0, 0.0), (2.0, 0.5), rng.uniform(0, 3))
         t0 = rng.uniform(0.05, 0.5)
         fb = fallback_to_reachability(p, t0)
         fcx, fcy, fr = disk_at(p, t0)
@@ -410,7 +412,7 @@ def _check_containment():
         start = UnicycleState(
             fcx + rho * math.cos(phi), fcy + rho * math.sin(phi), rng.uniform(-3.1, 3.1)
         )
-        controls = [ControlInput(rng.uniform(0, U_MAX), rng.uniform(-3, 3), LIM) for _ in range(10)]
+        controls = [(rng.uniform(0, U_MAX), rng.uniform(-3, 3)) for _ in range(10)]
         violations += sum(_outside(fb, t0 + t, x, y) for t, x, y in _rollout(start, controls, 0.1))
 
     # validated noisy promises still contain the issuer's true motion
@@ -418,9 +420,9 @@ def _check_containment():
     omega_bar, delta_bar = 0.01, 0.001
     for _ in range(1000):
         anchor = UnicycleState(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-3.1, 3.1))
-        c0 = ControlInput(rng.uniform(0, U_MAX), rng.uniform(-3, 3), LIM)
+        c0 = (rng.uniform(0, U_MAX), rng.uniform(-3, 3))
         delta = rng.uniform(0.0, 2.0 * U_MAX)
-        clean = Promise(0, 1, 0.0, anchor, c0, delta)
+        clean = _ball(anchor, c0, delta)
         rho = omega_bar * math.sqrt(rng.uniform())
         phi = rng.uniform(0, 2 * math.pi)
         noisy_anchor = UnicycleState(
@@ -428,11 +430,14 @@ def _check_containment():
         )
         rho = omega_bar * math.sqrt(rng.uniform())
         phi = rng.uniform(0, 2 * math.pi)
-        noisy_c = _clamp(c0.speed + rho * math.cos(phi), c0.turn_rate + rho * math.sin(phi))
+        noisy_c = _clamp(c0[0] + rho * math.cos(phi), c0[1] + rho * math.sin(phi))
         received = dc_replace(
             clean,
-            anchor_state=noisy_anchor,
-            anchor_control=noisy_c,
+            x=noisy_anchor.x,
+            y=noisy_anchor.y,
+            heading=noisy_anchor.heading,
+            speed=noisy_c[0],
+            turn=noisy_c[1],
             radius=max(delta + rng.uniform(-delta_bar, delta_bar), 0.0),
         )
         validated = validate_noisy_promise(received, omega_bar, delta_bar)
@@ -440,7 +445,7 @@ def _check_containment():
         for _ in range(7):
             rho = delta * math.sqrt(rng.uniform())
             phi = rng.uniform(0.0, 2.0 * math.pi)
-            controls.append(_clamp(c0.speed + rho * math.cos(phi), c0.turn_rate + rho * math.sin(phi)))
+            controls.append(_clamp(c0[0] + rho * math.cos(phi), c0[1] + rho * math.sin(phi)))
         rollout = _rollout(anchor, controls, 0.05)
         violations += sum(_outside(validated, t, x, y) for t, x, y in rollout)
 

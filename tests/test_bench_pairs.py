@@ -147,8 +147,9 @@ def test_traced_runs_report_the_median_timing_and_the_one_count(tmp_path):
     after = _traced_checkout(tmp_path / "after", "7")
     out = tmp_path / "out.json"
     assert bench_pairs.main(_traced_argv(before, after, out)) == 0
-    per_layer = json.loads(out.read_text())["workloads"]["team"]["per_layer"]
-    assert per_layer == {side: {"x.calls": 7, "x.self_s": 2.0} for side in ("before", "after")}
+    entry = json.loads(out.read_text())["workloads"]["team"]
+    assert entry["per_layer"] == {side: {"x.calls": 7, "x.self_s": 2.0} for side in ("before", "after")}
+    assert entry["count_changes"] == {}
     # Two untraced runs and TRACE_RUNS traced runs per side.
     assert (after / "runs.txt").read_text() == str(2 + bench_pairs.TRACE_RUNS)
 
@@ -164,6 +165,16 @@ def test_traced_runs_alternate_between_the_sides(tmp_path):
     assert [side for side, kind in runs if kind == "traced"] == [
         "before", "after", "after", "before", "before", "after"
     ]
+
+
+def test_count_changes_lists_each_count_that_differs_between_the_sides(tmp_path):
+    """A count that differs between the sides is listed with both values."""
+    before = _traced_checkout(tmp_path / "before", "7")
+    after = _traced_checkout(tmp_path / "after", "8")
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(_traced_argv(before, after, out)) == 0
+    changes = json.loads(out.read_text())["workloads"]["team"]["count_changes"]
+    assert changes == {"x.calls": {"before": 7, "after": 8}}
 
 
 def test_a_count_that_differs_between_traced_runs_stops_the_comparison(tmp_path, capsys):

@@ -21,8 +21,8 @@ import pytest
 
 import ttlab.engine as engine_mod
 from ttlab.config import bundled_config, with_overrides
-from ttlab.model import ControlInput, FormationSpec, Limits, UnicycleState
-from ttlab.promises import Promise, PromiseMode, disk_at
+from ttlab.model import FormationSpec
+from ttlab.promises import Promise, disk_at
 from ttlab.triggers import rate_bound
 
 # The GOLDEN runs of tests/test_golden.py: (scenario, overrides).
@@ -90,9 +90,9 @@ def test_every_certificate_holds_at_every_tick(name, monkeypatch):
 def _frozen_disk(issuer, center, radius):
     """A fallback promise whose disk at t = 0 is exactly (center, radius)."""
     return Promise(
-        issuer=issuer, recipient=0, issued_at=0.0, anchor_state=UnicycleState(*center, 0.0),
-        anchor_control=ControlInput(0.0, 0.0, Limits(5.0, 3.0)), radius=0.0,
-        mode=PromiseMode.REACHABILITY_FALLBACK, fb_center=center, fb_radius=radius, fb_time=0.0,
+        issuer=issuer, issued_at=0.0, x=center[0], y=center[1], heading=0.0, speed=0.0, turn=0.0,
+        radius=0.0, expires_at=None, gap=None, max_speed=5.0,
+        fb_center=center, fb_radius=radius, fb_time=0.0,
     )
 
 

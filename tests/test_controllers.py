@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from ttlab.config import with_overrides
 from ttlab.controllers import goal_law, goal_offset, steer, team_control, u_double_star
 from ttlab.engine import Engine
-from ttlab.model import ControlInput, FormationSpec, Limits, UnicycleState
+from ttlab.model import FormationSpec, Limits, UnicycleState
 from ttlab.promises import StaticBall, expected_position, fallback_to_reachability, make_promise
 
 LIM = Limits(5.0, 3.0)
@@ -78,18 +78,17 @@ def test_u_star_speed_nonnegative():
     assert turn > 0.0
 
 
-def _ball_promise(issuer, pos, control=None, issued_at=0.0):
-    c = control or ControlInput(0.0, 0.0, LIM)
-    return make_promise(issuer, 0, issued_at, UnicycleState(pos[0], pos[1], 0.0), c, StaticBall(0.1))
+def _ball_promise(issuer, pos, control=(0.0, 0.0), issued_at=0.0):
+    return make_promise(issuer, issued_at, *pos, 0.0, *control, LIM.max_speed, StaticBall(0.1))
 
 
 def test_e_map_hold_prediction():
-    p = _ball_promise(1, (1.0, 0.0), ControlInput(2.0, 0.0, LIM))
+    p = _ball_promise(1, (1.0, 0.0), (2.0, 0.0))
     assert expected_position(p, 0.5) == (2.0, 0.0)
 
 
 def test_e_map_fallback_center():
-    p = _ball_promise(1, (1.0, 0.0), ControlInput(2.0, 0.0, LIM))
+    p = _ball_promise(1, (1.0, 0.0), (2.0, 0.0))
     fb = fallback_to_reachability(p, 0.5)
     assert expected_position(fb, 2.0) == fb.fb_center
 
@@ -97,10 +96,9 @@ def test_e_map_fallback_center():
 def test_u_double_star_matches_components():
     """u** worked out by hand: E gives a parked neighbor's anchor, 2 away
     with target 1, so p* lies 1 ahead and u* saturates the speed at gain
-    150; the result carries the limits."""
+    150."""
     view = {1: _ball_promise(1, (2.0, 0.0))}
-    c = u_double_star(0, UnicycleState(0.0, 0.0, 0.0), view, 0.0, SPEC2, LIM)
-    assert (c.speed, c.turn_rate, c.limits) == (LIM.max_speed, 0.0, LIM)
+    assert u_double_star(0, UnicycleState(0.0, 0.0, 0.0), view, 0.0, SPEC2, LIM) == (LIM.max_speed, 0.0)
 
 
 def test_goal_law_matches_wrappers():
@@ -110,13 +108,13 @@ def test_goal_law_matches_wrappers():
     spec = FormationSpec({(0, 1): 1.5, (0, 2): 0.5}, 2.0)
     s = UnicycleState(0.5, -0.25, 2.0)
     view = {
-        2: _ball_promise(2, (0.0, 3.0), ControlInput(1.0, 0.5, LIM)),
-        1: _ball_promise(1, (2.0, 0.0), ControlInput(2.0, -1.0, LIM)),
+        2: _ball_promise(2, (0.0, 3.0), (1.0, 0.5)),
+        1: _ball_promise(1, (2.0, 0.0), (2.0, -1.0)),
     }
     pts = [expected_position(view[2], 0.3), expected_position(view[1], 0.3)]
     got = u_double_star(0, s, view, 0.3, spec, LIM)
     want = goal_law(s.x, s.y, s.heading, pts, [0.5, 1.5], spec.gain, *LIM_ARGS)
-    assert (got.speed, got.turn_rate) == want
+    assert got == want
 
 
 _COORD = st.floats(-50.0, 50.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -13,7 +14,7 @@ import ttlab.engine as engine_mod
 import ttlab.triggers as triggers_mod
 from ttlab.cli import main
 from ttlab.config import bundled_config, validate_config, with_overrides
-from ttlab.model import ControlInput, UnicycleState
+from ttlab.model import UnicycleState
 from ttlab.promises import BREACH_TOL, expected_position
 from ttlab.engine import (
     COMPARE_VARIANTS,
@@ -228,9 +229,9 @@ def test_write_outputs_matches_a_per_cell_oracle(tmp_path, scenario):
     ]
     v_series = list(EDGE_FLOATS[: len(EDGE_NS)])
     messages = [
-        MessageRecord(0, 1, "REQ", 0, 1, "bit", False),
-        MessageRecord(999_999_999, None, "PROMISE", 2, 3, "payload", True),
-        MessageRecord(10**9, 30 * 10**9, "WARN", 3, 0, "bit", False),
+        MessageRecord(0, 1, "REQ", 0, 1, False),
+        MessageRecord(999_999_999, None, "PROMISE", 2, 3, True),
+        MessageRecord(10**9, 30 * 10**9, "WARN", 3, 0, False),
     ]
     metrics = {"n_comm": 1, "v_final": -0.0, "v_initial": 1e300}
     result = RunResult(scenario, list(EDGE_NS), v_series, trace, messages, metrics, wall_time=0.0)
@@ -245,7 +246,7 @@ def test_write_outputs_matches_a_per_cell_oracle(tmp_path, scenario):
     message_head = ["sent_at", "deliver_at", "kind", "sender", "receiver", "size_class"]
     message_rows = [
         [_t_cell(m.sent_at_ns), "DROPPED" if m.deliver_at_ns is None else _t_cell(m.deliver_at_ns)]
-        + [m.kind, str(m.sender), str(m.receiver), m.size_class]
+        + [m.kind, str(m.sender), str(m.receiver), "payload" if m.kind == "PROMISE" else "bit"]
         for m in messages
     ]
     want = {
@@ -398,10 +399,9 @@ def test_containment_schedule_finds_misses_on_delivered_views(
     tick until its exemption ends."""
     from_wire = engine_mod.promise_from_wire
 
-    def shifted(wire, limits):
-        p = from_wire(wire, limits)
-        a = p.anchor_state
-        return replace(p, anchor_state=UnicycleState(a.x + 0.05, a.y, a.heading))
+    def shifted(wire, max_speed):
+        p = from_wire(wire, max_speed)
+        return replace(p, x=p.x + 0.05)
 
     monkeypatch.setattr(engine_mod, "promise_from_wire", shifted)
     cfg = with_overrides(robust_scenario, duration=1.0)
@@ -425,7 +425,7 @@ def test_changed_view_is_checked_at_the_next_record(change, robust_scenario):
     k, (i, r) = next(
         (k, pair)
         for k, pair in enumerate(eng.directed_pairs)
-        if agents[pair[1]].view[pair[0]].mode is engine_mod._BALL
+        if agents[pair[1]].view[pair[0]].fb_time is None
     )
     far = ts + 10**9
     eng.contain_due = [(agents[b].view[a], far) for a, b in eng.directed_pairs]
@@ -826,24 +826,29 @@ def test_nan_control_is_an_invariant_error(scenario, monkeypatch, capsys):
     [("formation4", "team"), ("formation4", "self"), ("formation4_robust", "robust-team")],
 )
 def test_control_input_only_at_bootstrap_and_promise_issue(scenario_name, law, monkeypatch):
-    """The tick holds the control as raw floats: a 1 s run builds a
-    ControlInput only for the bootstrap views' zero control, at promise
-    issue (the anchor, one per promise), and when a delivered promise is
-    decoded from the wire."""
+    """The tick holds the control as raw floats and builds no object: a 1 s
+    run builds a Promise only for the bootstrap views (one per directed
+    edge), at promise issue (one per promise), when a delivered promise is
+    decoded from the wire and inflated for a noisy channel, and when a
+    warning turns a view into its fallback."""
     sites = Counter()
-    post_init = ControlInput.__post_init__
+    post_init = engine_mod.Promise.__post_init__
 
     def counted(self):
         frame = sys._getframe(2)  # past the dataclass __init__
-        while frame.f_code.co_name == "safe_mode":
+        while frame.f_code.co_filename == dataclasses.__file__:  # past replace()
             frame = frame.f_back
         sites[frame.f_code.co_name] += 1
         post_init(self)
 
-    monkeypatch.setattr(ControlInput, "__post_init__", counted)
-    result = run(with_overrides(bundled_config(scenario_name), law=law, duration=1.0))
-    n_promises = result.metrics["n_comm"]
-    assert set(sites) <= {"_bootstrap", "_issue_promise", "promise_from_wire"}, sites
-    assert sites["_bootstrap"] == 1
-    assert sites["_issue_promise"] == n_promises
-    assert sites["promise_from_wire"] <= n_promises
+    monkeypatch.setattr(engine_mod.Promise, "__post_init__", counted)
+    cfg = with_overrides(bundled_config(scenario_name), law=law, duration=1.0)
+    n_promises = run(cfg).metrics["n_comm"]
+    allowed = {
+        "_bootstrap", "make_promise", "promise_from_wire", "validate_noisy_promise",
+        "fallback_to_reachability",
+    }
+    assert set(sites) <= allowed, sites
+    assert sites["_bootstrap"] == 2 * len(cfg.graph().edges)
+    assert sites["make_promise"] == n_promises
+    assert sites["validate_noisy_promise"] <= sites["promise_from_wire"] <= n_promises

@@ -89,7 +89,7 @@ UNREACHED = {
     ("promises", "make_promise", 'raise ValueError("the dynamic rule sizes the ball from the planning gap; none was given")'): _INPUT,
     ("promises", "Promise.__post_init__", 'raise ValueError(f"promise radius must be >= 0, got {self.radius}")'): _INPUT,
     ("promises", "Promise.__post_init__", 'raise ValueError("noise_slack must be >= 0")'): _INPUT,
-    ("promises", "Promise.__post_init__", 'raise ValueError("fallback promise needs fb_center, fb_radius, fb_time")'): _INPUT,
+    ("promises", "Promise.__post_init__", 'raise ValueError("fallback promise needs fb_center and fb_radius")'): _INPUT,
     ("promises", "Promise.__post_init__", 'raise ValueError("expires_at must lie strictly after issued_at")'): _INPUT,
     ("promises", "_ages", 'raise ValueError(f"t={t} precedes fallback time {p.fb_time}")'): _INPUT,
     ("promises", "validate_noisy_promise", 'raise ValueError("noise bounds must be nonnegative")'): _INPUT,
@@ -99,9 +99,8 @@ UNREACHED = {
     ("promises", "check_breach", "return breach_margin(p, t, actual.x, actual.y) < 0.0"): f"{_HOOKED} breach_margin",
     ("controllers", "u_double_star", "points = [expected_position(p, t) for p in view.values()]"): f"{_HOOKED} goal_law",
     ("controllers", "u_double_star", "dists = [spec.distance(i, j) for j in view]"): f"{_HOOKED} goal_law",
-    ("controllers", "u_double_star", "speed, turn = goal_law("): f"{_HOOKED} goal_law",
+    ("controllers", "u_double_star", "return goal_law("): f"{_HOOKED} goal_law",
     ("controllers", "u_double_star", "state.x, state.y, state.heading, points, dists, spec.gain, limits.max_speed, limits.max_turn"): f"{_HOOKED} goal_law",
-    ("controllers", "u_double_star", "return ControlInput(speed, turn, limits)"): f"{_HOOKED} goal_law",
     ("triggers", "critical_time_ns", "return ts[-1]  # the horizon: no crossing before it"): (
         "a scan that reaches its horizon of ten self dwells; every golden scan crosses first"
     ),

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ttlab.model import (
     CommGraph,
-    ControlInput,
     DiskSet,
     FormationSpec,
     Limits,
@@ -37,17 +36,6 @@ def test_wrap_angle_is_idempotent_and_in_range(theta):
     # same point on the circle
     assert math.isclose(math.cos(w), math.cos(theta), abs_tol=1e-9)
     assert math.isclose(math.sin(w), math.sin(theta), abs_tol=1e-9)
-
-
-def test_control_input_validation():
-    ControlInput(0.0, 0.0, LIM)
-    ControlInput(5.0, -3.0, LIM)
-    with pytest.raises(ValueError):
-        ControlInput(-0.1, 0.0, LIM)
-    with pytest.raises(ValueError):
-        ControlInput(5.1, 0.0, LIM)
-    with pytest.raises(ValueError):
-        ControlInput(1.0, 3.5, LIM)
 
 
 def test_limits_validation():

@@ -9,7 +9,7 @@ LIM = Limits(5.0, 3.0)
 
 
 def _wire(speed=2.0, turn=1.0, radius=1.0):
-    return (0, 1, 0.5, 6.0, 10.0, 1.5707963267948966, speed, turn, radius, None, None)
+    return (0, 0.5, 6.0, 10.0, 1.5707963267948966, speed, turn, radius, None, None)
 
 
 def test_params_validation():
@@ -114,7 +114,7 @@ def test_noise_bounds_and_clamps():
     ch = Channel(p, LIM)
     for _ in range(2000):
         res = ch.transmit(0, 1, _wire(speed=5.0, turn=-3.0, radius=0.0005))
-        (_, _, issued_at, ax, ay, heading, speed, turn, radius, _, _) = res.wire
+        (_, issued_at, ax, ay, heading, speed, turn, radius, _, _) = res.wire
         assert math.hypot(ax - 6.0, ay - 10.0) <= 0.01 + 1e-12
         assert heading == 1.5707963267948966  # heading is never perturbed
         assert issued_at == 0.5  # timestamps are never perturbed

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -6,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttlab.model import ARC_EPS, ControlInput, Limits, UnicycleState, arc_step, wrap_angle
+from ttlab.model import ARC_EPS, Limits, UnicycleState, arc_step, wrap_angle
 from ttlab.promises import (
     BREACH_TOL,
     DynamicBall,
     Promise,
-    PromiseMode,
     StaticBall,
     breach_margin,
     check_breach,
@@ -38,23 +38,35 @@ U_MAX = LIM.max_speed
 TAU_MAX = 0.35
 
 
-def _promise(anchor, control, delta, issued_at=0.0, **kw):
+def _promise(anchor, control, delta, issued_at=0.0, expires_at=None, **kw):
+    """A ball promise anchored at the pose `anchor` under `control`, a
+    (speed, turn) pair."""
+    speed, turn = control
     return Promise(
         issuer=0,
-        recipient=1,
         issued_at=issued_at,
-        anchor_state=anchor,
-        anchor_control=control,
+        x=anchor.x,
+        y=anchor.y,
+        heading=anchor.heading,
+        speed=speed,
+        turn=turn,
         radius=delta,
+        expires_at=expires_at,
+        gap=None,
+        max_speed=U_MAX,
         **kw,
     )
 
 
+def _make(issued_at, anchor, control, rule, **kw):
+    """make_promise from issuer 0 at the pose `anchor` under `control`."""
+    return make_promise(0, issued_at, anchor.x, anchor.y, anchor.heading, *control, U_MAX, rule, **kw)
+
+
 def _clamp_control(speed, turn):
-    return ControlInput(
+    return (
         min(max(speed, 0.0), LIM.max_speed),
         min(max(turn, -LIM.max_turn), LIM.max_turn),
-        LIM,
     )
 
 
@@ -64,8 +76,8 @@ def _rollout(anchor, controls, dt):
     x, y, th = anchor.x, anchor.y, anchor.heading
     t = 0.0
     out = []
-    for c in controls:
-        x, y, th = arc_step(x, y, th, c.speed, c.turn_rate, dt)
+    for speed, turn in controls:
+        x, y, th = arc_step(x, y, th, speed, turn, dt)
         th = wrap_angle(th)
         t += dt
         out.append((t, x, y))
@@ -79,60 +91,60 @@ def _outside(p, t, x, y):
 
 
 def test_make_promise_static_radius():
-    p = make_promise(0, 1, 0.0, UnicycleState(0, 0, 0), ControlInput(1.0, 0.0, LIM), StaticBall(0.2))
+    p = _make(0.0, UnicycleState(0, 0, 0), (1.0, 0.0), StaticBall(0.2))
     assert p.radius == 2.0 * U_MAX * 0.2
-    assert p.mode is PromiseMode.BALL_RADIUS
+    assert p.fb_time is None
 
 
 def test_make_promise_dynamic_radius_uses_planning_gap():
     """The dynamic rule sizes the ball from the planning control's gap, not
     from the applied anchor control, and refuses a promise without one."""
-    anchor_c = ControlInput(0.0, 0.0, LIM)  # safe mode applied
+    anchor_c = (0.0, 0.0)  # safe mode applied
     gap = math.hypot(3.0, 4.0 / 5.0 * 3.0)
-    p = make_promise(0, 1, 0.0, UnicycleState(0, 0, 0), anchor_c, DynamicBall(0.5, 1e-6), gap=gap)
+    p = _make(0.0, UnicycleState(0, 0, 0), anchor_c, DynamicBall(0.5, 1e-6), gap=gap)
     assert p.radius == 0.5 * gap + 1e-6
     assert p.gap == gap
     with pytest.raises(ValueError, match="planning gap"):
-        make_promise(0, 1, 0.0, UnicycleState(0, 0, 0), anchor_c, DynamicBall(0.5, 1e-6))
+        _make(0.0, UnicycleState(0, 0, 0), anchor_c, DynamicBall(0.5, 1e-6))
 
 
 def test_promise_validation_rejects_bad_fields():
     with pytest.raises(ValueError):
-        _promise(UnicycleState(0, 0, 0), ControlInput(1, 0, LIM), -1.0)
+        _promise(UnicycleState(0, 0, 0), (1, 0), -1.0)
     with pytest.raises(ValueError):
-        _promise(UnicycleState(0, 0, 0), ControlInput(1, 0, LIM), 1.0, expires_at=0.0)
+        _promise(UnicycleState(0, 0, 0), (1, 0), 1.0, expires_at=0.0)
     with pytest.raises(ValueError):
-        Promise(0, 1, 0.0, UnicycleState(0, 0, 0), ControlInput(1, 0, LIM), 1.0,
-                mode=PromiseMode.REACHABILITY_FALLBACK)
+        _promise(UnicycleState(0, 0, 0), (1, 0), 1.0, fb_time=0.0)
 
 
 def test_wire_round_trip_is_bit_exact():
-    p = make_promise(
-        2,
-        3,
-        1.2345678901234567,
-        UnicycleState(6.1, 10.2, 0.9187),
-        ControlInput(4.987654321, -2.123456789, LIM),
-        StaticBall(0.3),
-        expires_at=2.25,
-        gap=1.75,
-    )
-    wire = promise_to_wire(p)
-    assert len(wire) == 11
-    q = promise_from_wire(wire, LIM)
-    assert q == p
-    assert q.issuer == p.issuer and q.recipient == p.recipient
-    assert q.issued_at == p.issued_at
-    assert q.anchor_state == p.anchor_state
-    assert q.anchor_control.speed == p.anchor_control.speed
-    assert q.anchor_control.turn_rate == p.anchor_control.turn_rate
-    assert q.radius == p.radius
-    assert q.expires_at == p.expires_at
-    assert q.gap == p.gap
+    """A ball promise's wire tuple is its fields issuer to gap, and decoding
+    it with the promise's max_speed gives back the whole record, with and
+    without expiry and gap."""
+    for expires_at, gap in itertools.product((2.25, None), (1.75, None)):
+        p = make_promise(
+            2,
+            1.2345678901234567,
+            6.1,
+            10.2,
+            0.9187,
+            4.987654321,
+            -2.123456789,
+            U_MAX,
+            StaticBall(0.3),
+            expires_at=expires_at,
+            gap=gap,
+        )
+        wire = promise_to_wire(p)
+        assert wire == (
+            2, 1.2345678901234567, 6.1, 10.2, 0.9187, 4.987654321, -2.123456789,
+            2.0 * U_MAX * 0.3, expires_at, gap,
+        )
+        assert promise_from_wire(wire, p.max_speed) == p
 
 
 def test_wire_rejects_fallback_mode():
-    p = _promise(UnicycleState(0, 0, 0), ControlInput(1, 0, LIM), 1.0)
+    p = _promise(UnicycleState(0, 0, 0), (1, 0), 1.0)
     fb = fallback_to_reachability(p, 0.5)
     with pytest.raises(ValueError):
         promise_to_wire(fb)
@@ -141,11 +153,11 @@ def test_wire_rejects_fallback_mode():
 def test_disks_nested_in_tightness():
     """A tighter promise commits to a subset of a looser one's disk."""
     anchor = UnicycleState(1.0, 2.0, 0.7)
-    control = ControlInput(3.0, 1.0, LIM)
+    control = (3.0, 1.0)
     for tau in (0.01, 0.1, 0.3, 1.0):
         radii = []
         for lam in (0.0, 0.1, 0.2, 0.5, 1.0):
-            p = make_promise(0, 1, 0.0, anchor, control, StaticBall(lam))
+            p = _make(0.0, anchor, control, StaticBall(lam))
             d = view_disk_at(p, tau)
             radii.append(d.radius)
         assert radii == sorted(radii)
@@ -153,7 +165,7 @@ def test_disks_nested_in_tightness():
 
 def test_disk_radius_nondecreasing_in_time():
     anchor = UnicycleState(0.0, 0.0, 0.3)
-    p = _promise(anchor, ControlInput(2.0, -1.5, LIM), 1.0)
+    p = _promise(anchor, (2.0, -1.5), 1.0)
     taus = np.linspace(0.0, 2.0, 300)
     radii = [view_disk_at(p, float(t)).radius for t in taus]
     assert all(b >= a - 1e-12 for a, b in zip(radii, radii[1:]))
@@ -172,15 +184,15 @@ def test_ball_containment_monte_carlo():
     violations = 0
     for _ in range(1000):
         anchor = UnicycleState(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-3.1, 3.1))
-        c0 = ControlInput(rng.uniform(0, U_MAX), rng.uniform(-3, 3), LIM)
+        c0 = (rng.uniform(0, U_MAX), rng.uniform(-3, 3))
         delta = rng.uniform(0.0, 2.0 * U_MAX)
         p = _promise(anchor, c0, delta)
         controls = []
         for _ in range(steps):
             rho = delta * math.sqrt(rng.uniform())
             phi = rng.uniform(0.0, 2.0 * math.pi)
-            controls.append(_clamp_control(c0.speed + rho * math.cos(phi),
-                                           c0.turn_rate + rho * math.sin(phi)))
+            controls.append(_clamp_control(c0[0] + rho * math.cos(phi),
+                                           c0[1] + rho * math.sin(phi)))
         for t, x, y in _rollout(anchor, controls, dt):
             if _outside(p, t, x, y):
                 violations += 1
@@ -197,7 +209,7 @@ def test_in_ball_motion_leaves_the_disk_past_two_over_anchor_speed(delta, exit_m
     to 2 s: containment of in-ball motion holds only up to an age of about
     2 / (anchor speed), and past it the issuer's breach monitor keeps the
     position promise."""
-    p = _promise(UnicycleState(0.0, 0.0, 0.0), ControlInput(5.0, 0.0, LIM), delta)
+    p = _promise(UnicycleState(0.0, 0.0, 0.0), (5.0, 0.0), delta)
     inside = []
     for k in range(1, 2001):
         x, y, _ = arc_step(0.0, 0.0, 0.0, 5.0, delta, k * 1e-3)
@@ -213,10 +225,10 @@ def test_reachability_containment_monte_carlo():
     violations = 0
     for _ in range(1000):
         anchor = UnicycleState(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-3.1, 3.1))
-        c0 = ControlInput(rng.uniform(0, U_MAX), rng.uniform(-3, 3), LIM)
-        p = make_promise(0, 1, 0.0, anchor, c0, StaticBall(1.0))
+        c0 = (rng.uniform(0, U_MAX), rng.uniform(-3, 3))
+        p = _make(0.0, anchor, c0, StaticBall(1.0))
         controls = [
-            ControlInput(rng.uniform(0, U_MAX), rng.uniform(-3, 3), LIM) for _ in range(20)
+            (rng.uniform(0, U_MAX), rng.uniform(-3, 3)) for _ in range(20)
         ]
         for t, x, y in _rollout(anchor, controls, dt):
             if _outside(p, t, x, y):
@@ -231,7 +243,7 @@ def test_fallback_containment_monte_carlo():
     violations = 0
     for _ in range(1000):
         anchor = UnicycleState(0.0, 0.0, 0.0)
-        p = _promise(anchor, ControlInput(2.0, 0.5, LIM), rng.uniform(0, 3))
+        p = _promise(anchor, (2.0, 0.5), rng.uniform(0, 3))
         t0 = rng.uniform(0.05, 0.5)
         fb = fallback_to_reachability(p, t0)
         fcx, fcy, fr = disk_at(p, t0)
@@ -242,7 +254,7 @@ def test_fallback_containment_monte_carlo():
             fcx + rho * math.cos(phi), fcy + rho * math.sin(phi), rng.uniform(-3.1, 3.1)
         )
         controls = [
-            ControlInput(rng.uniform(0, U_MAX), rng.uniform(-3, 3), LIM) for _ in range(10)
+            (rng.uniform(0, U_MAX), rng.uniform(-3, 3)) for _ in range(10)
         ]
         for t, x, y in _rollout(start, controls, dt):
             if _outside(fb, t0 + t, x, y):
@@ -265,7 +277,7 @@ def test_noisy_validation_containment_monte_carlo():
     violations = 0
     for _ in range(1000):
         anchor = UnicycleState(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-3.1, 3.1))
-        c0 = ControlInput(rng.uniform(0, U_MAX), rng.uniform(-3, 3), LIM)
+        c0 = (rng.uniform(0, U_MAX), rng.uniform(-3, 3))
         delta = rng.uniform(0.0, 2.0 * U_MAX)
         clean = _promise(anchor, c0, delta)
 
@@ -276,17 +288,20 @@ def test_noisy_validation_containment_monte_carlo():
                                      anchor.y + rho * math.sin(phi), anchor.heading)
         rho = omega_bar * math.sqrt(rng.uniform())
         phi = rng.uniform(0, 2 * math.pi)
-        noisy_c = _clamp_control(c0.speed + rho * math.cos(phi), c0.turn_rate + rho * math.sin(phi))
+        noisy_c = _clamp_control(c0[0] + rho * math.cos(phi), c0[1] + rho * math.sin(phi))
         noisy_r = max(delta + rng.uniform(-delta_bar, delta_bar), 0.0)
-        received = replace(clean, anchor_state=noisy_anchor, anchor_control=noisy_c, radius=noisy_r)
+        received = replace(
+            clean, x=noisy_anchor.x, y=noisy_anchor.y, heading=noisy_anchor.heading,
+            speed=noisy_c[0], turn=noisy_c[1], radius=noisy_r,
+        )
         validated = validate_noisy_promise(received, omega_bar, delta_bar)
 
         controls = []
         for _ in range(steps):
             rho = delta * math.sqrt(rng.uniform())
             phi = rng.uniform(0.0, 2.0 * math.pi)
-            controls.append(_clamp_control(c0.speed + rho * math.cos(phi),
-                                           c0.turn_rate + rho * math.sin(phi)))
+            controls.append(_clamp_control(c0[0] + rho * math.cos(phi),
+                                           c0[1] + rho * math.sin(phi)))
         for t, x, y in _rollout(anchor, controls, dt):
             if _outside(validated, t, x, y):
                 violations += 1
@@ -294,14 +309,14 @@ def test_noisy_validation_containment_monte_carlo():
 
 
 def test_validate_noisy_promise_rejects_negative_bounds():
-    p = _promise(UnicycleState(0, 0, 0), ControlInput(1, 0, LIM), 1.0)
+    p = _promise(UnicycleState(0, 0, 0), (1, 0), 1.0)
     with pytest.raises(ValueError):
         validate_noisy_promise(p, -0.01, 0.0)
 
 
 def test_check_breach_boundary():
     anchor = UnicycleState(0.0, 0.0, 0.0)
-    p = _promise(anchor, ControlInput(2.0, 0.0, LIM), 1.0)
+    p = _promise(anchor, (2.0, 0.0), 1.0)
     t = 0.5
     disk = view_disk_at(p, t)
     on_edge = UnicycleState(disk.center[0] + disk.radius, disk.center[1], 0.0)
@@ -313,19 +328,19 @@ def test_check_breach_boundary():
 def test_zero_radius_promise_breaches_within_one_step():
     """An exact-hold commitment is broken by any deviating control at once."""
     anchor = UnicycleState(0.0, 0.0, 0.0)
-    hold = ControlInput(2.0, 0.0, LIM)
+    hold = (2.0, 0.0)
     p = _promise(anchor, hold, 0.0)
     dt = 1e-3
     x, y, _ = arc_step(0.0, 0.0, 0.0, 2.0, 3.0, dt)
     assert breach_margin(p, dt, x, y) < 0.0
     # while the anchored control itself never breaches
-    x, y, _ = arc_step(0.0, 0.0, 0.0, hold.speed, hold.turn_rate, dt)
+    x, y, _ = arc_step(0.0, 0.0, 0.0, *hold, dt)
     assert breach_margin(p, dt, x, y) >= 0.0
 
 
 def test_expiry_and_ballooning():
     anchor = UnicycleState(0.0, 0.0, 0.0)
-    p = _promise(anchor, ControlInput(1.0, 0.0, LIM), 0.5, expires_at=1.0)
+    p = _promise(anchor, (1.0, 0.0), 0.5, expires_at=1.0)
     assert not is_expired(p, 1.0)
     assert is_expired(p, 1.0 + 1e-12)
     edge = view_disk_at(p, 1.0)
@@ -335,7 +350,7 @@ def test_expiry_and_ballooning():
 
 
 def test_fallback_disk_grows_at_max_speed():
-    p = _promise(UnicycleState(0, 0, 0), ControlInput(2.0, 0.0, LIM), 1.0)
+    p = _promise(UnicycleState(0, 0, 0), (2.0, 0.0), 1.0)
     fb = fallback_to_reachability(p, 0.25)
     d0 = view_disk_at(fb, 0.25)
     d1 = view_disk_at(fb, 1.25)
@@ -349,7 +364,7 @@ def _promise_and_times(draw, turns=st.floats(-LIM.max_turn, LIM.max_turn)):
     coord = st.floats(-20.0, 20.0)
     heading = st.floats(-math.pi, math.pi)
     anchor = UnicycleState(draw(coord), draw(coord), draw(heading))
-    control = ControlInput(draw(st.floats(0.0, U_MAX)), draw(turns), LIM)
+    control = (draw(st.floats(0.0, U_MAX)), draw(turns))
     issued_at = draw(st.floats(0.0, 2.0))
     kind = draw(st.sampled_from(["ball", "noisy", "expired", "fallback"]))
     expires_at = issued_at + draw(st.floats(0.01, 1.0)) if kind == "expired" else None
@@ -387,7 +402,7 @@ def test_breach_margin_falls_at_most_twice_max_speed(case, x, y, heading, speed,
 def test_breach_margin_bound_is_tight():
     # Center and issuer moving apart head-on, both at max speed: the margin
     # falls at exactly 2 * max_speed, so no smaller rate may schedule checks.
-    p = _promise(UnicycleState(0.0, 0.0, 0.0), ControlInput(U_MAX, 0.0, LIM), 0.0)
+    p = _promise(UnicycleState(0.0, 0.0, 0.0), (U_MAX, 0.0), 0.0)
     m0 = breach_margin(p, 0.5, 2.5, 0.0)
     x1, y1, _ = arc_step(2.5, 0.0, math.pi, U_MAX, 0.0, 0.25)
     m1 = breach_margin(p, 0.75, x1, y1)
@@ -421,10 +436,9 @@ def test_disk_halves_match_view_disk_at_bit_for_bit(case):
         disk = view_disk_at(p, t)
         assert _bits(expected_position(p, t)) == _bits(disk.center)
         assert _bits(disk_at(p, t)) == _bits((*disk.center, disk.radius))
-        if p.mode is PromiseMode.BALL_RADIUS:
+        if p.fb_time is None:
             end = t if p.expires_at is None else min(t, p.expires_at)
-            a, c = p.anchor_state, p.anchor_control
-            arc = arc_step(a.x, a.y, a.heading, c.speed, c.turn_rate, end - p.issued_at)
+            arc = arc_step(p.x, p.y, p.heading, p.speed, p.turn, end - p.issued_at)
             assert _bits(disk.center) == _bits(arc[:2])
         else:
             assert disk.center == p.fb_center

@@ -10,7 +10,6 @@ import ttlab.triggers as triggers
 from ttlab.controllers import goal_law
 from ttlab.model import (
     ARC_EPS,
-    ControlInput,
     FormationSpec,
     Limits,
     UnicycleState,
@@ -47,6 +46,11 @@ NS = 1_000_000_000
 DT = 1_000_000  # the 1 ms tick
 DWELL = int(0.3 * NS)
 HORIZON = 10 * DWELL  # the engine scans ten self dwells ahead
+
+
+def _issue(issuer, now, anchor, control, rule, **kw):
+    """make_promise at the pose `anchor` under `control`, a (speed, turn) pair."""
+    return make_promise(issuer, now, anchor.x, anchor.y, anchor.heading, *control, LIM.max_speed, rule, **kw)
 
 
 def _dense_scan(px, py, fx, fy, cx, cy, r, d, n_ang=720, n_rad=80):
@@ -96,9 +100,9 @@ def test_rate_bound_conservative_and_tight():
 
 def _rand_promise(rng, expires=None, noisy=False):
     anchor = UnicycleState(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-3.1, 3.1))
-    c = ControlInput(rng.uniform(0, 5), rng.uniform(-3, 3), LIM)
-    p = make_promise(0, 1, rng.uniform(0, 2), anchor, c, StaticBall(rng.uniform(0, 1)),
-                     expires_at=None if expires is None else rng.uniform(0, 2) + expires)
+    c = (rng.uniform(0, 5), rng.uniform(-3, 3))
+    p = _issue(0, rng.uniform(0, 2), anchor, c, StaticBall(rng.uniform(0, 1)),
+               expires_at=None if expires is None else rng.uniform(0, 2) + expires)
     if noisy:
         from ttlab.promises import validate_noisy_promise
 
@@ -161,10 +165,10 @@ def test_scan_centers_equal_expected_position_on_the_tick_grid(kind):
             turn = rng.uniform(-3.0, 3.0)
         # An expiry on the tick grid, within the 200 grid points below.
         expires_ns = (issued_ns // DT + int(rng.integers(1, 100))) * DT if kind == "expired" else None
-        p = make_promise(
-            int(rng.integers(0, 4)), 0, issued_ns * 1e-9,
+        p = _issue(
+            int(rng.integers(0, 4)), issued_ns * 1e-9,
             UnicycleState(rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(-3.2, 3.2)),
-            ControlInput(rng.uniform(0.0, 5.0), turn, LIM), StaticBall(rng.uniform(0.0, 1.0)),
+            (rng.uniform(0.0, 5.0), turn), StaticBall(rng.uniform(0.0, 1.0)),
             expires_at=None if expires_ns is None else expires_ns * 1e-9,
         )
         later_ns = issued_ns + int(rng.integers(0, 100 * DT))
@@ -184,8 +188,8 @@ def test_scan_centers_equal_expected_position_on_the_tick_grid(kind):
 def _single_neighbor_view(pos, d_target, tightness=0.05):
     """Agent 0 at the origin watching one parked neighbor."""
     spec = FormationSpec({(0, 1): d_target}, 150.0)
-    p = make_promise(
-        1, 0, 0.0, UnicycleState(pos[0], pos[1], 0.0), ControlInput(0.0, 0.0, LIM),
+    p = _issue(
+        1, 0.0, UnicycleState(pos[0], pos[1], 0.0), (0.0, 0.0),
         StaticBall(tightness),
     )
     return spec, {1: p}
@@ -542,13 +546,12 @@ def _random_view(rng, dt_ns):
     view = {}
     for j in range(1, k + 1):
         anchor = UnicycleState(*rng.uniform(-4.0, 4.0, 2).tolist(), rng.uniform(-3.1, 3.1))
-        control = ControlInput(rng.uniform(0.0, 5.0), rng.uniform(-3.0, 3.0), LIM)
+        control = (rng.uniform(0.0, 5.0), rng.uniform(-3.0, 3.0))
         issued_ns = t_last - int(rng.uniform(0.0, 0.5) * NS)
         issued = issued_ns * 1e-9
         kind = rng.integers(3)
         expires = issued + rng.uniform(0.0, 0.6) if kind == 1 else None
-        p = make_promise(j, 0, issued, anchor, control, StaticBall(rng.uniform(0.0, 0.3)),
-                         expires_at=expires)
+        p = _issue(j, issued, anchor, control, StaticBall(rng.uniform(0.0, 0.3)), expires_at=expires)
         if kind == 2:
             p = fallback_to_reachability(p, int(rng.integers(issued_ns, t_last + 1)) * 1e-9)
         assert p.issued_at <= start and (p.fb_time is None or p.issued_at <= p.fb_time <= start)
@@ -566,8 +569,8 @@ def test_scan_over_a_view_from_the_future_is_an_error(t_ns):
     disk there: the scan's first critical_time_ns call raises rather than
     grow that disk by a negative age."""
     spec = FormationSpec({(0, 1): 1.0}, 150.0)
-    p = make_promise(
-        1, 0, 0.317, UnicycleState(3.2, -3.3, 0.4), ControlInput(2.0, 0.5, LIM), StaticBall(0.1)
+    p = _issue(
+        1, 0.317, UnicycleState(3.2, -3.3, 0.4), (2.0, 0.5), StaticBall(0.1)
     )
     view = {1: fallback_to_reachability(p, 0.3710883125654855)}
     scan = Scan(0, 0.0, 0.0, 0.0, view, t_ns, spec, LIM, DT, HORIZON_SCAN)
@@ -635,8 +638,8 @@ def test_scan_stops_at_first_stationary_point(goal_ahead, still_at, rollout_rows
     straight for its parked neighbor's goal point, overshoots it and
     stops."""
     spec = FormationSpec({(0, 1): 1.0}, 150.0)
-    p = make_promise(
-        1, 0, 0.0, UnicycleState(1.0 + goal_ahead, 0.0, 0.0), ControlInput(0.0, 0.0, LIM),
+    p = _issue(
+        1, 0.0, UnicycleState(1.0 + goal_ahead, 0.0, 0.0), (0.0, 0.0),
         StaticBall(0.0),
     )
     view, own, dt = {1: p}, (0.0, 0.0, 0.0), 10 * DT
@@ -694,7 +697,7 @@ def _fixed_view(rng, moving=False):
 
     def ball(j, speed, turn):
         anchor = UnicycleState(rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(-3.2, 3.2))
-        return make_promise(j, 0, 0.0, anchor, ControlInput(speed, turn, LIM), StaticBall(0.1))
+        return _issue(j, 0.0, anchor, (speed, turn), StaticBall(0.1))
 
     view = {
         1: fallback_to_reachability(ball(1, rng.uniform(0.0, 5.0), rng.uniform(-3.0, 3.0)), 0.05),
@@ -903,8 +906,8 @@ def test_resumed_scan_at_pinned_crossings(where, monkeypatch):
     its lo, the pending call's lower bound; a crossing deep inside a later
     chunk; and none before the horizon, which returns the last grid point."""
     spec = FormationSpec({(0, 1): 1.0}, 150.0)
-    p = make_promise(
-        1, 0, 0.0, UnicycleState(2.0, 0.0, 0.0), ControlInput(0.0, 0.0, LIM), StaticBall(0.0)
+    p = _issue(
+        1, 0.0, UnicycleState(2.0, 0.0, 0.0), (0.0, 0.0), StaticBall(0.0)
     )
     view = {1: fallback_to_reachability(p, 0.0)}
     t_last = 1_531_377  # off the tick grid

@@ -15,7 +15,9 @@ fixes for it. With ``--trace`` the per-layer metrics of ``TRACE_RUNS`` traced
 runs per side are added, the two sides' traced runs alternating in the same
 order as the pairs: each timing as the median of those runs, and each
 count, ratio or byte count (by its unit in ``BENCHMARK.json``) as its one
-value, since those must repeat exactly.
+value, since those must repeat exactly. Each workload's ``count_changes``
+then lists every such value that differs between the two sides, with both;
+it is empty when the change does the same work as the parent.
 
 A run that exits with a non-zero status, or whose outputs ``bench/run.py``
 found wrong (``"correct": false``), stops the comparison with an error that
@@ -109,6 +111,18 @@ def layer_metrics(
     return out
 
 
+def count_changes(per_layer: Dict[str, Dict], units: Dict[str, str]) -> Dict[str, Dict]:
+    """{name: {"before": value, "after": value}} for each per-layer metric
+    whose unit `units` lists in EXACT_UNITS and whose value differs between
+    the sides; a metric one side lacks reads None there."""
+    before, after = per_layer["before"], per_layer["after"]
+    return {
+        name: {"before": before.get(name), "after": after.get(name)}
+        for name in sorted(before.keys() | after.keys())
+        if units.get(name) in EXACT_UNITS and before.get(name) != after.get(name)
+    }
+
+
 def checkout_state(path: Path) -> Optional[Dict]:
     """`path`'s commit (`git rev-parse HEAD`), whether its tree is clean
     (`git status --porcelain` prints nothing) and the lines of its
@@ -195,7 +209,8 @@ def compare(
     w: str, sides: Dict[str, Path], args: argparse.Namespace, rules: Dict, units: Dict[str, str]
 ) -> Dict:
     """The report entry of workload `w`: its alternating pairs, summarised,
-    and with args.trace each side's traced metrics (see `traced`)."""
+    and with args.trace each side's traced metrics (see `traced`) and the
+    counts that differ between them (see `count_changes`)."""
     runs: Dict[str, List[Dict]] = {"before": [], "after": []}
     for k in range(args.pairs):
         for side in pair_order(k):
@@ -222,6 +237,7 @@ def compare(
             )
     if args.trace:
         entry["per_layer"] = traced(sides, w, units)
+        entry["count_changes"] = count_changes(entry["per_layer"], units)
     return entry
 
 
